@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"scaldtv/internal/assertion"
@@ -44,6 +45,10 @@ func (r *Report) SummaryListing() string {
 
 // maxDepth caps macro nesting to catch recursive definitions.
 const maxDepth = 64
+
+// maxVectorWidth caps the bits one range may span, so a mistyped or
+// hostile bound fails elaboration instead of exhausting memory.
+const maxVectorWidth = 1 << 16
 
 // Report carries the expansion statistics the paper reports in Table 3-2:
 // the primitive census by type, the vectored and scalarised instance
@@ -87,6 +92,16 @@ type expander struct {
 
 	paramIdx map[string]int32 // declared parameter name → Design.Params index
 	fnIDs    map[string]int32 // canonical delay-function key → AddDelayFn handle
+
+	// vectors memoizes this expansion's resolved vector references, so a
+	// repeated reference neither re-parses the name nor rebuilds a bit.
+	vectors map[vectorRef][]netlist.NetID
+}
+
+// vectorRef is one vector reference: a signal name and a bit range.
+type vectorRef struct {
+	name   string
+	lo, hi int
 }
 
 // frame is one level of macro expansion context.
@@ -95,7 +110,17 @@ type frame struct {
 	macro    string // the macro definition being expanded, "" at the root
 	params   map[string]int
 	bindings map[string][]netlist.Conn // port name → actual connections
-	locals   map[string]hdl.PortDecl   // local declarations
+	locals   []hdl.PortDecl            // local declarations
+}
+
+// local finds a local declaration by name; a later declaration wins.
+func (fr *frame) local(name string) (hdl.PortDecl, bool) {
+	for i := len(fr.locals) - 1; i >= 0; i-- {
+		if fr.locals[i].Name == name {
+			return fr.locals[i], true
+		}
+	}
+	return hdl.PortDecl{}, false
 }
 
 // Expand flattens the parsed file into a verified netlist design.
@@ -144,6 +169,7 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 		labels:   map[string]int{},
 		paramIdx: map[string]int32{},
 		fnIDs:    map[string]int32{},
+		vectors:  map[vectorRef][]netlist.NetID{},
 	}
 	// Design parameter declarations; a parameter without an explicit
 	// range is fixed at its default.
@@ -161,7 +187,7 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 		}
 		e.macros[m.Name] = m
 	}
-	root := &frame{path: "", params: map[string]int{}, bindings: map[string][]netlist.Conn{}, locals: map[string]hdl.PortDecl{}}
+	root := &frame{path: "", params: map[string]int{}, bindings: map[string][]netlist.Conn{}}
 
 	// Root signal pre-declarations.
 	for _, sd := range f.Signals {
@@ -237,28 +263,31 @@ func (e *expander) evalRange(lo, hi hdl.Expr, params map[string]int) (int, int, 
 	if l < 0 {
 		return 0, 0, fmt.Errorf("negative bit index %d", l)
 	}
+	if h-l >= maxVectorWidth {
+		return 0, 0, fmt.Errorf("bit range <%d:%d> is wider than %d bits", l, h, maxVectorWidth)
+	}
 	return l, h, nil
 }
 
 // globalBits resolves a global signal reference to its nets, creating them
-// on first use with the Builder's vector naming.
+// on first use with the Builder's vector naming.  The returned slice is
+// shared with the memo and must not be modified.
 func (e *expander) globalBits(name string, hasRange bool, lo, hi int) ([]netlist.NetID, error) {
 	if !hasRange {
 		return []netlist.NetID{e.b.Net(name)}, nil
+	}
+	key := vectorRef{name, lo, hi}
+	if bits, ok := e.vectors[key]; ok {
+		return bits, nil
 	}
 	sig, err := assertion.Parse(name)
 	if err != nil {
 		return nil, fmt.Errorf("expand: %v", err)
 	}
-	suffix := ""
-	if sig.Assert != nil {
-		suffix = " " + sig.Assert.String()
-	}
-	out := make([]netlist.NetID, 0, hi-lo+1)
-	for i := lo; i <= hi; i++ {
-		out = append(out, e.b.Net(fmt.Sprintf("%s<%d>%s", sig.Base, i, suffix)))
-	}
-	return out, nil
+	bits := make([]netlist.NetID, hi-lo+1)
+	e.b.VectorBits(bits, sig.Base, sig.Assert, lo)
+	e.vectors[key] = bits
+	return bits, nil
 }
 
 // resolve turns a signal expression into connections within a frame.
@@ -279,7 +308,7 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 		} else {
 			conns = append(conns, bound...)
 		}
-	} else if decl, ok := fr.locals[se.Name]; ok {
+	} else if decl, ok := fr.local(se.Name); ok {
 		// Macro local: a uniquified global per expansion (the /M markers).
 		uname := fr.path + se.Name
 		dlo, dhi := 0, 0
@@ -422,7 +451,7 @@ func (e *expander) label(inst *hdl.Instance, fr *frame) string {
 		key = inst.Macro
 	}
 	e.labels[key]++
-	return fmt.Sprintf("%s%s.%d", fr.path, key, e.labels[key])
+	return fr.path + key + "." + strconv.Itoa(e.labels[key])
 }
 
 func (e *expander) tally(fr *frame, k netlist.Kind, width int) {
@@ -594,7 +623,7 @@ func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
 	e.report.UsesByMacro[m.Name]++
 
 	// Value parameters.
-	params := map[string]int{}
+	params := make(map[string]int, len(m.Params))
 	for _, pn := range m.Params {
 		exp, ok := inst.ParamVals[pn]
 		if !ok {
@@ -623,8 +652,8 @@ func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
 		path:     e.label(inst, fr) + "/",
 		macro:    m.Name,
 		params:   params,
-		bindings: map[string][]netlist.Conn{},
-		locals:   map[string]hdl.PortDecl{},
+		bindings: make(map[string][]netlist.Conn, len(m.Ports)),
+		locals:   m.Locals,
 	}
 	for _, pd := range m.Ports {
 		se, ok := inst.Conns[pd.Name]
@@ -664,10 +693,6 @@ func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
 			return fmt.Errorf("expand: line %d: macro %q has no port %s", inst.Line, m.Name, port)
 		}
 	}
-	for _, ld := range m.Locals {
-		sub.locals[ld.Name] = ld
-	}
-
 	for _, child := range m.Body {
 		if err := e.instance(child, sub, depth+1); err != nil {
 			return err

@@ -189,6 +189,8 @@ and delay=(1,1) (A) -> (-X)`, "cannot carry"},
 		{`period 50ns
 signal V<3:0>`, "inverted bit range"},
 		{`period 50ns
+buf delay=(1,1) (A<0:99999999>) -> (B<0:99999999>)`, "wider than 65536 bits"},
+		{`period 50ns
 macro M { param A<0:3>
 buf delay=(1,1) (A<0:9>) -> (A<0:3>) }
 use M (A=X<0:3>)`, "exceeds bound width"},

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"strconv"
 
 	"scaldtv/internal/assertion"
 	"scaldtv/internal/tick"
@@ -14,6 +15,7 @@ import (
 type Builder struct {
 	d   *Design
 	err error
+	buf []byte // reused bit-name buffer of VectorBits
 }
 
 // NewBuilder starts a design with the paper's customary defaults: the
@@ -91,11 +93,15 @@ func (b *Builder) Net(name string) NetID {
 		b.fail("%v", err)
 		sig = assertion.Signal{Base: name, Raw: name}
 	}
+	return b.newNet(name, sig.Base, sig.Assert)
+}
+
+func (b *Builder) newNet(name, base string, a *assertion.Assertion) NetID {
 	id := NetID(len(b.d.Nets))
 	b.d.Nets = append(b.d.Nets, Net{
 		Name:   name,
-		Base:   sig.Base,
-		Assert: sig.Assert,
+		Base:   base,
+		Assert: a,
 		Driver: NoDriver,
 	})
 	b.d.byName[name] = id
@@ -109,20 +115,43 @@ func (b *Builder) Vector(name string, width int) []NetID {
 		b.fail("vector %q with non-positive width %d", name, width)
 		width = 1
 	}
+	out := make([]NetID, width)
 	sig, err := assertion.Parse(name)
 	if err != nil {
 		b.fail("%v", err)
-		return make([]NetID, width)
+		return out
 	}
-	suffix := ""
-	if sig.Assert != nil {
-		suffix = " " + sig.Assert.String()
-	}
-	out := make([]NetID, width)
-	for i := range out {
-		out[i] = b.Net(fmt.Sprintf("%s<%d>%s", sig.Base, i, suffix))
-	}
+	b.VectorBits(out, sig.Base, sig.Assert, 0)
 	return out
+}
+
+// VectorBits fills out with the nets of bits lo, lo+1, ... of the vector
+// signal with the given parsed base name and assertion (nil for none),
+// creating them on first use.  Bit i is named "BASE<i>", followed by
+// " ‹assertion›" when a is set; its Base is "BASE<i>" and every bit shares
+// a itself, which must not be mutated afterwards.  Names are built in a
+// reused buffer, so a bit that already exists costs one map lookup.
+func (b *Builder) VectorBits(out []NetID, base string, a *assertion.Assertion, lo int) {
+	var assert string
+	if a != nil {
+		assert = a.String()
+	}
+	buf := append(append(b.buf[:0], base...), '<')
+	stem := len(buf)
+	for i := range out {
+		buf = append(strconv.AppendInt(buf[:stem], int64(lo+i), 10), '>')
+		bitBase := len(buf)
+		if a != nil {
+			buf = append(append(buf, ' '), assert...)
+		}
+		if id, ok := b.d.byName[string(buf)]; ok {
+			out[i] = id
+			continue
+		}
+		name := string(buf)
+		out[i] = b.newNet(name, name[:bitBase], a)
+	}
+	b.buf = buf
 }
 
 // SetWire overrides the interconnection delay of every given net (§2.5.3,
@@ -217,20 +246,53 @@ func (b *Builder) Gate(k Kind, name string, delay tick.Range, out []NetID, ins .
 	}
 	w := len(out)
 	if w == 1 && k != KBuf && k != KNot {
-		var split [][]Conn
+		// One backing array holds every split input bit.
+		n := 0
 		for _, in := range ins {
-			for _, c := range in {
-				split = append(split, []Conn{c})
-			}
+			n += len(in)
 		}
-		ins = split
+		bits := make([]Conn, 0, n)
+		for _, in := range ins {
+			bits = append(bits, in...)
+		}
+		ins = make([][]Conn, n)
+		for i := range ins {
+			ins[i] = bits[i : i+1 : i+1]
+		}
 	}
 	p := Prim{Kind: k, Name: name, Width: w, Delay: delay,
+		In:  make([]Port, len(ins)),
 		Out: []OutPort{{Name: "O", Bits: out}}}
 	for i, in := range ins {
-		p.In = append(p.In, Port{Name: fmt.Sprintf("I%d", i), Bits: b.broadcast(in, w, name, fmt.Sprintf("I%d", i))})
+		pn := gateInName(i)
+		p.In[i] = Port{Name: pn, Bits: b.broadcast(in, w, name, pn)}
 	}
 	return b.addPrim(p)
+}
+
+// Static input port names: I0, I1, ... for gates, S0..S2 and D0..D7 for
+// multiplexers.
+var (
+	gateInNames  = numberedNames('I', 64)
+	muxSelNames  = numberedNames('S', 3)
+	muxDataNames = numberedNames('D', 8)
+)
+
+func numberedNames(prefix byte, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = string(prefix) + strconv.Itoa(i)
+	}
+	return out
+}
+
+// gateInName names gate input port i; only wide reductions go past the
+// table.
+func gateInName(i int) string {
+	if i < len(gateInNames) {
+		return gateInNames[i]
+	}
+	return "I" + strconv.Itoa(i)
 }
 
 // GateRF adds a combinational gate with direction-dependent delays
@@ -269,11 +331,13 @@ func (b *Builder) Mux(k Kind, name string, delay, selDelay tick.Range, out []Net
 	w := len(out)
 	p := Prim{Kind: k, Name: name, Width: w, Delay: delay, SelectDelay: selDelay,
 		Out: []OutPort{{Name: "O", Bits: out}}}
-	for i := 0; i < ns; i++ {
-		p.In = append(p.In, Port{Name: fmt.Sprintf("S%d", i), Bits: []Conn{sel[i]}})
+	p.In = make([]Port, 0, ns+nd)
+	sel = append([]Conn(nil), sel...)
+	for i := range sel {
+		p.In = append(p.In, Port{Name: muxSelNames[i], Bits: sel[i : i+1 : i+1]})
 	}
 	for i, d := range data {
-		p.In = append(p.In, Port{Name: fmt.Sprintf("D%d", i), Bits: b.broadcast(d, w, name, fmt.Sprintf("D%d", i))})
+		p.In = append(p.In, Port{Name: muxDataNames[i], Bits: b.broadcast(d, w, name, muxDataNames[i])})
 	}
 	return b.addPrim(p)
 }

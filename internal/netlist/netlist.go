@@ -372,18 +372,43 @@ func (d *Design) Drivers(n NetID) []PrimID {
 func (d *Design) RebuildFanout() {
 	d.level.Store(nil)
 	d.engine.Store(nil)
-	for i := range d.Nets {
-		d.Nets[i].Fanout = d.Nets[i].Fanout[:0]
-		d.Nets[i].Driver = NoDriver
+	// last[n] is the latest primitive counted on net n's fanout list:
+	// primitives are visited in order, so it deduplicates a primitive
+	// reading one net through several pins.  A counting pass sizes every
+	// list, and one backing array then holds them all.
+	last := make([]PrimID, len(d.Nets))
+	count := make([]int32, len(d.Nets))
+	for i := range last {
+		last[i] = NoDriver
 	}
-	seen := make(map[[2]int32]bool)
+	total := 0
+	for pi := range d.Prims {
+		for _, port := range d.Prims[pi].In {
+			for _, c := range port.Bits {
+				if last[c.Net] != PrimID(pi) {
+					last[c.Net] = PrimID(pi)
+					count[c.Net]++
+					total++
+				}
+			}
+		}
+	}
+	backing := make([]PrimID, 0, total)
+	for i := range d.Nets {
+		d.Nets[i].Driver = NoDriver
+		d.Nets[i].Fanout = nil
+		if n := int(count[i]); n > 0 {
+			d.Nets[i].Fanout = backing[len(backing) : len(backing) : len(backing)+n]
+			backing = backing[:len(backing)+n]
+		}
+		last[i] = NoDriver
+	}
 	for pi := range d.Prims {
 		p := &d.Prims[pi]
 		for _, port := range p.In {
 			for _, c := range port.Bits {
-				key := [2]int32{int32(c.Net), int32(pi)}
-				if !seen[key] {
-					seen[key] = true
+				if last[c.Net] != PrimID(pi) {
+					last[c.Net] = PrimID(pi)
 					d.Nets[c.Net].Fanout = append(d.Nets[c.Net].Fanout, PrimID(pi))
 				}
 			}
@@ -409,7 +434,10 @@ func (d *Design) Check() error {
 	if err := d.checkDelayFns(); err != nil {
 		return fmt.Errorf("netlist: design %q: %v", d.Name, err)
 	}
-	driven := make(map[NetID]PrimID)
+	driver := make([]PrimID, len(d.Nets))
+	for i := range driver {
+		driver[i] = NoDriver
+	}
 	for pi := range d.Prims {
 		p := &d.Prims[pi]
 		if err := p.checkShape(); err != nil {
@@ -427,23 +455,31 @@ func (d *Design) Check() error {
 				if n < 0 || int(n) >= len(d.Nets) {
 					return fmt.Errorf("netlist: primitive %q output %s references net %d out of range", p.Name, port.Name, n)
 				}
-				if prev, dup := driven[n]; dup && !d.WiredOr {
+				if prev := driver[n]; prev != NoDriver && !d.WiredOr {
 					return fmt.Errorf("netlist: net %q driven by both %q and %q (enable wired-OR to permit this)", d.Nets[n].Name, d.Prims[prev].Name, p.Name)
 				}
-				driven[n] = PrimID(pi)
+				driver[n] = PrimID(pi)
 			}
 		}
 	}
 	// Assertion consistency per logical signal (§2.5.1: the assertion is
 	// part of the name, so one base name must not carry two different
-	// assertion spellings).
-	byBase := make(map[string]string)
-	for _, n := range d.Nets {
-		a := n.Assert.String()
-		if prev, ok := byBase[n.Base]; ok && prev != a {
-			return fmt.Errorf("netlist: signal %q carries conflicting assertions %q and %q", n.Base, prev, a)
+	// assertion spellings).  A base's first net is only recorded; the
+	// spellings are rendered when a later net of that base carries a
+	// different *Assertion.
+	byBase := make(map[string]*assertion.Assertion, len(d.Nets))
+	for i := range d.Nets {
+		n := &d.Nets[i]
+		prev, ok := byBase[n.Base]
+		if !ok {
+			byBase[n.Base] = n.Assert
+			continue
 		}
-		byBase[n.Base] = a
+		if prev != n.Assert {
+			if p, a := prev.String(), n.Assert.String(); p != a {
+				return fmt.Errorf("netlist: signal %q carries conflicting assertions %q and %q", n.Base, p, a)
+			}
+		}
 	}
 	for _, c := range d.Cases {
 		for _, as := range c.Assignments {

@@ -224,7 +224,9 @@ func TestCacheBitIdentical(t *testing.T) {
 		designs["generated"] = d
 	}
 	for name, d := range designs {
-		base, err := Run(d, Options{NoCache: true, KeepWaves: true, Margins: true})
+		// Workers is pinned so the base runs the sequential schedule whose
+		// per-case work counters the Workers: 1 comparison below asserts.
+		base, err := Run(d, Options{NoCache: true, Workers: 1, KeepWaves: true, Margins: true})
 		if err != nil {
 			t.Fatal(err)
 		}
