@@ -11,6 +11,7 @@ import (
 	"scaldtv/internal/netlist"
 	"scaldtv/internal/pathsearch"
 	"scaldtv/internal/tick"
+	"scaldtv/internal/verify"
 )
 
 // The analytic delay model's headline contract: verify ONCE at the
@@ -53,9 +54,9 @@ func analyticCorners() []map[string]float64 {
 // TestAnalyticMarginSurfaceMetamorphic verifies the parametric design
 // once per engine configuration and checks, at all 16 corner points,
 // that the margin surface's slack is bit-identical to a scratch run of
-// the engine pinned at that point — across Workers/IntraWorkers 1/2/8
-// and tape on/off, with the anchor report itself byte-identical across
-// every configuration.
+// the engine pinned at that point — across Workers 1/2/8 on the tape and
+// on Reference (tape=false), with the anchor report itself
+// byte-identical across every configuration.
 func TestAnalyticMarginSurfaceMetamorphic(t *testing.T) {
 	corners := analyticCorners()
 
@@ -83,8 +84,15 @@ func TestAnalyticMarginSurfaceMetamorphic(t *testing.T) {
 		for _, tape := range []bool{true, false} {
 			name := fmt.Sprintf("workers=%d/tape=%v", w, tape)
 			t.Run(name, func(t *testing.T) {
-				opts := Options{Workers: w, IntraWorkers: w, NoTape: !tape, Delays: AnalyticDelays{}}
-				res, err := VerifySource(analyticSource, opts)
+				d, err := Compile(analyticSource)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := verify.Run
+				if !tape {
+					run = verify.Reference
+				}
+				res, err := run(d, Options{Workers: w, Delays: AnalyticDelays{}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -334,7 +342,7 @@ setuphold CHK setup=2.0 hold=1.0 (D, "MCK .P0-4")
 // surface listing and the JSON report of the parametric example, plus a
 // rendered 16-corner sweep, in testdata/delays/.
 func TestGoldenAnalyticCornerSweep(t *testing.T) {
-	res, err := VerifySource(analyticSource, goldenOpts(Options{Delays: AnalyticDelays{}}))
+	res, err := VerifySource(analyticSource, Options{Delays: AnalyticDelays{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,10 +44,11 @@ func BenchmarkTable31_FullPipeline(b *testing.B) {
 }
 
 // BenchmarkTable31_VerifyOnly isolates the verification phase (the
-// paper's 6.75-minute row) on pre-expanded designs, with and without the
-// memoized primitive-evaluation cache.  The CI bench job runs the
-// chips=1003 pair and compares ns/event and allocs/op across the two
-// cache settings; results are bit-identical either way.
+// paper's 6.75-minute row) on pre-expanded designs: cache=true is the
+// memoized compiled tape (Run), cache=false the unmemoized FIFO of
+// Reference.  The CI bench job runs the chips=1003 pair and compares
+// ns/event and allocs/op across the two; results are bit-identical
+// either way.
 func BenchmarkTable31_VerifyOnly(b *testing.B) {
 	for _, chips := range []int{1003, 6357, 10009} {
 		d, _, err := gen.Generate(gen.Config{Chips: chips})
@@ -56,10 +57,14 @@ func BenchmarkTable31_VerifyOnly(b *testing.B) {
 		}
 		for _, cache := range []bool{true, false} {
 			name := fmt.Sprintf("chips=%d/cache=%v", chips, cache)
+			run := verify.Run
+			if !cache {
+				run = verify.Reference
+			}
 			b.Run(name, func(b *testing.B) {
 				var s verify.Stats
 				for i := 0; i < b.N; i++ {
-					res, err := verify.Run(d, verify.Options{NoCache: !cache})
+					res, err := run(d, verify.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -77,9 +82,9 @@ func BenchmarkTable31_VerifyOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkTapeVerify compares the compiled evaluation tape (the default
-// engine) against the interpreter (-tape=false) on pre-expanded designs.
-// The tape leg runs once before the timer so the program is compiled and
+// BenchmarkTapeVerify compares the compiled evaluation tape (Run)
+// against the memo-free Reference engine on pre-expanded designs.  Each
+// leg runs once before the timer so the tape's program is compiled and
 // its persistent caches are warm — the steady state a design iteration
 // loop lives in.  The CI bench job gates the chips=10009 pair on a ≥5x
 // single-thread win; results are bit-identical either way.
@@ -89,16 +94,20 @@ func BenchmarkTapeVerify(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, engine := range []string{"tape", "interp"} {
-			opts := verify.Options{Workers: 1, NoTape: engine == "interp"}
+		for _, engine := range []string{"tape", "reference"} {
+			run := verify.Run
+			if engine == "reference" {
+				run = verify.Reference
+			}
+			opts := verify.Options{Workers: 1}
 			b.Run(fmt.Sprintf("chips=%d/engine=%s", chips, engine), func(b *testing.B) {
-				if _, err := verify.Run(d, opts); err != nil {
+				if _, err := run(d, opts); err != nil {
 					b.Fatal(err) // warm the program, interner and memos
 				}
 				b.ResetTimer()
 				var s verify.Stats
 				for i := 0; i < b.N; i++ {
-					res, err := verify.Run(d, opts)
+					res, err := run(d, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -162,37 +171,6 @@ func BenchmarkIncrementalReverify(b *testing.B) {
 			b.ReportMetric(float64(s.PrimEvals), "prim-evals")
 			b.ReportMetric(float64(s.DirtyPrims), "dirty-prims")
 			b.ReportMetric(float64(s.ReusedWaves), "reused-waves")
-		})
-	}
-}
-
-// BenchmarkIntraWavefront compares the serial worklist (intra=1) against
-// the levelized wavefront scheduler (intra=8) on the 1003-chip design.
-// Reports are bit-identical; only schedule and wall-clock differ.  The CI
-// bench job runs this pair and records the speedup; on a single-CPU host
-// the wavefront's coordination overhead makes intra=1 the faster setting,
-// which is why it remains the default.
-func BenchmarkIntraWavefront(b *testing.B) {
-	const chips = 1003
-	d, _, err := gen.Generate(gen.Config{Chips: chips})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, intra := range []int{1, 8} {
-		b.Run(fmt.Sprintf("chips=%d/intra=%d", chips, intra), func(b *testing.B) {
-			var s verify.Stats
-			for i := 0; i < b.N; i++ {
-				res, err := verify.Run(d, verify.Options{IntraWorkers: intra})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s = res.Stats
-			}
-			b.ReportMetric(float64(s.Events), "events")
-			if intra > 1 {
-				b.ReportMetric(float64(s.Sweeps), "sweeps")
-				b.ReportMetric(float64(s.Levels), "levels")
-			}
 		})
 	}
 }

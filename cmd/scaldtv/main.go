@@ -23,10 +23,6 @@
 //	-param n=v    bind design parameter n to value v for the analytic
 //	              model (repeatable; implies -delays=analytic)
 //	-j n          case-evaluation workers (0 = one per CPU, 1 = sequential)
-//	-intra n      intra-case evaluation workers (1 = the serial worklist;
-//	              >1 = levelized wavefront scheduling, bit-identical reports)
-//	-cache        memoize primitive evaluations (default true; -cache=false
-//	              disables the cache, results are bit-identical either way)
 //	-watch        stay running and re-verify on every save; parameter-only
 //	              edits reverify just the dirty cone incrementally
 //	-store dir    persist converged runs in a content-addressed cache:
@@ -90,9 +86,6 @@ func run() int {
 	minPeriod := flag.Bool("minperiod", false, "bisect for the shortest clean clock period (§1.1) and exit")
 	sectionsFlag := flag.Bool("sections", false, "verify each file as an independent section and cross-check interface assertions (§2.5.2)")
 	workers := flag.Int("j", 0, "case-evaluation workers: 0 = one per CPU, 1 = sequential with incremental cone reuse")
-	intra := flag.Int("intra", 1, "intra-case evaluation workers: >1 enables levelized wavefront scheduling (reports are bit-identical)")
-	cache := flag.Bool("cache", true, "memoize primitive evaluations over interned waveforms (-cache=false disables)")
-	tapeFlag := flag.Bool("tape", true, "compile the design to a flat evaluation tape with persistent memo tables (-tape=false selects the interpreter)")
 	watchFlag := flag.Bool("watch", false, "re-verify on every save, reusing converged waveforms for parameter-only edits")
 	storeDir := flag.String("store", "", "persist converged runs in this content-addressed cache directory")
 	storeMax := flag.Int64("store-max", 0, "store size budget in bytes (0 = the 256 MiB default)")
@@ -138,8 +131,7 @@ func run() int {
 		}
 		delays = scaldtv.AnalyticDelays{Params: params}
 	}
-	baseOpts := scaldtv.Options{Workers: *workers, IntraWorkers: *intra, NoCache: !*cache,
-		NoTape: !*tapeFlag, Explore: *exploreFlag, Delays: delays}
+	baseOpts := scaldtv.Options{Workers: *workers, Explore: *exploreFlag, Delays: delays}
 	var st *store.Store
 	if *storeDir != "" {
 		var err error

@@ -20,6 +20,25 @@ func (w *lineWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// save replaces path's content the way editors save — write a sibling
+// file, then rename it over path — so the watcher's 2 ms poll can never
+// read a half-written file.  A zero mod keeps the write's own timestamp.
+func save(t *testing.T, path, text string, mod time.Time) {
+	t.Helper()
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !mod.IsZero() {
+		if err := os.Chtimes(tmp, mod, mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
 const watchV1 = `design WATCHED
 period 50ns
 clockunit 1ns
@@ -35,17 +54,8 @@ setuphold "CHK" setup=2.5 hold=1.5 (MID, "CK .P40-45")
 // full run).
 func TestWatchIncremental(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "d.scald")
-	write := func(text string, mod time.Time) {
-		t.Helper()
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chtimes(path, mod, mod); err != nil {
-			t.Fatal(err)
-		}
-	}
 	base := time.Now()
-	write(watchV1, base)
+	save(t, path, watchV1, base)
 
 	out := &lineWriter{ch: make(chan string, 16)}
 	done := make(chan error, 1)
@@ -68,13 +78,13 @@ func TestWatchIncremental(t *testing.T) {
 	}
 
 	// Parameter-only edit: B1 slows down.
-	write(strings.Replace(watchV1, `"B1" delay=(1,2)`, `"B1" delay=(1,4)`, 1), base.Add(time.Second))
+	save(t, path, strings.Replace(watchV1, `"B1" delay=(1,2)`, `"B1" delay=(1,4)`, 1), base.Add(time.Second))
 	if line := next("incremental pass"); !strings.Contains(line, "incremental") {
 		t.Fatalf("delay edit did not reverify incrementally: %q", line)
 	}
 
 	// Structural edit: a new instance appears.
-	write(strings.Replace(watchV1, `"B1" delay=(1,2)`, `"B1" delay=(1,4)`, 1)+
+	save(t, path, strings.Replace(watchV1, `"B1" delay=(1,2)`, `"B1" delay=(1,4)`, 1)+
 		"buf \"B2\" delay=(1,2) (Q) -> (Q2)\n", base.Add(2*time.Second))
 	if line := next("structural pass"); !strings.Contains(line, "(full)") {
 		t.Fatalf("structural edit did not fall back to a full run: %q", line)
@@ -115,23 +125,13 @@ func TestWatchCompileError(t *testing.T) {
 		t.Fatalf("initial pass not a full run: %q", line)
 	}
 
-	if err := os.WriteFile(path, []byte("design BROKEN\nnot valid hdl\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(path, base.Add(time.Second), base.Add(time.Second)); err != nil {
-		t.Fatal(err)
-	}
+	save(t, path, "design BROKEN\nnot valid hdl\n", base.Add(time.Second))
 	if line := next(); !strings.Contains(line, "watch:") || strings.Contains(line, "violation(s)") {
 		t.Fatalf("broken save not reported as an error: %q", line)
 	}
 
 	fixed := strings.Replace(watchV1, "setup=2.5", "setup=3.5", 1)
-	if err := os.WriteFile(path, []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(path, base.Add(2*time.Second), base.Add(2*time.Second)); err != nil {
-		t.Fatal(err)
-	}
+	save(t, path, fixed, base.Add(2*time.Second))
 	if line := next(); !strings.Contains(line, "incremental") {
 		t.Fatalf("save after a broken one did not reverify incrementally: %q", line)
 	}
@@ -149,17 +149,8 @@ func TestWatchCompileError(t *testing.T) {
 func TestWatchSameTimestampEdit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "d.scald")
 	base := time.Now()
-	write := func(text string) {
-		t.Helper()
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// Pin the identical timestamp on both revisions.
-		if err := os.Chtimes(path, base, base); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(watchV1)
+	// Both revisions carry the identical pinned timestamp.
+	save(t, path, watchV1, base)
 
 	out := &lineWriter{ch: make(chan string, 16)}
 	done := make(chan error, 1)
@@ -185,7 +176,7 @@ func TestWatchSameTimestampEdit(t *testing.T) {
 	if len(edited) != len(watchV1) {
 		t.Fatal("fixture edit is not length-preserving")
 	}
-	write(edited)
+	save(t, path, edited, base)
 	if line := next("same-timestamp edit"); !strings.Contains(line, "incremental") {
 		t.Fatalf("equal-length same-mtime save was missed or not incremental: %q", line)
 	}
@@ -244,9 +235,7 @@ func TestWatchStorePersistence(t *testing.T) {
 		t.Fatalf("restarted watch did not hit the store: %q", line)
 	}
 	edited := strings.Replace(watchV1, `"B1" delay=(1,2)`, `"B1" delay=(1,4)`, 1)
-	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	save(t, path, edited, time.Time{})
 	if line := next(ch2, "post-restart edit"); !strings.Contains(line, "incremental") {
 		t.Fatalf("edit after restart did not reverify incrementally: %q", line)
 	}

@@ -57,9 +57,6 @@ import (
 func main() {
 	addr := flag.String("addr", "localhost:7333", "listen address")
 	workers := flag.Int("j", 1, "default case-evaluation workers per verification: 0 = one per CPU")
-	intra := flag.Int("intra", 1, "default intra-case evaluation workers: >1 enables wavefront scheduling")
-	cache := flag.Bool("cache", true, "memoize primitive evaluations over interned waveforms")
-	tapeFlag := flag.Bool("tape", true, "compile designs to a flat evaluation tape with persistent memo tables")
 	pool := flag.Int("pool", 0, "concurrent verifications (0 = sized against per-run parallelism)")
 	queue := flag.Int("queue", 16, "admitted requests that may wait for a verification slot before 429")
 	sessions := flag.Int("sessions", 64, "retained incremental sessions (LRU beyond this)")
@@ -82,7 +79,7 @@ func main() {
 		}
 	}
 	cfg := server.Config{
-		Options:     scaldtv.Options{Workers: *workers, IntraWorkers: *intra, NoCache: !*cache, NoTape: !*tapeFlag},
+		Options:     scaldtv.Options{Workers: *workers},
 		Pool:        *pool,
 		Queue:       *queue,
 		TenantQueue: *tenantQueue,

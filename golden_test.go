@@ -10,16 +10,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// -notape re-runs the golden corpus through the interpreter instead of
-// the compiled tape, so CI can prove the goldens pin both engines.
-var notape = flag.Bool("notape", false, "run golden tests with the evaluation tape disabled")
-
-// goldenOpts returns the golden corpus options under the selected engine.
-func goldenOpts(o Options) Options {
-	o.NoTape = *notape
-	return o
-}
-
 const fig25Source = `
 design "FIG 2-5"
 period 50ns
@@ -38,7 +28,7 @@ use "REG 10176" OUTREG SIZE=32 (CK="CLK .P0-4", I=DO, Q=Q<0:31>)
 // summary and Fig 3-11 error listing for the register-file example, so a
 // semantic regression anywhere in the pipeline shows up as a diff.
 func TestGoldenFig25Listings(t *testing.T) {
-	res, err := VerifySource(fig25Source, goldenOpts(Options{KeepWaves: true}))
+	res, err := VerifySource(fig25Source, Options{KeepWaves: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +61,7 @@ func TestGoldenFig25Listings(t *testing.T) {
 
 // TestGoldenWaveArt locks the ASCII timing diagram of the same circuit.
 func TestGoldenWaveArt(t *testing.T) {
-	res, err := VerifySource(fig25Source, goldenOpts(Options{KeepWaves: true}))
+	res, err := VerifySource(fig25Source, Options{KeepWaves: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +106,7 @@ func TestGoldenExamples(t *testing.T) {
 			}
 			// The library is appended unconditionally, matching scaldtv -lib;
 			// designs that don't use its macros are unaffected.
-			res, err := VerifySource(string(src)+"\n"+Library, goldenOpts(Options{KeepWaves: true}))
+			res, err := VerifySource(string(src)+"\n"+Library, Options{KeepWaves: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +153,7 @@ func TestGoldenExplore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := VerifySource(string(src)+"\n"+Library, goldenOpts(Options{Explore: true}))
+			res, err := VerifySource(string(src)+"\n"+Library, Options{Explore: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +192,7 @@ func TestGoldenStatistical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := VerifySource(string(src)+"\n"+Library, goldenOpts(Options{Delays: DelayStatistical}))
+	res, err := VerifySource(string(src)+"\n"+Library, Options{Delays: DelayStatistical})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +217,7 @@ func TestGoldenStatistical(t *testing.T) {
 }
 
 func TestJSONReport(t *testing.T) {
-	res, err := VerifySource(fig25Source, goldenOpts(Options{}))
+	res, err := VerifySource(fig25Source, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

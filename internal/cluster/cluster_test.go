@@ -70,9 +70,8 @@ func testCoordinator(t *testing.T, endpoints []string) *Coordinator {
 
 // TestClusterByteDeterminism is the distributed half of the report
 // determinism contract: for every example design, the merged report of a
-// coordinator over 1, 2 and 4 workers — across per-job worker counts and
-// tape settings — is byte-identical to a local single-process
-// `scaldtv -json` run.
+// coordinator over 1, 2 and 4 workers — across per-job worker counts —
+// is byte-identical to a local single-process `scaldtv -json` run.
 func TestClusterByteDeterminism(t *testing.T) {
 	sources := exampleSources(t)
 	endpoints := startWorkers(t, 4, nil)
@@ -86,8 +85,6 @@ func TestClusterByteDeterminism(t *testing.T) {
 			for _, opts := range []verify.Options{
 				{Workers: 1},
 				{Workers: 8},
-				{Workers: 1, NoTape: true},
-				{Workers: 8, NoTape: true},
 			} {
 				res, err := scaldtv.VerifySource(src, opts)
 				if err != nil {

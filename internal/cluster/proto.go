@@ -37,15 +37,13 @@ import (
 
 // JobOptions is the report-relevant option set a sub-job travels with:
 // exactly the fields verify.Fingerprint mixes (pass cap, delay model,
-// explore) plus the schedule knobs (workers, intra, cache, tape) that
-// tune the worker without affecting report bytes.  Force waveforms are
-// deliberately absent — the service layer never populates them, and the
-// coordinator runs forced verifications locally.
+// explore) plus the worker count, which tunes the worker without
+// affecting report bytes.  Force waveforms are deliberately absent — the
+// service layer never populates them, and the coordinator runs forced
+// verifications locally.  Older coordinators may still send intra,
+// no_cache and no_tape; the decoder ignores them like any unknown field.
 type JobOptions struct {
 	Workers   int  `json:"workers,omitempty"`
-	Intra     int  `json:"intra,omitempty"`
-	NoCache   bool `json:"no_cache,omitempty"`
-	NoTape    bool `json:"no_tape,omitempty"`
 	MaxPasses int  `json:"max_passes,omitempty"`
 	Explore   bool `json:"explore,omitempty"`
 
@@ -61,9 +59,6 @@ type JobOptions struct {
 func WireOptions(opts verify.Options) JobOptions {
 	o := JobOptions{
 		Workers:   opts.Workers,
-		Intra:     opts.IntraWorkers,
-		NoCache:   opts.NoCache,
-		NoTape:    opts.NoTape,
 		MaxPasses: opts.MaxPasses,
 		Explore:   opts.Explore,
 	}
@@ -81,12 +76,9 @@ func WireOptions(opts verify.Options) JobOptions {
 // Options reconstructs the engine option set on the worker side.
 func (o JobOptions) Options() verify.Options {
 	opts := verify.Options{
-		Workers:      o.Workers,
-		IntraWorkers: o.Intra,
-		NoCache:      o.NoCache,
-		NoTape:       o.NoTape,
-		MaxPasses:    o.MaxPasses,
-		Explore:      o.Explore,
+		Workers:   o.Workers,
+		MaxPasses: o.MaxPasses,
+		Explore:   o.Explore,
 	}
 	switch o.Delays {
 	case "statistical":

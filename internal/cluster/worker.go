@@ -61,7 +61,7 @@ func (w *Worker) Handler() http.Handler { return w.mux }
 // back one line per job in request order.  Jobs within a batch run
 // sequentially — the coordinator decides parallelism by how it spreads
 // batches over workers, and each job still parallelizes internally per
-// its own Workers/IntraWorkers options.
+// its own Workers option.
 func (w *Worker) handleBatch(rw http.ResponseWriter, r *http.Request) {
 	w.batches.Add(1)
 	rw.Header().Set("Content-Type", "application/x-ndjson")
@@ -129,7 +129,7 @@ func (w *Worker) runJob(r *http.Request, job *SubJob) *SubResult {
 		return res
 	}
 
-	if rd != d && !opts.NoTape && !opts.NoCache {
+	if rd != d {
 		// Prime the compiled program and levelization on the cached base
 		// design so every case-subset variant shares them (WithCases
 		// copies both cache pointers at creation).  Compile errors are

@@ -37,10 +37,9 @@ type WaveID func(netlist.NetID) uint64
 const cacheShards = 32
 
 // Cache memoizes Prim evaluations.  It is safe for concurrent use: the
-// parallel case engine shares one cache across all case workers — and the
-// intra-case wavefront shares it across level workers — so every worker
-// starts from whatever the shared post-initialisation relaxation already
-// computed.  The table is striped into cacheShards independently locked
+// parallel case engine shares one cache across all case workers, so every
+// worker starts from whatever the shared post-initialisation relaxation
+// already computed.  The table is striped into cacheShards independently locked
 // shards.  Stored output slices are treated as immutable by all callers.
 type Cache struct {
 	shards [cacheShards]cacheShard

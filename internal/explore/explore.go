@@ -33,8 +33,8 @@
 //
 // Every step is deterministic — structural ranking, declared-order
 // tie-breaks, and probe outcomes that verify guarantees bit-identical
-// across Workers, IntraWorkers, cache and tape settings — so the explore
-// report is byte-identical across all engine configurations.
+// across Workers settings — so the explore report is byte-identical
+// across all engine configurations.
 package explore
 
 import (

@@ -55,8 +55,8 @@ func TestKnobVariantsVerifyClean(t *testing.T) {
 }
 
 // The feedback knob must manufacture genuine combinational cycles: the
-// levelization has to report feedback SCCs, and both the serial worklist
-// and the wavefront scheduler must relax them to the same clean report.
+// levelization has to report feedback SCCs, and both the Reference FIFO
+// and the tape's wavefront sweep must relax them to the same clean report.
 func TestFeedbackKnobCreatesRelaxableSCCs(t *testing.T) {
 	d, _, err := Generate(Config{Chips: 4 * chipsPerStage, Feedback: 0.75})
 	if err != nil {
@@ -66,11 +66,11 @@ func TestFeedbackKnobCreatesRelaxableSCCs(t *testing.T) {
 	if lev.Feedback == 0 {
 		t.Fatal("Feedback=0.75 produced no feedback SCCs")
 	}
-	serial, err := verify.Run(d, verify.Options{})
+	serial, err := verify.Reference(d, verify.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wave, err := verify.Run(d, verify.Options{IntraWorkers: 4})
+	wave, err := verify.Run(d, verify.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

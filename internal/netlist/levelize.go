@@ -8,12 +8,11 @@ import (
 
 // Levelization condenses the primitive graph into strongly connected
 // components (Tarjan) and assigns every combinational component a
-// topological level, the structure the intra-case wavefront scheduler
-// relaxes over: components on one level share no dependency and may be
-// evaluated concurrently, feedback components converge with a scoped
-// worklist, and sequential components — those containing clocked storage —
-// commit at sweep barriers so a concurrently running reader can never
-// observe a half-written waveform.
+// topological level, the structure the tape's wavefront sweep relaxes
+// over: components on one level share no dependency, feedback components
+// converge with a scoped worklist, and sequential components — those
+// containing clocked storage — run after the levels, so their stores
+// reach their consumers in the next sweep.
 //
 // Edge rules.  A dependency edge u → q exists when u drives a net that q
 // reads, except:
@@ -105,21 +104,11 @@ func computeLevelization(d *Design) *Levelization {
 		}
 	}
 	// Wired-OR groups: a cycle of artificial edges keeps co-drivers in one
-	// component.
-	if d.WiredOr {
-		counts := make(map[NetID]int)
-		for pi := range d.Prims {
-			for _, port := range d.Prims[pi].Out {
-				for _, net := range port.Bits {
-					counts[net]++
-				}
-			}
-		}
-		for net, c := range counts {
-			if c <= 1 {
-				continue
-			}
-			drivers := d.Drivers(net)
+	// component.  Nets are visited in order, so the edge lists — and the
+	// Tarjan completion order — stay deterministic.
+	if wired, _ := d.WiredDrivers(); wired != nil {
+		for ni := range d.Nets {
+			drivers := wired[NetID(ni)]
 			for i, u := range drivers {
 				v := drivers[(i+1)%len(drivers)]
 				if u != v {

@@ -367,6 +367,39 @@ func (d *Design) Drivers(n NetID) []PrimID {
 	return out
 }
 
+// WiredDrivers builds the wired-OR driver tables: the drivers of each
+// multiply-driven net in driver order, and one slot per (net, driver)
+// pair, numbered densely in ascending net order.  The slot numbering is
+// part of the verifier's snapshot format.  Both maps are nil unless the
+// design permits wired-OR.
+func (d *Design) WiredDrivers() (map[NetID][]PrimID, map[[2]int32]int) {
+	if !d.WiredOr {
+		return nil, nil
+	}
+	counts := map[NetID]int{}
+	for pi := range d.Prims {
+		for _, port := range d.Prims[pi].Out {
+			for _, o := range port.Bits {
+				counts[o]++
+			}
+		}
+	}
+	wired := map[NetID][]PrimID{}
+	slot := map[[2]int32]int{}
+	for i := range d.Nets {
+		n := NetID(i)
+		if counts[n] <= 1 {
+			continue
+		}
+		drivers := d.Drivers(n)
+		wired[n] = drivers
+		for _, dp := range drivers {
+			slot[[2]int32{int32(n), int32(dp)}] = len(slot)
+		}
+	}
+	return wired, slot
+}
+
 // RebuildFanout recomputes every net's fanout list (the CALL LIST ARRAY of
 // Table 3-3) from the primitive connections.
 func (d *Design) RebuildFanout() {

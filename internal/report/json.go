@@ -101,8 +101,8 @@ type jsonExploreCandidate struct {
 // (sequential runs relax later cases incrementally, concurrent runs relax
 // each from scratch), so including them broke the byte-determinism of the
 // report across Options.Workers settings.  Everything emitted now is
-// bit-identical for every Workers/IntraWorkers/NoCache combination —
-// the contract the scaldtvd service relies on.
+// bit-identical for every Workers setting — the contract the scaldtvd
+// service relies on.
 //
 // Version 1 later gained the optional delay_model, site_probs and
 // exploration fields, then the analytic-mode params and margin_surface

@@ -193,9 +193,7 @@ func Summary(res *verify.Result) string {
 	fmt.Fprintf(&sb, "  events processed     %d\n", s.Events)
 	fmt.Fprintf(&sb, "  primitive evals      %d\n", s.PrimEvals)
 	fmt.Fprintf(&sb, "  build time           %v\n", s.BuildTime)
-	if s.Tape {
-		fmt.Fprintf(&sb, "  tape compile time    %v\n", s.TapeCompileTime)
-	}
+	fmt.Fprintf(&sb, "  tape compile time    %v\n", s.TapeCompileTime)
 	fmt.Fprintf(&sb, "  verify time          %v\n", s.VerifyTime)
 	fmt.Fprintf(&sb, "  check time           %v\n", s.CheckTime)
 	fmt.Fprintf(&sb, "  case wall time       %v (%d worker(s))\n", s.WallTime, s.Workers)

@@ -65,14 +65,14 @@ import (
 // Config tunes the service.  The zero value gets sensible defaults from
 // New.
 type Config struct {
-	// Options is the base verification configuration (Workers,
-	// IntraWorkers, NoCache); stateless requests may override the worker
-	// and cache settings per request, sessions fix them at creation.
+	// Options is the base verification configuration; stateless requests
+	// may override the worker count per request, sessions fix it at
+	// creation.
 	Options scaldtv.Options
 	// Pool bounds the number of concurrently running verifications.  The
 	// default sizes the pool against the per-run parallelism, so that
-	// Pool × max(1, Workers×IntraWorkers) ≈ GOMAXPROCS: a server already
-	// fanning each run out over every core admits one run at a time.
+	// Pool × Workers ≈ GOMAXPROCS: a server already fanning each run out
+	// over every core admits one run at a time.
 	Pool int
 	// Queue bounds how many admitted requests may wait for a pool slot;
 	// beyond Pool+Queue in flight the server answers 429.  Default 16.
@@ -135,9 +135,6 @@ func New(cfg Config) *Server {
 	perRun := cfg.Options.Workers
 	if perRun <= 0 {
 		perRun = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Options.IntraWorkers > 1 {
-		perRun *= cfg.Options.IntraWorkers
 	}
 	if cfg.Pool <= 0 {
 		cfg.Pool = runtime.GOMAXPROCS(0) / perRun
@@ -230,16 +227,15 @@ func (s *Server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
 }
 
 // verifyRequest is the JSON request body; the same fields are accepted as
-// query parameters (lib, j, intra, cache) over a raw-source body, so
+// query parameters (lib, j) over a raw-source body, so
 // `curl --data-binary @design.scald '…/v1/verify?lib=1'` works without
 // JSON quoting.  The parameters mirror the scaldtv flags of the same
-// names.
+// names.  Older clients' intra and cache fields and parameters are
+// ignored, like any unknown field.
 type verifyRequest struct {
 	Source  string `json:"source"`
 	Lib     bool   `json:"lib"`
 	Workers *int   `json:"workers"`
-	Intra   *int   `json:"intra"`
-	Cache   *bool  `json:"cache"`
 
 	// Delays selects the delay model ("worstcase", "statistical",
 	// "analytic"); Params binds design parameters for the analytic model
@@ -304,23 +300,9 @@ func (s *Server) readRequest(r *http.Request) (src string, opts scaldtv.Options,
 	if req.Workers != nil {
 		opts.Workers = *req.Workers
 	}
-	if req.Intra != nil {
-		opts.IntraWorkers = *req.Intra
-	}
-	if req.Cache != nil {
-		opts.NoCache = !*req.Cache
-	}
 	if err := intParam("j", &opts.Workers); err != nil {
 		return "", opts, nil, err
 	}
-	if err := intParam("intra", &opts.IntraWorkers); err != nil {
-		return "", opts, nil, err
-	}
-	cache, err := boolParam("cache", !opts.NoCache)
-	if err != nil {
-		return "", opts, nil, err
-	}
-	opts.NoCache = !cache
 	lib, err := boolParam("lib", req.Lib)
 	if err != nil {
 		return "", opts, nil, err

@@ -91,6 +91,8 @@ func cliJSON(t *testing.T, src string, opts scaldtv.Options) []byte {
 // TestStatelessVerifyParity is the acceptance contract of POST
 // /v1/verify: for every example design the response body is
 // byte-identical to the CLI's -json output, for several worker settings.
+// The intra and cache parameters of older clients are ignored, whatever
+// their value.
 func TestStatelessVerifyParity(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	designs, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "*.scald"))
@@ -108,7 +110,7 @@ func TestStatelessVerifyParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := cliJSON(t, string(src), scaldtv.Options{})
-			for _, q := range []string{"lib=1", "lib=1&j=2", "lib=1&j=2&intra=2", "lib=1&cache=false"} {
+			for _, q := range []string{"lib=1", "lib=1&j=2", "lib=1&j=2&intra=2", "lib=1&cache=false", "lib=1&intra=x&cache=maybe"} {
 				resp, got := post(t, ts.URL+"/v1/verify?"+q, string(src))
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("?%s: status %d: %s", q, resp.StatusCode, got)
@@ -136,8 +138,21 @@ func TestVerifyJSONBody(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, got)
 	}
-	if want := cliJSON(t, src, scaldtv.Options{}); !bytes.Equal(got, want) {
+	want := cliJSON(t, src, scaldtv.Options{})
+	if !bytes.Equal(got, want) {
 		t.Errorf("JSON-body response differs from raw-body response\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+
+	// An older client's intra and cache fields are ignored.
+	old, _ := json.Marshal(map[string]any{"source": src, "lib": true, "intra": 4, "cache": false})
+	resp, err = http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("body with intra/cache fields: status %d, body differs: %v\n%s", resp.StatusCode, !bytes.Equal(got, want), got)
 	}
 }
 
@@ -203,6 +218,55 @@ func TestSessionIncremental(t *testing.T) {
 	}
 	if resp, _ := do(t, http.MethodGet, ts.URL+"/v1/sessions/"+created.Session+"/report", ""); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("report after delete: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSessionGateKindSwap: a session PUT that swaps the hazard example's
+// AND clock gate for a CHG gate on a two-case design stays on the
+// incremental path — netlist.Diff sees a same-shape parameter edit, so the
+// compiled tape is kept — and the retained report equals a stateless
+// verify of the edited source byte for byte.
+func TestSessionGateKindSwap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Options: scaldtv.Options{Workers: 2}})
+	raw, err := os.ReadFile(filepath.Join("..", "..", "examples", "hazard", "hazard.scald"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(raw) + "\ncase \"DATA\" = 0\ncase \"DATA\" = 1\n"
+	edited := strings.Replace(src, `and "CLOCK GATE"`, `chg "CLOCK GATE"`, 1)
+	if edited == src {
+		t.Fatal("hazard example has no AND clock gate")
+	}
+
+	resp, body := post(t, ts.URL+"/v1/sessions", src)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", resp.StatusCode, body)
+	}
+	var created sessionEnvelope
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatalf("create response: %v\n%s", err, body)
+	}
+	resp, body = do(t, http.MethodPut, ts.URL+"/v1/sessions/"+created.Session+"/design", edited)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: status %d: %s", resp.StatusCode, body)
+	}
+	var updated sessionEnvelope
+	if err := json.Unmarshal(body, &updated); err != nil {
+		t.Fatalf("update response: %v\n%s", err, body)
+	}
+	if !updated.Incremental {
+		t.Error("gate kind swap did not take the incremental path")
+	}
+	resp, got := do(t, http.MethodGet, ts.URL+"/v1/sessions/"+created.Session+"/report", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report: status %d: %s", resp.StatusCode, got)
+	}
+	resp, want := post(t, ts.URL+"/v1/verify", edited)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stateless verify: status %d: %s", resp.StatusCode, want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("incremental session report differs from stateless verify\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 

@@ -167,10 +167,9 @@ type Table31 struct {
 	ReusedWaves  int
 	ReverifyTime time.Duration
 
-	// Wavefront-scheduler counters (PR 4): populated when intra-case
-	// parallel relaxation ran (IntraWorkers > 1).  All zero for the
-	// serial worklist.
-	IntraWorkers int
+	// Wavefront-scheduler counters: the levelization the tape sweeps, and
+	// its sweeps to fixed point.  All zero when the levelization is
+	// unknown (a Reference run).
 	Levels       int
 	SCCs         int
 	FeedbackSCCs int
@@ -200,7 +199,6 @@ func (t *Table31) FromVerify(s verify.Stats) {
 	t.DirtyNets = s.DirtyNets
 	t.ReusedWaves = s.ReusedWaves
 	t.ReverifyTime = s.ReverifyTime
-	t.IntraWorkers = s.IntraWorkers
 	t.Levels = s.Levels
 	t.SCCs = s.SCCs
 	t.FeedbackSCCs = s.FeedbackSCCs
@@ -266,9 +264,8 @@ func (t Table31) String() string {
 		fmt.Fprintf(&sb, "    interned waveforms             %d distinct, %d stores deduplicated\n",
 			t.Interned, t.Deduped)
 	}
-	if t.IntraWorkers > 0 {
+	if t.SCCs > 0 {
 		sb.WriteString("  WAVEFRONT SCHEDULER\n")
-		fmt.Fprintf(&sb, "    intra-case workers             %d\n", t.IntraWorkers)
 		fmt.Fprintf(&sb, "    topological levels             %d\n", t.Levels)
 		fmt.Fprintf(&sb, "    components                     %d (%d feedback)\n", t.SCCs, t.FeedbackSCCs)
 		fmt.Fprintf(&sb, "    relaxation sweeps              %d\n", t.Sweeps)

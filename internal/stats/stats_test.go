@@ -117,27 +117,36 @@ func TestTable31CacheCounters(t *testing.T) {
 		t.Errorf("hit rate = %f, out of range", r)
 	}
 	out := t31.String()
-	for _, want := range []string{"EVALUATION CACHE", "hit rate", "interned waveforms"} {
+	for _, want := range []string{"EVALUATION CACHE", "hit rate", "interned waveforms",
+		"WAVEFRONT SCHEDULER", "topological levels", "relaxation sweeps"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "intra-case workers") {
+		t.Errorf("rendering still lists intra-case workers:\n%s", out)
+	}
 
-	// With the cache disabled the section renders as off and the rate is 0.
-	off, err := verify.Run(d, verify.Options{NoCache: true})
+	// The memo-free Reference engine renders the cache as off, with a
+	// zero rate, and has no levelization to report.
+	off, err := verify.Reference(d, verify.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var t31off Table31
 	t31off.FromVerify(off.Stats)
 	if t31off.CacheHits != 0 || t31off.CacheMisses != 0 || t31off.Interned != 0 {
-		t.Errorf("NoCache run reported cache activity: %+v", t31off)
+		t.Errorf("Reference run reported cache activity: %+v", t31off)
 	}
 	if t31off.CacheHitRate() != 0 {
-		t.Error("NoCache hit rate should be 0")
+		t.Error("Reference hit rate should be 0")
 	}
-	if out := t31off.String(); !strings.Contains(out, "off") {
-		t.Errorf("NoCache rendering should say off:\n%s", out)
+	out = t31off.String()
+	if !strings.Contains(out, "off") {
+		t.Errorf("Reference rendering should say off:\n%s", out)
+	}
+	if strings.Contains(out, "WAVEFRONT SCHEDULER") {
+		t.Errorf("Reference rendering lists a wavefront schedule:\n%s", out)
 	}
 }
 

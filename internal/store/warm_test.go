@@ -82,13 +82,13 @@ func TestVerifyCachedParity(t *testing.T) {
 	}
 
 	// Retained third run under a different execution configuration: the
-	// store key ignores Workers/IntraWorkers, the restored session's
+	// store key ignores Workers, the restored session's
 	// re-rendered report is still byte-identical.
 	d3, err := compile(warmV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out3, err := Verify(ctx, st, d3, warmV1, verify.Options{Workers: 8, IntraWorkers: 2, KeepWaves: true}, true)
+	out3, err := Verify(ctx, st, d3, warmV1, verify.Options{Workers: 8, KeepWaves: true}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

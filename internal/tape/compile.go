@@ -24,45 +24,21 @@ func Compile(d *netlist.Design) (*Program, error) {
 	}
 	p := &Program{
 		Lev:    d.Levelization(),
-		Ops:    make([]Opcode, len(d.Prims)),
 		Plans:  make([]CheckPlan, len(d.Prims)),
 		Intern: values.NewInterner(),
 		Evals:  eval.NewCache(),
 		Sites:  NewNegCache(),
 	}
-
 	for pi := range d.Prims {
 		pr := &d.Prims[pi]
 		switch {
 		case pr.Kind.IsChecker():
-			p.Ops[pi] = OpChecker
 			p.Plans[pi] = PlanSite
-		case eval.TableKind(pr.Kind):
-			p.Ops[pi] = OpTableGate
-			p.Plans[pi] = gatePlan(pr)
+		case pr.Kind.IsStorage():
+			p.Plans[pi] = PlanStorage
 		default:
-			p.Ops[pi] = OpGeneric
-			switch {
-			case pr.Kind.IsStorage():
-				p.Plans[pi] = PlanStorage
-			default:
-				p.Plans[pi] = gatePlan(pr)
-			}
+			p.Plans[pi] = gatePlan(pr)
 		}
-	}
-
-	// Flatten the levelization into the tape's level spans: CompOrder is
-	// the level-major concatenation, LevelSpan the per-level index ranges.
-	p.LevelSpan = make([][2]int32, len(p.Lev.Levels))
-	total := 0
-	for _, level := range p.Lev.Levels {
-		total += len(level)
-	}
-	p.CompOrder = make([]int32, 0, total)
-	for li, level := range p.Lev.Levels {
-		start := int32(len(p.CompOrder))
-		p.CompOrder = append(p.CompOrder, level...)
-		p.LevelSpan[li] = [2]int32{start, int32(len(p.CompOrder))}
 	}
 
 	// Flatten every primitive's input connections into the SoA table the
@@ -79,32 +55,7 @@ func Compile(d *netlist.Design) (*Program, error) {
 		}
 		p.ConnSpan[pi] = [2]int32{start, int32(len(p.ConnNet))}
 	}
-
-	// Wired-OR slots, mirroring the verifier's per-run construction: one
-	// deterministic slot per (net, driver) pair, in driver order.
-	if d.WiredOr {
-		counts := map[netlist.NetID]int{}
-		for pi := range d.Prims {
-			for _, port := range d.Prims[pi].Out {
-				for _, o := range port.Bits {
-					counts[o]++
-				}
-			}
-		}
-		p.Wired = map[netlist.NetID][]netlist.PrimID{}
-		p.WiredSlot = map[[2]int32]int{}
-		for i := range d.Nets {
-			n := netlist.NetID(i)
-			if counts[n] <= 1 {
-				continue
-			}
-			drivers := d.Drivers(n)
-			p.Wired[n] = drivers
-			for _, dp := range drivers {
-				p.WiredSlot[[2]int32{int32(n), int32(dp)}] = len(p.WiredSlot)
-			}
-		}
-	}
+	p.Wired, p.WiredSlot = d.WiredDrivers()
 
 	seeds, err := buildSeeds(d, p.Intern)
 	if err != nil {

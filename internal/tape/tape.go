@@ -3,16 +3,13 @@
 // structure on every run.
 //
 // The tape is the classic interpreter-to-template lowering applied to the
-// §2.9 relaxation: per primitive, an opcode dispatched through a jump
-// table of evaluator func values (simple gates run on the packed
-// seven-value truth tables of internal/values, everything else on the
-// generic evaluator, checkers on a no-op); per topological level, a
-// contiguous [start, end) span of component indices so the wavefront
-// scheduler — and its IntraWorkers pool — partitions plain index ranges
-// rather than walking nested level lists; per net, a preallocated initial
-// waveform slot (the §2.9 step-1 seed, already interned) so a run seeds by
-// copying handles instead of re-rendering assertions and re-hashing 80 000
-// waveforms.
+// §2.9 relaxation: per primitive, a checking plan decided at compile time
+// and a flat span of its input connections; per net, a preallocated
+// initial waveform slot (the §2.9 step-1 seed, already interned) so a run
+// seeds by copying handles instead of re-rendering assertions and
+// re-hashing 80 000 waveforms.  Evaluation runs simple gates on the packed
+// seven-value truth tables of internal/values and everything else on the
+// generic evaluator (Eval).
 //
 // A Program also owns the run-to-run persistent state: the waveform
 // interner, the evaluation memo and the negative cache of clean constraint
@@ -20,10 +17,10 @@
 // directives, wire delays, interned input handles), so a parameter edit
 // never needs an invalidation walk — stale entries are simply never hit —
 // and a warm re-run of an unchanged design is served almost entirely from
-// the tables.  Reports are bit-identical to the interpreter: the gate
-// tables are segment-exact (values.CombineTableA), the sweep order is the
-// confluent wavefront schedule, and the caches only ever return what
-// evaluation would recompute.
+// the tables.  Reports are bit-identical to the memo-free reference
+// engine: the gate tables are segment-exact (values.CombineTableA), the
+// sweep order is the confluent wavefront schedule, and the caches only
+// ever return what evaluation would recompute.
 //
 // The Program hangs off the design's engine-cache slot
 // (netlist.Design.EngineCache); structural edits clear it via
@@ -39,37 +36,6 @@ import (
 	"scaldtv/internal/netlist"
 	"scaldtv/internal/values"
 )
-
-// Opcode selects a primitive's evaluator in the Dispatch jump table.
-type Opcode uint8
-
-const (
-	// OpChecker marks constraint checkers: never evaluated during
-	// relaxation (the worklist excludes them), a no-op if dispatched.
-	OpChecker Opcode = iota
-	// OpTableGate marks simple gates evaluated through the packed
-	// seven-value truth tables (eval.GateTableA).
-	OpTableGate
-	// OpGeneric marks everything else: muxes, storage, CHG — the generic
-	// evaluator.
-	OpGeneric
-
-	numOpcodes
-)
-
-// EvalFunc is the signature of one jump-table entry, identical to the
-// generic evaluator's.
-type EvalFunc func(*netlist.Design, *netlist.Prim, eval.Getter, *values.Arena) ([]eval.Signal, error)
-
-// Dispatch is the opcode jump table.  Indexing it with a Program's Ops
-// entry is the tape's whole instruction decode.
-var Dispatch = [numOpcodes]EvalFunc{
-	OpChecker: func(*netlist.Design, *netlist.Prim, eval.Getter, *values.Arena) ([]eval.Signal, error) {
-		return nil, nil
-	},
-	OpTableGate: eval.GateTableA,
-	OpGeneric:   eval.PrimA,
-}
 
 // CheckPlan classifies what the checking phase (§2.9 step 3) must do at a
 // primitive, decided once at compile time.
@@ -122,17 +88,8 @@ type Program struct {
 	// Lev is the cached levelization the tape was compiled from.
 	Lev *netlist.Levelization
 
-	// Ops holds one opcode per primitive, indexed by PrimID.
-	Ops []Opcode
 	// Plans holds one checking plan per primitive, indexed by PrimID.
 	Plans []CheckPlan
-
-	// CompOrder lists the combinational component ids level-major
-	// (ascending within a level); LevelSpan[i] is level i's [start, end)
-	// index range into CompOrder.  The spans are what IntraWorkers
-	// partitions: one level's pending components are a contiguous slice.
-	CompOrder []int32
-	LevelSpan [][2]int32
 
 	// ConnNet and ConnDirs flatten every primitive's input connections in
 	// evaluation-key order (ports outer, bits inner): the source net and
@@ -145,10 +102,9 @@ type Program struct {
 	ConnDirs []assertion.Directives
 	ConnSpan [][2]int32
 
-	// Wired-OR driver tables, mirroring the verifier's construction:
-	// drivers of each multiply-driven net in driver order, and the
-	// deterministic slot of each (net, driver) pair.  Nil maps on designs
-	// without wired-OR.
+	// Wired-OR driver tables (netlist.Design.WiredDrivers): drivers of
+	// each multiply-driven net in driver order, and the deterministic slot
+	// of each (net, driver) pair.  Nil maps on designs without wired-OR.
 	Wired     map[netlist.NetID][]netlist.PrimID
 	WiredSlot map[[2]int32]int
 
@@ -250,7 +206,14 @@ func For(d *netlist.Design) (*Program, error) {
 // Seeds returns the current seed image.
 func (p *Program) Seeds() *Seeds { return p.seeds.Load() }
 
-// Eval dispatches one primitive through the jump table.
-func (p *Program) Eval(pid netlist.PrimID, d *netlist.Design, pr *netlist.Prim, get eval.Getter, a *values.Arena) ([]eval.Signal, error) {
-	return Dispatch[p.Ops[pid]](d, pr, get, a)
+// Eval evaluates one primitive: simple gates on the packed seven-value
+// truth tables (eval.GateTableA), everything else on the generic
+// evaluator.  The choice follows the primitive's current kind, never a
+// compile-time record: netlist.Diff lets an edit swap one same-shape gate
+// kind for another (AND for CHG, say) and keep the program.
+func Eval(d *netlist.Design, pr *netlist.Prim, get eval.Getter, a *values.Arena) ([]eval.Signal, error) {
+	if eval.TableKind(pr.Kind) {
+		return eval.GateTableA(d, pr, get, a)
+	}
+	return eval.PrimA(d, pr, get, a)
 }

@@ -17,8 +17,8 @@ func testDesign(t testing.TB, chips int) *netlist.Design {
 	return d
 }
 
-// TestCompileClassification checks the opcode and check-plan assignment and
-// the level-span flattening against the design's own structure.
+// TestCompileClassification checks the check-plan assignment and the
+// flat connection table against the design's own structure.
 func TestCompileClassification(t *testing.T) {
 	d := testDesign(t, 101)
 	p, err := Compile(d)
@@ -28,61 +28,31 @@ func TestCompileClassification(t *testing.T) {
 	if p.Lev != d.Levelization() {
 		t.Errorf("program does not reuse the design's cached levelization")
 	}
-	if len(p.Ops) != len(d.Prims) || len(p.Plans) != len(d.Prims) {
-		t.Fatalf("ops/plans sized %d/%d, want %d", len(p.Ops), len(p.Plans), len(d.Prims))
+	if len(p.Plans) != len(d.Prims) {
+		t.Fatalf("plans sized %d, want %d", len(p.Plans), len(d.Prims))
 	}
-	var checkers, tables, generic int
+	counts := map[CheckPlan]int{}
 	for pi := range d.Prims {
 		pr := &d.Prims[pi]
-		switch p.Ops[pi] {
-		case OpChecker:
-			checkers++
-			if !pr.Kind.IsChecker() {
-				t.Errorf("prim %d: OpChecker on non-checker kind %v", pi, pr.Kind)
-			}
-			if p.Plans[pi] != PlanSite {
-				t.Errorf("prim %d: checker plan %v, want PlanSite", pi, p.Plans[pi])
-			}
-		case OpTableGate:
-			tables++
-			if !eval.TableKind(pr.Kind) {
-				t.Errorf("prim %d: OpTableGate on kind %v", pi, pr.Kind)
-			}
-		case OpGeneric:
-			generic++
-			if pr.Kind.IsChecker() || eval.TableKind(pr.Kind) {
-				t.Errorf("prim %d: OpGeneric on kind %v", pi, pr.Kind)
-			}
-			if pr.Kind.IsStorage() && p.Plans[pi] != PlanStorage {
-				t.Errorf("prim %d: storage plan %v, want PlanStorage", pi, p.Plans[pi])
-			}
+		plan := p.Plans[pi]
+		counts[plan]++
+		want := PlanNone
+		switch {
+		case pr.Kind.IsChecker():
+			want = PlanSite
+		case pr.Kind.IsStorage():
+			want = PlanStorage
+		case pr.Kind.IsGate() && len(pr.In) > 1:
+			want = PlanDirective
+		}
+		if plan != want {
+			t.Errorf("prim %d (%v): plan %v, want %v", pi, pr.Kind, plan, want)
 		}
 	}
-	if checkers == 0 || tables == 0 || generic == 0 {
-		t.Errorf("degenerate classification: %d checkers, %d table gates, %d generic",
-			checkers, tables, generic)
-	}
-
-	// The level spans must tile CompOrder and mirror the levelization.
-	total := 0
-	for li, span := range p.LevelSpan {
-		if int(span[0]) != total {
-			t.Fatalf("level %d starts at %d, want %d", li, span[0], total)
+	for _, plan := range []CheckPlan{PlanNone, PlanSite, PlanDirective, PlanStorage} {
+		if counts[plan] == 0 {
+			t.Errorf("degenerate classification: no %v sites in %v", plan, counts)
 		}
-		got := p.CompOrder[span[0]:span[1]]
-		want := p.Lev.Levels[li]
-		if len(got) != len(want) {
-			t.Fatalf("level %d span holds %d comps, want %d", li, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("level %d comp %d: span %d, levelization %d", li, i, got[i], want[i])
-			}
-		}
-		total += len(got)
-	}
-	if total != len(p.CompOrder) {
-		t.Fatalf("spans cover %d of %d comps", total, len(p.CompOrder))
 	}
 
 	// The flat connection table must mirror every primitive's input bits
@@ -101,6 +71,51 @@ func TestCompileClassification(t *testing.T) {
 		if k != int(span[1]) {
 			t.Fatalf("prim %d: span [%d,%d) but %d conns", pi, span[0], span[1], k-int(span[0]))
 		}
+	}
+}
+
+// TestEvalFollowsKind: Eval picks the gate tables or the generic
+// evaluator from the primitive's current kind, so a same-shape swap of a
+// table gate for CHG on an already-compiled design evaluates as CHG.
+func TestEvalFollowsKind(t *testing.T) {
+	d := testDesign(t, 101)
+	p, err := Compile(d)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	seeds := p.Seeds()
+	get := func(n netlist.NetID) eval.Signal { return eval.Signal{Wave: seeds.Initial[n]} }
+	swapped := 0
+	for pi := range d.Prims {
+		pr := &d.Prims[pi]
+		if !eval.TableKind(pr.Kind) || len(pr.In) < 2 {
+			continue
+		}
+		orig := pr.Kind
+		for _, k := range []netlist.Kind{orig, netlist.KChg} {
+			pr.Kind = k
+			got, err := Eval(d, pr, get, nil)
+			if err != nil {
+				t.Fatalf("prim %d as %v: %v", pi, k, err)
+			}
+			want, err := eval.PrimA(d, pr, get, nil)
+			if err != nil {
+				t.Fatalf("prim %d as %v: generic: %v", pi, k, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("prim %d as %v: %d outputs, generic %d", pi, k, len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].Wave.Equal(want[i].Wave) || got[i].Dirs != want[i].Dirs {
+					t.Errorf("prim %d as %v output %d: %v, generic %v", pi, k, i, got[i], want[i])
+				}
+			}
+		}
+		pr.Kind = orig
+		swapped++
+	}
+	if swapped == 0 {
+		t.Fatal("design has no multi-input table gates")
 	}
 }
 

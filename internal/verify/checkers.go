@@ -33,8 +33,8 @@ func (v *verifier) check(caseLabel string) []Violation {
 
 // checkSite evaluates the constraint rules anchored at one primitive.
 // On the compiled tape the site is routed through its precompiled plan
-// and the program's negative cache; the interpreter always runs the full
-// check.  Both paths produce identical violations and margins.
+// and the program's negative cache; Reference always runs the full check.
+// Both paths produce identical violations and margins.
 func (v *verifier) checkSite(pi netlist.PrimID, caseLabel string) []Violation {
 	if v.prog == nil {
 		return v.checkSiteFull(pi, caseLabel)
@@ -72,34 +72,27 @@ func (v *verifier) tapeCheckSite(pi netlist.PrimID, caseLabel string) []Violatio
 			return nil
 		}
 	}
-	if v.opts.Margins || v.sigID == nil {
+	if v.opts.Margins {
 		return v.checkSiteFull(pi, caseLabel)
 	}
 	// Warm slot first: a clean-site variant (Outs == nil) records that the
 	// full check of these exact inputs was clean under the current
 	// environment generation — skipped with a handle walk, no key build,
 	// no lock.
-	if v.slots != nil && v.slotLookup(pi, p, true) != nil {
+	if v.slotLookup(pi, true) != nil {
 		return nil
 	}
-	if v.getFn == nil {
-		v.getFn = func(n netlist.NetID) eval.Signal { return v.sigs[n] }
-		v.widFn = func(n netlist.NetID) uint64 { return v.sigID[n] }
-	}
-	v.siteKeyBuf = appendSiteKey(v.siteKeyBuf[:0], v.d, p, v.getFn, v.widFn)
-	if v.prog.Sites.Known(v.siteKeyBuf) {
-		if v.slots != nil {
-			v.publishSlot(pi, nil, nil)
-		}
+	sc := v.sc()
+	sc.keyBuf = appendSiteKey(sc.keyBuf[:0], v.d, p, sc.get, sc.wid)
+	if v.prog.Sites.Known(sc.keyBuf) {
+		v.publishSlot(pi, nil, nil)
 		return nil
 	}
 	mark := len(v.margins)
 	out := v.checkSiteFull(pi, caseLabel)
 	if out == nil && len(v.margins) == mark {
-		v.prog.Sites.Add(v.siteKeyBuf)
-		if v.slots != nil {
-			v.publishSlot(pi, nil, nil)
-		}
+		v.prog.Sites.Add(sc.keyBuf)
+		v.publishSlot(pi, nil, nil)
 	}
 	return out
 }
@@ -503,7 +496,7 @@ func (v *verifier) checkAssertions(caseLabel string) []Violation {
 	}
 	if v.prog != nil {
 		// The tape precomputed the candidate list (asserted and driven, in
-		// ascending net order — the interpreter's visit order); the skip
+		// ascending net order — Reference's visit order); the skip
 		// conditions inside checkNet still apply, defensively.
 		for _, id := range v.prog.Seeds().AssertNets {
 			checkNet(int(id))

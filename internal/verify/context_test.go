@@ -11,8 +11,8 @@ import (
 	"scaldtv/internal/tick"
 )
 
-// TestRunContextCanceled: a pre-canceled context aborts every engine
-// configuration with a structured canceled error, before any result is
+// TestRunContextCanceled: a pre-canceled context aborts both case
+// schedules with a structured canceled error, before any result is
 // produced.
 func TestRunContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -20,7 +20,6 @@ func TestRunContextCanceled(t *testing.T) {
 	for _, opts := range []Options{
 		{Workers: 1},
 		{Workers: 2},
-		{Workers: 1, IntraWorkers: 2},
 	} {
 		d := buildMultiCase(t, 4)
 		res, err := RunContext(ctx, d, opts)
@@ -107,14 +106,14 @@ func TestReverifyCancelFallsBackToScratch(t *testing.T) {
 // aborts with a canceled-kind error — never anything in between.  Run
 // under -race this also exercises the barrier-side cancellation checks.
 func TestDeadlineMidVerifyIsCleanAbort(t *testing.T) {
-	want, err := Run(buildMultiCase(t, 6), Options{Workers: 2, IntraWorkers: 2, KeepWaves: true})
+	want, err := Run(buildMultiCase(t, 6), Options{Workers: 2, KeepWaves: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, timeout := range []time.Duration{time.Microsecond, 50 * time.Microsecond, time.Second} {
 		d := buildMultiCase(t, 6)
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		res, err := RunContext(ctx, d, Options{Workers: 2, IntraWorkers: 2, KeepWaves: true})
+		res, err := RunContext(ctx, d, Options{Workers: 2, KeepWaves: true})
 		cancel()
 		switch {
 		case err != nil:

@@ -9,8 +9,8 @@ import (
 // EvalCase evaluates one extra case-analysis cycle against the session's
 // retained converged state without disturbing it: a snapshot of the first
 // retained case resumes from its fixed point and relaxes only the cone
-// affected by the case mapping (§2.7), on the compiled tape when the
-// session has one.  This is the probe primitive of the case-exploration
+// affected by the case mapping (§2.7), on the compiled tape.  This is the
+// probe primitive of the case-exploration
 // engine (internal/explore): each candidate S→0/1 split costs one
 // incremental relaxation instead of a full verification.
 //

@@ -14,8 +14,8 @@ import (
 // The metamorphic property under test: for any sequence of parameter
 // edits, Reverify after each edit must produce a report bit-identical to
 // a from-scratch Verify of the edited design — same violations in the
-// same order, same margins, same kept waveforms, for every worker count,
-// with the evaluation cache on or off.
+// same order, same margins, same kept waveforms, for every worker count —
+// and to a from-scratch Reference run.
 
 // gateSwaps lists the same-shape instance swaps: one-input gates trade
 // among themselves, multi-input gates among themselves.
@@ -144,19 +144,27 @@ func randomEdit(t *testing.T, d *netlist.Design, rng *rand.Rand) (netlist.Change
 
 // TestMetamorphicReverify runs randomized edit sequences over generated
 // designs and checks the bit-identity contract for Workers 1, 2 and 8.
-// Run with -race: the concurrent reverify path shares the interner,
-// evaluation cache and initial-waveform table across case workers.
+// Each row's edit stream is seeded by its index and the worker count
+// unless the row pins a seed.  The nocache and intra rows check the
+// incremental tape against the memo-free Reference instead of Run; the
+// kindswap row pins a seed whose third edit swaps a table gate (OR) for
+// CHG on a design whose compiled tape the edit keeps.  Run with -race: the concurrent reverify path
+// shares the interner, evaluation cache and initial-waveform table across
+// case workers.
 func TestMetamorphicReverify(t *testing.T) {
 	type cfgCase struct {
 		name string
 		cfg  gen.Config
-		opts Options
+		ref  bool  // compare against Reference instead of Run
+		seed int64 // fixed edit-stream seed; 0 derives it from the row
 	}
+	plain := gen.Config{Chips: 34, Cases: 2, Inject: 1}
 	cfgs := []cfgCase{
-		{"plain", gen.Config{Chips: 34, Cases: 2, Inject: 1}, Options{KeepWaves: true, Margins: true}},
-		{"varcycle", gen.Config{Chips: 51, VariableCycle: true, Cases: 2}, Options{KeepWaves: true, Margins: true}},
-		{"nocache", gen.Config{Chips: 34, Cases: 2}, Options{KeepWaves: true, Margins: true, NoCache: true}},
-		{"intra", gen.Config{Chips: 34, Cases: 2, Inject: 1}, Options{KeepWaves: true, Margins: true, IntraWorkers: 4}},
+		{name: "plain", cfg: plain},
+		{name: "varcycle", cfg: gen.Config{Chips: 51, VariableCycle: true, Cases: 2}},
+		{name: "nocache", cfg: gen.Config{Chips: 34, Cases: 2}, ref: true},
+		{name: "intra", cfg: plain, ref: true},
+		{name: "kindswap", cfg: plain, seed: 2008},
 	}
 	const steps = 5
 	for _, workers := range []int{1, 2, 8} {
@@ -164,13 +172,20 @@ func TestMetamorphicReverify(t *testing.T) {
 			c, workers, ci := c, workers, ci
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
 				t.Parallel()
-				rng := rand.New(rand.NewSource(int64(1000*ci + workers)))
+				seed := c.seed
+				if seed == 0 {
+					seed = int64(1000*ci + workers)
+				}
+				rng := rand.New(rand.NewSource(seed))
 				d, _, err := gen.Generate(c.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := c.opts
-				opts.Workers = workers
+				opts := Options{Workers: workers, KeepWaves: true, Margins: true}
+				scratchRun := Run
+				if c.ref {
+					scratchRun = Reference
+				}
 				V := NewVerifier(d, opts)
 				if _, err := V.Verify(); err != nil {
 					t.Fatal(err)
@@ -184,7 +199,7 @@ func TestMetamorphicReverify(t *testing.T) {
 					if !inc.Stats.Incremental {
 						t.Fatalf("step %d (%s): fell back to a full run", step, desc)
 					}
-					scratch, err := Run(d, opts)
+					scratch, err := scratchRun(d, opts)
 					if err != nil {
 						t.Fatalf("step %d (%s): scratch: %v", step, desc, err)
 					}

@@ -212,9 +212,9 @@ func TestParallelCaseError(t *testing.T) {
 	}
 }
 
-// TestCacheBitIdentical: with evaluation memoization on (the default), the
-// verifier's results — violations, margins, kept waveforms, work counters —
-// are bit-identical to a NoCache run for every worker count.  Run with
+// TestCacheBitIdentical: the memoized tape's results — violations,
+// margins, kept waveforms — are bit-identical to the memo-free Reference
+// for every worker count, and the memo is actually exercised.  Run with
 // -race: the concurrent schedules share one cache and interning table.
 func TestCacheBitIdentical(t *testing.T) {
 	designs := map[string]*netlist.Design{"multicase": buildMultiCase(t, 8)}
@@ -224,9 +224,7 @@ func TestCacheBitIdentical(t *testing.T) {
 		designs["generated"] = d
 	}
 	for name, d := range designs {
-		// Workers is pinned so the base runs the sequential schedule whose
-		// per-case work counters the Workers: 1 comparison below asserts.
-		base, err := Run(d, Options{NoCache: true, Workers: 1, KeepWaves: true, Margins: true})
+		base, err := Reference(d, Options{Workers: 1, KeepWaves: true, Margins: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,32 +236,13 @@ func TestCacheBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameReports(t, fmt.Sprintf("%s cache=on workers=%d vs cache=off", name, w), base, res)
-			if w == 1 {
-				// The sequential serial-worklist schedule is deterministic,
-				// so even the per-case work counters must not notice the
-				// cache.  The default run above uses the tape's wavefront
-				// schedule (different, equally deterministic counters), so
-				// the counter comparison pins NoTape to match the base
-				// engine.
-				nt, err := Run(d, Options{Workers: 1, KeepWaves: true, Margins: true, NoTape: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameReports(t, fmt.Sprintf("%s cache=on notape vs cache=off", name), base, nt)
-				for i := range base.Cases {
-					if base.Cases[i].Events != nt.Cases[i].Events || base.Cases[i].PrimEvals != nt.Cases[i].PrimEvals {
-						t.Errorf("%s case %d: work counters differ cached vs uncached: %+v vs %+v",
-							name, i, nt.Cases[i], base.Cases[i])
-					}
-				}
-			}
+			sameReports(t, fmt.Sprintf("%s tape workers=%d vs reference", name, w), base, res)
 			if res.Stats.CacheHits+res.Stats.CacheMisses == 0 {
 				t.Errorf("%s workers=%d: cache counters empty — memoization not exercised", name, w)
 			}
 		}
 		if base.Stats.CacheHits != 0 || base.Stats.Interned != 0 {
-			t.Errorf("%s: NoCache run reports cache activity: %+v", name, base.Stats)
+			t.Errorf("%s: Reference run reports cache activity: %+v", name, base.Stats)
 		}
 	}
 }
@@ -272,14 +251,14 @@ func TestCacheBitIdentical(t *testing.T) {
 // stale memoized outputs downstream.  The MODE=0 and MODE=1 cases steer
 // the mux network onto different paths, so the register's data input must
 // differ between cases — and each case's waveforms must equal the
-// uncached run's exactly, for every worker count.
+// memo-free Reference run's exactly, for every worker count.
 func TestCaseForcedConeNotStale(t *testing.T) {
 	d := buildMultiCase(t, 2) // case 0 forces MODE=0, case 1 forces MODE=1
 	rID, ok := d.NetByName("M1")
 	if !ok {
 		t.Fatal("net M1 missing")
 	}
-	base, err := Run(d, Options{NoCache: true, KeepWaves: true})
+	base, err := Reference(d, Options{KeepWaves: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +272,7 @@ func TestCaseForcedConeNotStale(t *testing.T) {
 		}
 		for ci := range res.Cases {
 			if !res.Cases[ci].Waves[rID].Equal(base.Cases[ci].Waves[rID]) {
-				t.Errorf("workers=%d case %d: cached M1 = %v, uncached = %v — stale memo served",
+				t.Errorf("workers=%d case %d: memoized M1 = %v, reference = %v — stale memo served",
 					w, ci, res.Cases[ci].Waves[rID], base.Cases[ci].Waves[rID])
 			}
 		}

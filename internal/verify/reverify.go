@@ -29,19 +29,16 @@ import (
 // sequential case schedule of §2.7 already depends on), the resumed pass
 // lands on the same fixed point as a from-scratch run: violations,
 // margins, kept waveforms and the cross-reference are bit-identical,
-// for any Workers setting, with the cache on or off.
+// for any Workers setting.
 //
 // A Verifier is not safe for concurrent use; case-level parallelism
 // happens inside Verify and Reverify per Options.Workers.
 type Verifier struct {
 	d    *netlist.Design
 	opts Options
-
-	// The interner and evaluation memo outlive individual runs, so a
-	// re-verification — and even a repeated full Verify — is served from
-	// warm tables.  Nil when Options.NoCache is set.
-	intern *values.Interner
-	cache  *eval.Cache
+	// ref selects the Reference engine for a one-shot run: FIFO
+	// relaxation over eval.PrimA with no compiled program.
+	ref bool
 
 	cases   []netlist.Case
 	perCase []*verifier // converged state per case, in declared order
@@ -62,12 +59,7 @@ type Verifier struct {
 // NewVerifier prepares a verification session for the design.  Nothing is
 // evaluated until Verify is called.
 func NewVerifier(d *netlist.Design, opts Options) *Verifier {
-	V := &Verifier{d: d, opts: opts}
-	if !opts.NoCache {
-		V.intern = values.NewInterner()
-		V.cache = eval.NewCache()
-	}
-	return V
+	return &Verifier{d: d, opts: opts}
 }
 
 // Design returns the design the session currently verifies.
@@ -114,12 +106,14 @@ func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
 	}
 	var prog *tape.Program
 	var compileTime time.Duration
-	if V.opts.useTape() {
-		// Tape path: obtain the design's compiled program (validating the
-		// structure on a cold compile) and refresh its numeric parameters
-		// and seed image.  The session adopts the program's persistent
-		// interner and memo so retained state and statistics stay
-		// consistent with what the relaxation actually uses.
+	if V.ref {
+		if err := d.Check(); err != nil {
+			return nil, serr.Wrap(serr.Elaborate, err)
+		}
+	} else {
+		// Obtain the design's compiled program (validating the structure
+		// on a cold compile) and refresh its numeric parameters and seed
+		// image.
 		compileStart := time.Now()
 		var err error
 		if prog, err = tape.For(d); err != nil {
@@ -129,19 +123,15 @@ func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
 			return nil, err
 		}
 		compileTime = time.Since(compileStart)
-		V.intern, V.cache = prog.Intern, prog.Evals
-	} else if err := d.Check(); err != nil {
-		return nil, serr.Wrap(serr.Elaborate, err)
 	}
 	V.perCase, V.res = nil, nil
 	buildStart := time.Now()
-	v, res, err := initVerifier(d, V.opts, V.intern, V.cache, prog)
+	v, res, err := initVerifier(d, V.opts, prog)
 	if err != nil {
 		return nil, err
 	}
 	v.ctx = ctx
 	res.Stats.BuildTime = time.Since(buildStart)
-	res.Stats.Tape = prog != nil
 	res.Stats.TapeCompileTime = compileTime
 
 	// The case list: an empty design-case list means a single unmapped
@@ -225,11 +215,9 @@ func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
 	}
 	res.Stats.Cases = len(res.Cases)
 	res.Stats.Workers = workers
-	V.opts.fillWavefrontStats(d, &res.Stats)
 	res.Stats.WallTime = time.Since(wallStart)
-	if v.cache != nil {
-		res.Stats.CacheHits, res.Stats.CacheMisses, _ = v.cache.Stats()
-		res.Stats.Interned, res.Stats.Deduped = v.intern.Stats()
+	if prog != nil {
+		progStats(prog, &res.Stats)
 	}
 	if sm, ok := V.opts.statistical(); ok {
 		V.fillSiteProbs(res, sm.Grid)
@@ -290,19 +278,17 @@ func (V *Verifier) ReverifyContext(ctx context.Context, ch netlist.Changes) (*Re
 	if err := d.CheckSites(ch); err != nil {
 		return nil, serr.Wrap(serr.Elaborate, err)
 	}
-	if p := V.perCase[0].prog; p != nil {
-		// The edit invalidates the warm slot table — its variants were
-		// captured under the old parameters — but re-hashing the whole
-		// environment (Refresh) is O(design) and would dwarf a small-edit
-		// reverification, so the retained case verifiers simply adopt a
-		// fresh empty table and relearn from the keyed memo, whose exact
-		// keys carry every live parameter and need no invalidation.  The
-		// program's own generation state is left stale on purpose: the
-		// next full run's Refresh re-validates it against the live design.
-		slots := tape.NewSlotTable(len(d.Prims))
-		for _, rc := range V.perCase {
-			rc.slots = slots
-		}
+	// The edit invalidates the warm slot table — its variants were
+	// captured under the old parameters — but re-hashing the whole
+	// environment (Refresh) is O(design) and would dwarf a small-edit
+	// reverification, so the retained case verifiers simply adopt a fresh
+	// empty table and relearn from the keyed memo, whose exact keys carry
+	// every live parameter and need no invalidation.  The program's own
+	// generation state is left stale on purpose: the next full run's
+	// Refresh re-validates it against the live design.
+	slots := tape.NewSlotTable(len(d.Prims))
+	for _, rc := range V.perCase {
+		rc.slots = slots
 	}
 
 	buildStart := time.Now()
@@ -405,13 +391,9 @@ func (V *Verifier) ReverifyContext(ctx context.Context, ch netlist.Changes) (*Re
 	}
 	res.Stats.Cases = len(res.Cases)
 	res.Stats.Workers = workers
-	V.opts.fillWavefrontStats(d, &res.Stats)
 	res.Stats.WallTime = time.Since(wallStart)
 	res.Stats.ReverifyTime = time.Since(buildStart)
-	if V.cache != nil {
-		res.Stats.CacheHits, res.Stats.CacheMisses, _ = V.cache.Stats()
-		res.Stats.Interned, res.Stats.Deduped = V.intern.Stats()
-	}
+	progStats(V.perCase[0].prog, &res.Stats)
 	if sm, ok := V.opts.statistical(); ok {
 		V.fillSiteProbs(res, sm.Grid)
 	}
@@ -462,14 +444,13 @@ func (V *Verifier) UpdateContext(ctx context.Context, nd *netlist.Design) (res *
 	for _, rc := range V.perCase {
 		rc.d = nd
 	}
-	if p := V.perCase[0].prog; p != nil {
-		// The compiled program is structure-derived and Diff guarantees
-		// the structures match, so the edited design adopts it — its warm
-		// memo tables included.  Stale numeric parameters are caught by
-		// Refresh on the next full run; the memo keys carry every live
-		// parameter, so no entry needs invalidating.
-		nd.StoreEngineCache(p)
-	}
+	// The compiled program is structure-derived and Diff guarantees the
+	// structures match, so the edited design adopts it — its warm memo
+	// tables included.  Stale numeric parameters are caught by Refresh on
+	// the next full run; the memo keys carry every live parameter, so no
+	// entry needs invalidating, and evaluation reads each primitive's
+	// current kind (tape.Eval), so a same-shape gate swap is safe too.
+	nd.StoreEngineCache(V.perCase[0].prog)
 	res, err = V.ReverifyContext(ctx, ch)
 	return res, err == nil, err
 }

@@ -182,32 +182,6 @@ func TestReverifyWithoutVerify(t *testing.T) {
 	}
 }
 
-// TestReverifyNoCache: the incremental engine works identically with
-// memoization disabled (semantic waveform comparison instead of interned
-// handles).
-func TestReverifyNoCache(t *testing.T) {
-	d := buildMultiCase(t, 3)
-	opts := Options{NoCache: true, KeepWaves: true, Margins: true}
-	V := NewVerifier(d, opts)
-	if _, err := V.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	pi := findPrim(t, d, "DELAY B")
-	d.Prims[pi].Delay.Max += 3 * tick.NS
-	inc, err := V.Reverify(netlist.Changes{Prims: []netlist.PrimID{pi}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch, err := Run(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReports(t, "nocache", scratch, inc)
-	if inc.Stats.CacheHits != 0 || inc.Stats.Interned != 0 {
-		t.Error("NoCache run reported cache statistics")
-	}
-}
-
 // TestUpdateIncremental: Update with a parameter-only edit reverifies
 // incrementally; a structural edit falls back to a full verification.
 func TestUpdateIncremental(t *testing.T) {

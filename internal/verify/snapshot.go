@@ -142,23 +142,17 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 
 	V := NewVerifier(d, opts)
 	buildStart := time.Now()
-	var prog *tape.Program
-	if opts.useTape() {
-		p, err := tape.For(d)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Refresh(d); err != nil {
-			return nil, err
-		}
-		prog = p
-		V.intern, V.cache = p.Intern, p.Evals
-	}
-	v0, res, err := initVerifier(d, opts, V.intern, V.cache, prog)
+	prog, err := tape.For(d)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Tape = prog != nil
+	if err := prog.Refresh(d); err != nil {
+		return nil, err
+	}
+	v0, res, err := initVerifier(d, opts, prog)
+	if err != nil {
+		return nil, err
+	}
 
 	perCase := make([]*verifier, len(cases))
 	for ci := range cases {
@@ -221,11 +215,7 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 
 	res.Stats.Cases = len(cases)
 	res.Stats.Workers = opts.workers(len(cases))
-	opts.fillWavefrontStats(d, &res.Stats)
-	if V.cache != nil {
-		res.Stats.CacheHits, res.Stats.CacheMisses, _ = V.cache.Stats()
-		res.Stats.Interned, res.Stats.Deduped = V.intern.Stats()
-	}
+	progStats(prog, &res.Stats)
 	res.Stats.BuildTime = time.Since(buildStart)
 	res.Stats.Cached = true
 	V.cases, V.perCase, V.res = cases, perCase, res
@@ -236,10 +226,10 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 // design fingerprint mixed with every option that can influence the
 // report — the resolved pass cap (runs with different caps can disagree
 // on convergence) and the forced waveforms (they replace initial seeds).
-// Workers, IntraWorkers, NoCache, KeepWaves and Margins are deliberately
-// excluded: the JSON report is bit-identical across all of them (locked
-// by TestJSONReportByteDeterminism), so runs differing only there share
-// one cache entry.
+// Workers, KeepWaves and Margins are deliberately excluded: the JSON
+// report is bit-identical across all of them (locked by
+// TestJSONReportByteDeterminism), so runs differing only there share one
+// cache entry.
 func Fingerprint(d *netlist.Design, opts Options) uint64 {
 	const (
 		offset64 = 14695981039346656037

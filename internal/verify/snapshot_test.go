@@ -12,8 +12,9 @@ import (
 // The snapshot property under test: marshal → unmarshal → Restore on an
 // independently elaborated copy of the design yields a session whose
 // result and whose every subsequent Reverify are bit-identical to the
-// live session the snapshot was taken from — for every worker count,
-// with the wavefront engine on or off.  Running the restored session
+// live session the snapshot was taken from — for every worker count —
+// and to a from-scratch run of the edited design (Reference, for the
+// intra row).  Running the restored session
 // against a separate *Design instance proves the snapshot smuggles no
 // process-local state.
 
@@ -21,12 +22,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	type cfgCase struct {
 		name string
 		cfg  gen.Config
-		opts Options
+		ref  bool // compare against Reference instead of Run
 	}
 	cfgs := []cfgCase{
-		{"plain", gen.Config{Chips: 34, Cases: 2, Inject: 1}, Options{KeepWaves: true, Margins: true}},
-		{"varcycle", gen.Config{Chips: 51, VariableCycle: true, Cases: 2}, Options{KeepWaves: true, Margins: true}},
-		{"intra", gen.Config{Chips: 34, Cases: 2, Inject: 1}, Options{KeepWaves: true, Margins: true, IntraWorkers: 2}},
+		{"plain", gen.Config{Chips: 34, Cases: 2, Inject: 1}, false},
+		{"varcycle", gen.Config{Chips: 51, VariableCycle: true, Cases: 2}, false},
+		{"intra", gen.Config{Chips: 34, Cases: 2, Inject: 1}, true},
 	}
 	const steps = 3
 	for _, workers := range []int{1, 2, 8} {
@@ -42,8 +43,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := c.opts
-				opts.Workers = workers
+				opts := Options{Workers: workers, KeepWaves: true, Margins: true}
+				scratchRun := Run
+				if c.ref {
+					scratchRun = Reference
+				}
 				V1 := NewVerifier(d1, opts)
 				res1, err := V1.Verify()
 				if err != nil {
@@ -91,7 +95,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 						t.Fatalf("step %d (%s): restored session fell back to a full run", step, desc)
 					}
 					sameReports(t, fmt.Sprintf("step %d (%s) live vs restored", step, desc), r1, r2)
-					scratch, err := Run(d2, opts)
+					scratch, err := scratchRun(d2, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -116,7 +120,7 @@ func TestSnapshotAcrossOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	save := Options{KeepWaves: true, Margins: true, Workers: 1}
-	load := Options{KeepWaves: true, Margins: true, Workers: 8, IntraWorkers: 2}
+	load := Options{KeepWaves: true, Margins: true, Workers: 8}
 	V1 := NewVerifier(d1, save)
 	res1, err := V1.Verify()
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 // becomes the probability that the constraint is violated.
 //
 // The quadrature is fixed-grid (period/256) with no RNG, so SiteProbs —
-// and the JSON report built on them — are byte-identical across Workers,
-// IntraWorkers, cache and tape settings, exactly like the worst-case
+// and the JSON report built on them — are byte-identical across Workers
+// settings and between Run and Reference, exactly like the worst-case
 // report.
 
 // fillSiteProbs computes Result.SiteProbs from the collected margins and

@@ -25,25 +25,26 @@ func tapeParityDesigns(t *testing.T) map[string]*netlist.Design {
 	}
 }
 
-// TestTapeParityMatrix: the compiled tape and the interpreter must produce
-// identical reports — violations, margins, kept waveforms, cross-reference
-// — for every Workers × IntraWorkers combination.  Run with -race: the
-// matrix exercises the shared slot table and scratch pool concurrently.
+// TestTapeParityMatrix: the compiled tape and Reference must produce
+// identical reports — violations, margins, kept waveforms,
+// cross-reference — for every Workers setting, with and without the
+// margin collection that bypasses the negative site cache.  Run with
+// -race: the matrix exercises the shared slot table and scratch pool
+// concurrently.
 func TestTapeParityMatrix(t *testing.T) {
 	for name, d := range tapeParityDesigns(t) {
 		t.Run(name, func(t *testing.T) {
-			base, err := Run(d, Options{Workers: 1, KeepWaves: true, Margins: true, NoTape: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{1, 2, 8} {
-				for _, iw := range []int{1, 2, 8} {
-					opts := Options{Workers: w, IntraWorkers: iw, KeepWaves: true, Margins: true}
-					res, err := Run(d, opts)
+			for _, margins := range []bool{true, false} {
+				base, err := Reference(d, Options{Workers: 1, KeepWaves: true, Margins: margins})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range []int{1, 2, 8} {
+					res, err := Run(d, Options{Workers: w, KeepWaves: true, Margins: margins})
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameReports(t, fmt.Sprintf("interp vs tape w=%d iw=%d", w, iw), base, res)
+					sameReports(t, fmt.Sprintf("reference vs tape w=%d margins=%v", w, margins), base, res)
 				}
 			}
 		})
@@ -52,37 +53,52 @@ func TestTapeParityMatrix(t *testing.T) {
 
 // TestTapeRepeatedRunsIdentical: repeated tape runs of one design share a
 // program whose memo tables, warm slots and scratch pool carry state
-// between runs; every run must still report exactly the interpreter's
-// answer.  The second and later runs exercise the fully warm path (slot
-// hits, pooled tables, adopted seed image).
+// between runs; every run must still report exactly Reference's answer.
+// The second and later runs exercise the fully warm path (slot hits,
+// pooled tables, adopted seed image).  The memo only ever returns what
+// evaluation would compute, so it cannot steer the schedule either: every
+// run's work counters equal the cold first run's.
 func TestTapeRepeatedRunsIdentical(t *testing.T) {
 	for name, d := range tapeParityDesigns(t) {
 		t.Run(name, func(t *testing.T) {
-			want, err := Run(d, Options{Workers: 1, KeepWaves: true, Margins: true, NoTape: true})
+			want, err := Reference(d, Options{Workers: 1, KeepWaves: true, Margins: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			var cold *Result
 			for i := 0; i < 4; i++ {
 				got, err := Run(d, Options{Workers: 1, KeepWaves: true, Margins: true})
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameReports(t, fmt.Sprintf("warm run %d", i), want, got)
+				if cold == nil {
+					cold = got
+					continue
+				}
+				for ci := range got.Cases {
+					if got.Cases[ci].Events != cold.Cases[ci].Events || got.Cases[ci].PrimEvals != cold.Cases[ci].PrimEvals {
+						t.Errorf("warm run %d case %d: work counters %+v, cold run %+v",
+							i, ci, got.Cases[ci], cold.Cases[ci])
+					}
+				}
+				if got.Stats.Sweeps != cold.Stats.Sweeps {
+					t.Errorf("warm run %d: %d sweeps, cold run %d", i, got.Stats.Sweeps, cold.Stats.Sweeps)
+				}
 			}
 		})
 	}
 }
 
 // TestTapeSweepStressRace hammers one shared compiled program from many
-// concurrent verification runs — each itself fanning out case workers and
-// intra-case wavefront workers — and checks every run lands on the same
-// report.  Under -race this is the concurrency safety net for the slot
+// concurrent verification runs — each itself fanning out case workers —
+// and checks every run lands on Reference's report.  Under -race this is the concurrency safety net for the slot
 // table's lock-free publishes, the scratch pool and the shared memo
 // tables.
 func TestTapeSweepStressRace(t *testing.T) {
 	for name, d := range tapeParityDesigns(t) {
 		t.Run(name, func(t *testing.T) {
-			want, err := Run(d, Options{Workers: 1, KeepWaves: true, Margins: true, NoTape: true})
+			want, err := Reference(d, Options{Workers: 1, KeepWaves: true, Margins: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,12 +110,7 @@ func TestTapeSweepStressRace(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					opts := Options{
-						Workers:      1 + i%3,
-						IntraWorkers: 1 + (i/2)%3,
-						KeepWaves:    true,
-						Margins:      true,
-					}
+					opts := Options{Workers: 1 + i%3, KeepWaves: true, Margins: true}
 					results[i], errs[i] = Run(d, opts)
 				}(i)
 			}

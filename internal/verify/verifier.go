@@ -44,45 +44,6 @@ type Options struct {
 	// few cases (or deep sharing between consecutive case cones) the
 	// sequential incremental schedule can do strictly less work.
 	Workers int
-	// IntraWorkers bounds the number of workers evaluating primitives
-	// concurrently *within* one case.  0 or 1 preserves the paper's
-	// serial event-driven worklist (§2.9).  Greater values switch the
-	// relaxation to levelized wavefront scheduling: the primitive graph
-	// is condensed into strongly connected components with sequential
-	// edges cut (netlist.Levelization), acyclic levels evaluate their
-	// ready components in parallel, feedback components converge with a
-	// scoped serial worklist, and components containing storage run in a
-	// serial phase at the end of each sweep.  Because the relaxation is a
-	// confluent fixed-point iteration from an identical seed, the
-	// converged waveforms — and hence violations, margins, kept waves and
-	// the cross-reference — are bit-identical to the serial engine for
-	// every IntraWorkers value; only wall-clock time and the cache
-	// hit/miss split vary.  Composes with Workers: each case worker runs
-	// its own intra-case pool.
-	IntraWorkers int
-	// NoCache disables evaluation memoization.  By default (zero value)
-	// the verifier interns waveforms so equal ones share storage and
-	// memoizes primitive evaluations on (kind, parameters, processed
-	// input identities), so relaxation passes and case-analysis re-runs
-	// skip Prim calls whose inputs are unchanged.  Cache keys are exact —
-	// interned-handle equality coincides with semantic waveform equality
-	// — so results are bit-identical with the cache on or off, for any
-	// Workers value; only the Stats cache counters differ.  The scaldtv
-	// driver exposes this as the -cache=false escape hatch.
-	NoCache bool
-	// NoTape disables the compiled evaluation tape.  By default (zero
-	// value, and unless NoCache also disables the interner the tape's
-	// memo tables require) the design is lowered once to a flat
-	// instruction tape (internal/tape) — opcode dispatch through packed
-	// seven-value truth tables, level-span wavefront sweeps, precompiled
-	// interned seeds, and persistent evaluation and constraint-site memos
-	// that survive across runs on the design's engine cache.  Reports are
-	// bit-identical with the tape on or off, for any Workers and
-	// IntraWorkers values; only timing and the Stats cache counters
-	// differ (with the tape, cache counters are cumulative over every run
-	// that shared the program).  The scaldtv driver exposes this as the
-	// -tape=false escape hatch.
-	NoTape bool
 	// Explore requests automatic case exploration: after a converged run,
 	// U/C-poisoned constraint sites are discharged by searching control-
 	// signal splits (the internal/explore engine, dispatched by the
@@ -104,32 +65,15 @@ type Options struct {
 	Delays DelayModel
 }
 
-// useTape reports whether this run compiles and sweeps the evaluation
-// tape.  The tape's memo tables are built on interned handles, so NoCache
-// implies the interpreter.
-func (o Options) useTape() bool { return !o.NoTape && !o.NoCache }
-
-// intraWorkers resolves the effective intra-case worker count: 1 selects
-// the serial worklist engine, anything greater the wavefront scheduler.
-func (o Options) intraWorkers() int {
-	if o.IntraWorkers < 1 {
-		return 1
-	}
-	return o.IntraWorkers
-}
-
-// fillWavefrontStats records the levelization shape in the stats when the
-// wavefront engine is selected — explicitly by IntraWorkers > 1, or
-// implicitly by the tape, which always sweeps level spans.
-func (o Options) fillWavefrontStats(d *netlist.Design, s *Stats) {
-	if o.intraWorkers() <= 1 && !o.useTape() {
-		return
-	}
-	lev := d.Levelization()
-	s.IntraWorkers = o.intraWorkers()
-	s.Levels = len(lev.Levels)
-	s.SCCs = len(lev.Comps)
-	s.FeedbackSCCs = lev.Feedback
+// progStats records the compiled program's counters: the shape of the
+// levelization the tape sweeps, and the persistent memo tables.  The memo
+// counters are cumulative over every run that shared the program.
+func progStats(prog *tape.Program, s *Stats) {
+	s.Levels = len(prog.Lev.Levels)
+	s.SCCs = len(prog.Lev.Comps)
+	s.FeedbackSCCs = prog.Lev.Feedback
+	s.CacheHits, s.CacheMisses, _ = prog.Evals.Stats()
+	s.Interned, s.Deduped = prog.Intern.Stats()
 }
 
 // workers resolves the effective worker count for a case list.
@@ -160,21 +104,18 @@ type Stats struct {
 	Cases      int // case-analysis cycles simulated
 	Workers    int // case-evaluation workers actually used
 
-	// Wavefront-scheduling counters, set only when Options.IntraWorkers
-	// selects the levelized engine (IntraWorkers > 1).  Levels, SCCs and
-	// FeedbackSCCs describe the design's cached levelization; Sweeps
-	// counts level sweeps to fixed point, summed over all cases, and is
-	// deterministic for a given design and edit — it does not depend on
-	// the worker count.
-	IntraWorkers int // intra-case evaluation workers
+	// Wavefront-scheduling counters.  Levels, SCCs and FeedbackSCCs
+	// describe the levelization the tape sweeps; Sweeps counts level
+	// sweeps to fixed point, summed over all cases, and is deterministic
+	// for a given design, edit and Workers setting.
 	Levels       int // topological levels of the condensed acyclic graph
 	SCCs         int // strongly connected components (checkers excluded)
 	FeedbackSCCs int // components needing local fixed-point iteration
 	Sweeps       int // wavefront sweeps to fixed point, all cases
 
-	// Evaluation-cache counters (zero when Options.NoCache is set).  Hit
-	// and miss totals are summed over all cases and workers; because the
-	// cache is shared, which worker takes a given miss depends on
+	// Evaluation-cache counters of the compiled program's persistent memo
+	// tables, cumulative over every run that shared the program.  Because
+	// the tables are shared, which worker takes a given miss depends on
 	// scheduling, so these counters — unlike every verification result —
 	// may vary between runs of a concurrent verification.
 	CacheHits   int           // scheduled evaluations served from the memo cache
@@ -204,15 +145,11 @@ type Stats struct {
 	// either way, which is the store's correctness contract.
 	Cached bool
 
-	// Tape marks a run executed on the compiled evaluation tape
-	// (Options.NoTape unset); TapeCompileTime is the time spent obtaining
-	// and refreshing the compiled program — near zero on warm runs, where
-	// the design's engine cache already holds it.  Reported separately
-	// from VerifyTime so the Table 3-1 style summary splits one-time
-	// lowering from per-run relaxation.  With the tape, CacheHits,
-	// CacheMisses, Interned and Deduped are cumulative over every run
-	// that shared the persistent program, not per run.
-	Tape            bool
+	// TapeCompileTime is the time spent obtaining and refreshing the
+	// compiled evaluation tape — near zero on warm runs, where the
+	// design's engine cache already holds it.  Reported separately from
+	// VerifyTime so the Table 3-1 style summary splits one-time lowering
+	// from per-run relaxation.
 	TapeCompileTime time.Duration
 
 	// Case-exploration counters, set only when Options.Explore ran the
@@ -281,27 +218,20 @@ type verifier struct {
 	caseMap map[netlist.NetID]values.Value // active case mapping (§2.7.1)
 	margins []Margin
 
-	// prog is the compiled evaluation tape (nil on interpreter runs).
-	// When set, v.intern and v.cache alias the program's persistent
-	// tables, initial/pinned may alias its precompiled seed image
-	// (initialShared; copy-on-write before mutation), primitive dispatch
-	// goes through the opcode jump table, relaxation always sweeps the
-	// level spans, and the checking phase consults the program's plans
-	// and negative site cache.  fresh marks a verifier whose sigs still
-	// equal its seeds, so the first case can skip re-seeding unmapped
-	// nets.  siteKeyBuf is the checking phase's key scratch; getFn/widFn
-	// are the getter closures built once for key building.
+	// prog is the compiled evaluation tape; nil only on Reference runs.
+	// Its persistent interner, evaluation memo, warm slots and negative
+	// site cache serve every evaluation and check, initial/pinned may
+	// alias its precompiled seed image (initialShared; copy-on-write
+	// before mutation), and relaxation sweeps its levelization.  fresh
+	// marks a verifier whose sigs still equal its seeds, so the first case
+	// can skip re-seeding unmapped nets.
 	prog          *tape.Program
 	slots         *tape.SlotTable
 	initialShared bool
 	fresh         bool
-	siteKeyBuf    []byte
-	getFn         eval.Getter
-	widFn         eval.WaveID
 
 	// Computed value of pinned driven nets, for the assertion
-	// cross-check.  Indexed by net so concurrent wavefront workers commit
-	// to disjoint slots.
+	// cross-check, indexed by net.
 	altOutW   []values.Waveform
 	altOutSet []bool
 
@@ -314,28 +244,19 @@ type verifier struct {
 	wiredOutW   []values.Waveform
 	wiredOutSet []bool
 
-	// Evaluation memoization (nil when Options.NoCache is set).  The
-	// interner and cache are shared by every case worker: each case
-	// starts from whatever the shared post-initialisation relaxation has
-	// already computed.  A case-forced net changes the interned handles
-	// of every waveform downstream of it, so the forced cone can never be
+	// sigID holds the interned handle of each net's current waveform (nil
+	// on Reference runs).  The program's memo tables are shared by every
+	// case worker; a case-forced net changes the interned handles of
+	// every waveform downstream of it, so the forced cone can never be
 	// served stale entries — the key, not an invalidation walk, carries
-	// the dependency.  sigID holds the interned handle of each net's
-	// current waveform.
-	intern *values.Interner
-	cache  *eval.Cache
-	sigID  []uint64
+	// the dependency.
+	sigID []uint64
 
-	// scratch is the serial engine's evaluation scratch (key buffer,
-	// segment arena, getter closures), created lazily; netBuf collects
-	// the nets changed by one evaluation.  wfScratch holds the wavefront
-	// engine's per-worker scratches (worker 0's doubles as the serial
-	// phase's), created lazily and reused across sweeps and cases.
-	scratch   *evalScratch
-	netBuf    []netlist.NetID
-	wfScratch []*evalScratch
+	// scratch is the evaluation scratch (key buffers, segment arena,
+	// getter closures, changed-net list), created lazily by sc.
+	scratch *evalScratch
 
-	// The serial worklist is a queue with an explicit head index — a pop
+	// The worklist is a queue with an explicit head index — a pop
 	// advances qhead instead of re-slicing, so the backing array is
 	// compacted and reused rather than pinned and regrown.
 	queue   []netlist.PrimID
@@ -343,7 +264,7 @@ type verifier struct {
 	inQueue []bool
 	events  int
 	evals   int
-	sweeps  int // wavefront sweeps in the current case (intra engine only)
+	sweeps  int // wavefront sweeps in the current case (tape only)
 
 	// Incremental re-verification state, used only by Verifier-retained
 	// case verifiers: changed marks nets whose stored waveform (or Dirs)
@@ -376,6 +297,17 @@ func Run(d *netlist.Design, opts Options) (*Result, error) {
 // never alter, a result.
 func RunContext(ctx context.Context, d *netlist.Design, opts Options) (*Result, error) {
 	return (&Verifier{d: d, opts: opts}).run(ctx, false)
+}
+
+// Reference verifies the design the way §2.9 states it, with none of the
+// production engine's machinery: one FIFO worklist per case, every
+// primitive evaluated by eval.PrimA, no interning, memo, warm slots or
+// negative site cache, and every constraint site checked in full.  It
+// shares Run's case schedule, checkers, merge and delay-model post-passes,
+// so its report must equal Run's byte for byte; the test suites hold the
+// compiled tape to it.
+func Reference(d *netlist.Design, opts Options) (*Result, error) {
+	return (&Verifier{d: d, opts: opts, ref: true}).run(context.Background(), false)
 }
 
 // ctxCheck polls the run's context.  It records and returns a structured
@@ -476,7 +408,7 @@ func (v *verifier) adoptRunState(rs *runState) {
 // slices — kept waveforms and margins copy the waveform values, whose
 // segment arrays live outside these tables.
 func (v *verifier) releaseRunState() {
-	if v.prog == nil || v.sigs == nil || v.sigID == nil {
+	if v.prog == nil || v.sigs == nil {
 		return
 	}
 	v.prog.Scratch.Put(&runState{
@@ -490,15 +422,13 @@ func (v *verifier) releaseRunState() {
 }
 
 // initVerifier builds the shared post-initialisation relaxation state
-// (§2.9 step 1) every case starts from.  A non-nil interner/cache pair is
-// adopted — the Verifier keeps them across runs so re-verification is
-// served from warm memo tables; otherwise fresh ones are created unless
-// NoCache asks for none.  With a compiled program the interner and cache
-// are the program's persistent tables, the wired-OR slot maps are its
-// precompiled ones, and — absent Force overrides — the seed image is
+// (§2.9 step 1) every case starts from.  With a compiled program the
+// per-run tables come from its scratch pool, the wired-OR slot maps are
+// its precompiled ones, and — absent Force overrides — the seed image is
 // adopted wholesale: shared waveform slices, precomputed handles, no
-// per-net assertion rendering or interning.
-func initVerifier(d *netlist.Design, opts Options, intern *values.Interner, cache *eval.Cache, prog *tape.Program) (*verifier, *Result, error) {
+// per-net assertion rendering or interning.  A nil program (Reference)
+// builds everything afresh and interns nothing.
+func initVerifier(d *netlist.Design, opts Options, prog *tape.Program) (*verifier, *Result, error) {
 	v := &verifier{
 		d:       d,
 		opts:    opts,
@@ -506,11 +436,13 @@ func initVerifier(d *netlist.Design, opts Options, intern *values.Interner, cach
 		caseMap: make(map[netlist.NetID]values.Value),
 	}
 	if prog != nil {
-		intern, cache = prog.Intern, prog.Evals
 		v.slots = prog.Slots()
+		v.wired, v.wiredSlot = prog.Wired, prog.WiredSlot
 		if rs, ok := prog.Scratch.Get().(*runState); ok && rs.fits(d) {
 			v.adoptRunState(rs)
 		}
+	} else {
+		v.wired, v.wiredSlot = d.WiredDrivers()
 	}
 	if v.sigs == nil {
 		v.sigs = make([]eval.Signal, len(d.Nets))
@@ -518,49 +450,14 @@ func initVerifier(d *netlist.Design, opts Options, intern *values.Interner, cach
 		v.altOutSet = make([]bool, len(d.Nets))
 		v.inQueue = make([]bool, len(d.Prims))
 	}
-	if !opts.NoCache {
-		if intern == nil {
-			intern = values.NewInterner()
-			cache = eval.NewCache()
-		}
-		v.intern = intern
-		v.cache = cache
-		if v.sigID == nil {
-			v.sigID = make([]uint64, len(d.Nets))
-		}
-	}
-	res := &Result{Design: d}
-
-	switch {
-	case prog != nil:
-		v.wired, v.wiredSlot = prog.Wired, prog.WiredSlot
-	case d.WiredOr:
-		counts := map[netlist.NetID]int{}
-		for pi := range d.Prims {
-			for _, port := range d.Prims[pi].Out {
-				for _, o := range port.Bits {
-					counts[o]++
-				}
-			}
-		}
-		v.wired = map[netlist.NetID][]netlist.PrimID{}
-		v.wiredSlot = map[[2]int32]int{}
-		for i := range d.Nets {
-			n := netlist.NetID(i)
-			if counts[n] <= 1 {
-				continue
-			}
-			drivers := d.Drivers(n)
-			v.wired[n] = drivers
-			for _, dp := range drivers {
-				v.wiredSlot[[2]int32{int32(n), int32(dp)}] = len(v.wiredSlot)
-			}
-		}
+	if prog != nil && v.sigID == nil {
+		v.sigID = make([]uint64, len(d.Nets))
 	}
 	if v.wired != nil {
 		v.wiredOutW = make([]values.Waveform, len(v.wiredSlot))
 		v.wiredOutSet = make([]bool, len(v.wiredSlot))
 	}
+	res := &Result{Design: d}
 
 	// §2.9 step 1: initialise signals.  Clock-asserted nets are pinned to
 	// their asserted waveform; stable-asserted nets seed S/C; driven nets
@@ -612,7 +509,7 @@ type caseOutcome struct {
 	verifyTime time.Duration
 	checkTime  time.Duration
 	reused     int // converged waveforms carried over unchanged (incremental only)
-	sweeps     int // wavefront sweeps to fixed point (intra engine only)
+	sweeps     int // wavefront sweeps to fixed point (tape only)
 	err        error
 }
 
@@ -640,8 +537,6 @@ func (v *verifier) clone() *verifier {
 		caseMap:       make(map[netlist.NetID]values.Value),
 		wired:         v.wired,
 		wiredSlot:     v.wiredSlot,
-		intern:        v.intern,
-		cache:         v.cache,
 	}
 	if v.prog != nil {
 		if rs, ok := v.prog.Scratch.Get().(*runState); ok && rs.fits(v.d) {
@@ -660,8 +555,6 @@ func (v *verifier) clone() *verifier {
 			w.sigID = make([]uint64, len(v.d.Nets))
 		}
 		copy(w.sigID, v.sigID)
-	} else {
-		w.sigID = nil
 	}
 	if v.wired != nil {
 		w.wiredOutW = make([]values.Waveform, len(v.wiredSlot))
@@ -687,25 +580,25 @@ func (v *verifier) snapshot() *verifier {
 }
 
 // setSig installs a net's signal unconditionally, interning its waveform
-// when the cache is enabled so equal waveforms share storage and carry
-// comparable handles.
+// on the tape so equal waveforms share storage and carry comparable
+// handles.
 func (v *verifier) setSig(id netlist.NetID, sig eval.Signal) {
-	if v.intern != nil {
-		sig.Wave, v.sigID[id] = v.intern.Intern(sig.Wave)
+	if v.prog != nil {
+		sig.Wave, v.sigID[id] = v.prog.Intern.Intern(sig.Wave)
 	}
 	v.sigs[id] = sig
 }
 
 // storeSig installs a net's signal if it differs from the current one,
-// reporting whether it changed.  With interning enabled the comparison is
-// a handle compare — no waveform walk, no allocation.  During incremental
+// reporting whether it changed.  On the tape the comparison is a handle
+// compare — no waveform walk, no allocation.  During incremental
 // re-verification every store that changes a net is recorded, so
 // constraint sites reading only unchanged nets can reuse their memoized
 // outcome.
 func (v *verifier) storeSig(id netlist.NetID, sig eval.Signal) bool {
-	if v.intern != nil {
+	if v.prog != nil {
 		var wid uint64
-		sig.Wave, wid = v.intern.Intern(sig.Wave)
+		sig.Wave, wid = v.prog.Intern.Intern(sig.Wave)
 		if wid == v.sigID[id] && sig.Dirs == v.sigs[id].Dirs {
 			return false
 		}
@@ -953,83 +846,69 @@ func (o Options) passCap(nPrims int) int {
 	return limit
 }
 
-// evalScratch is one evaluation worker's private scratch: the cache-key
-// buffer, the waveform segment arena, and the getter closures built once
-// instead of per evaluation.  The serial engine keeps one; the wavefront
-// engine keeps one per worker.
+// evalScratch is the verifier's evaluation scratch: the memo and site key
+// buffer, the waveform segment arena, the getter closures built once
+// instead of per evaluation, and the nets changed by the current
+// evaluation or component.
 type evalScratch struct {
-	keyBuf []byte
-	arena  *values.Arena
-	get    eval.Getter
-	wid    eval.WaveID
-	// changed accumulates the nets moved by this worker's component
-	// evaluations within one level; compResult spans reference into it,
-	// and the level barrier truncates it once the spans are consumed, so
-	// the backing array is reused instead of grown afresh per component.
+	keyBuf  []byte
+	arena   *values.Arena
+	get     eval.Getter
+	wid     eval.WaveID
 	changed []netlist.NetID
 }
 
-func (v *verifier) newScratch() *evalScratch {
-	sc := &evalScratch{arena: &values.Arena{}}
-	sc.get = func(n netlist.NetID) eval.Signal { return v.sigs[n] }
-	if v.sigID != nil {
-		sc.wid = func(n netlist.NetID) uint64 { return v.sigID[n] }
+// sc returns the verifier's scratch, creating it on first use.
+func (v *verifier) sc() *evalScratch {
+	if v.scratch == nil {
+		v.scratch = &evalScratch{arena: &values.Arena{}}
+		v.scratch.get = func(n netlist.NetID) eval.Signal { return v.sigs[n] }
+		v.scratch.wid = func(n netlist.NetID) uint64 { return v.sigID[n] }
 	}
-	return sc
+	return v.scratch
 }
 
 // evalPrim evaluates one primitive and commits its outputs, appending
 // every net whose stored signal changed to dst.  Pinned nets go to the
 // altOut side table and are never appended; the caller owns event
 // counting and consumer scheduling.
-//
-// Under the wavefront engine this runs concurrently on several workers.
-// That is safe because every shared write lands at an index owned by this
-// primitive alone — a net has one driver (wired-OR co-drivers share a
-// component and hence a worker), so sigs/sigID/changed/altOut commits of
-// concurrently evaluated primitives never collide — and the interner and
-// cache are internally synchronized.
-func (v *verifier) evalPrim(pid netlist.PrimID, sc *evalScratch, dst []netlist.NetID) []netlist.NetID {
+func (v *verifier) evalPrim(pid netlist.PrimID, dst []netlist.NetID) []netlist.NetID {
 	p := &v.d.Prims[pid]
+	sc := v.sc()
 	var outs []eval.Signal
 	var ids []uint64
 	var err error
-	switch {
-	case v.slots != nil:
-		// Warm-slot fast path: if one of the primitive's recent evaluations
-		// was computed from these exact inputs (interned handles + governing
-		// directives) under the current environment generation, reuse it
-		// without key building, hashing or locking.  Miss: fall through to
-		// the keyed memo and publish a fresh variant.
-		if sv := v.slotLookup(pid, p, false); sv != nil {
-			outs, ids = sv.Outs, sv.IDs
-			v.cache.NoteHit()
-			break
-		}
-		fallthrough
-	case v.cache != nil:
-		// Memoized evaluation: the key covers everything Prim reads,
+	if v.prog == nil {
+		outs, err = eval.PrimA(v.d, p, sc.get, sc.arena)
+	} else if sv := v.slotLookup(pid, false); sv != nil {
+		// Warm-slot fast path: one of the primitive's recent evaluations
+		// was computed from these exact inputs (interned handles +
+		// governing directives) under the current environment generation,
+		// so reuse it without key building, hashing or locking.
+		outs, ids = sv.Outs, sv.IDs
+		v.prog.Evals.NoteHit()
+	} else {
+		// Memoized evaluation: the key covers everything evaluation reads,
 		// with input waveforms as interned handles, so a hit returns
 		// exactly what evaluation would produce.  Outputs are interned
 		// before storing so every consumer shares one copy (and no cache
-		// entry references a worker's arena).
+		// entry references the arena).  Either way the result becomes a
+		// fresh warm-slot variant.
 		sc.keyBuf = eval.AppendKey(sc.keyBuf[:0], v.d, p, sc.get, sc.wid)
 		var ok bool
-		if outs, ids, ok = v.cache.Get(sc.keyBuf); !ok {
-			outs, err = v.dispatch(pid, p, sc)
+		if outs, ids, ok = v.prog.Evals.Get(sc.keyBuf); !ok {
+			outs, err = tape.Eval(v.d, p, sc.get, sc.arena)
 			if err == nil && outs != nil {
 				ids = make([]uint64, len(outs))
 				for i := range outs {
-					outs[i].Wave, ids[i] = v.intern.Intern(outs[i].Wave)
+					outs[i].Wave, ids[i] = v.prog.Intern.Intern(outs[i].Wave)
 				}
-				v.cache.Put(sc.keyBuf, outs, ids)
+				v.prog.Evals.Put(sc.keyBuf, outs, ids)
 			}
 		}
-		if v.slots != nil && err == nil && outs != nil {
+		if err == nil && outs != nil {
 			v.publishSlot(pid, outs, ids)
 		}
-	default:
-		outs, err = v.dispatch(pid, p, sc)
 	}
 	if err != nil || outs == nil {
 		return dst
@@ -1087,7 +966,7 @@ func (v *verifier) evalPrim(pid netlist.PrimID, sc *evalScratch, dst []netlist.N
 // program's environment generation, so a match implies the variant's
 // outputs are exactly what evaluation would produce.  With site true it
 // matches clean checker-site variants (Outs == nil) instead.
-func (v *verifier) slotLookup(pid netlist.PrimID, p *netlist.Prim, site bool) *tape.SlotVar {
+func (v *verifier) slotLookup(pid netlist.PrimID, site bool) *tape.SlotVar {
 	s := v.slots.Load(pid)
 	if s == nil {
 		return nil
@@ -1128,7 +1007,7 @@ func (v *verifier) slotMatch(pid netlist.PrimID, sv *tape.SlotVar) bool {
 // tape.MaxSlotVars.  Slots are immutable once published, so the surviving
 // variants are copied into a new Slot; publishes happen only while a
 // cycle of states is being (re)learned, never in the warm steady state.
-// With nil outs it records a clean checker site.  Concurrent publishers
+// With nil outs it records a clean checker site.  Concurrent case workers
 // can lose each other's variant — last writer wins — which costs a
 // relearn, never correctness.
 func (v *verifier) publishSlot(pid netlist.PrimID, outs []eval.Signal, ids []uint64) {
@@ -1155,35 +1034,21 @@ func (v *verifier) publishSlot(pid netlist.PrimID, outs []eval.Signal, ids []uin
 	v.slots.Store(pid, ns)
 }
 
-// dispatch evaluates one primitive: through the tape's opcode jump table
-// when a program is compiled, else the generic evaluator.  The table path
-// is segment-for-segment identical (eval.GateTableA mirrors evalGate), so
-// the choice never affects results — or cache entries, which the two
-// paths can share.
-func (v *verifier) dispatch(pid netlist.PrimID, p *netlist.Prim, sc *evalScratch) ([]eval.Signal, error) {
-	if v.prog != nil {
-		return v.prog.Eval(pid, v.d, p, sc.get, sc.arena)
-	}
-	return eval.PrimA(v.d, p, sc.get, sc.arena)
-}
-
 // relax runs the event-driven evaluation to a fixed point (§2.9 step 2).
-// It reports whether the fixed point was reached within the pass cap.
-// With IntraWorkers > 1 the worklist is handed to the levelized wavefront
-// scheduler, which converges on the same fixed point.  A canceled context
-// aborts the loop at a pass boundary, leaving v.aborted set; the partial
-// state is discarded by the caller.
+// It reports whether the fixed point was reached within the pass cap.  The
+// tape hands the worklist to the levelized wavefront sweep; Reference
+// drains it in FIFO order.  Both converge on the same fixed point.  A
+// canceled context aborts the loop at a pass boundary, leaving v.aborted
+// set; the partial state is discarded by the caller.
 func (v *verifier) relax() bool {
 	if err := v.ctxCheck(); err != nil {
 		return false
 	}
-	if v.prog != nil || v.opts.intraWorkers() > 1 {
+	if v.prog != nil {
 		return v.wavefrontRelax()
 	}
 	cap := v.passCap()
-	if v.scratch == nil {
-		v.scratch = v.newScratch()
-	}
+	sc := v.sc()
 	for v.queueLen() > 0 {
 		if v.evals >= cap {
 			v.clearQueue()
@@ -1196,8 +1061,8 @@ func (v *verifier) relax() bool {
 		pid := v.popQueue()
 		v.inQueue[pid] = false
 		v.evals++
-		v.netBuf = v.evalPrim(pid, v.scratch, v.netBuf[:0])
-		for _, id := range v.netBuf {
+		sc.changed = v.evalPrim(pid, sc.changed[:0])
+		for _, id := range sc.changed {
 			v.events++
 			v.fanout(id)
 		}

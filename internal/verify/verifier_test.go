@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -642,6 +643,20 @@ func TestWiredOr(t *testing.T) {
 	}
 	if w.At(ns(25)) != values.V0 || w.At(ns(45)) != values.V0 {
 		t.Errorf("wired-OR idle should be low: %v", w)
+	}
+
+	// The tape's precompiled wired-OR tables must fold the drivers exactly
+	// like Reference's per-run ones, at every worker count.
+	ref, err := Reference(d, Options{KeepWaves: true, Margins: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		res, err := Run(d, Options{Workers: workers, KeepWaves: true, Margins: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReports(t, fmt.Sprintf("wired-OR workers=%d", workers), ref, res)
 	}
 }
 

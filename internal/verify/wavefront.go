@@ -1,96 +1,55 @@
-// Levelized wavefront relaxation: the IntraWorkers > 1 engine.
+// Levelized wavefront relaxation: the compiled tape's execution loop.
 //
-// The serial engine (§2.9) drains one FIFO worklist.  This engine relaxes
-// the same seed over the design's cached levelization
-// (netlist.Levelization): the primitive graph condensed into strongly
-// connected components with sequential edges cut, combinational components
-// assigned topological levels.  A sweep walks the levels in ascending
-// order, evaluating each level's pending components concurrently on a
-// small worker pool, then runs the sequential components (those containing
-// storage) in a single serial phase.  Stores made in the serial phase
-// schedule their cross-component consumers for the NEXT sweep; sweeps
-// repeat until nothing is pending.
+// Reference drains one FIFO worklist (§2.9).  The tape relaxes the same
+// seed over the program's levelization (netlist.Levelization): the
+// primitive graph condensed into strongly connected components with
+// sequential edges cut, combinational components assigned topological
+// levels.  A sweep walks the levels in ascending order, evaluating each
+// level's pending components, then runs the sequential components (those
+// containing storage).  Stores made by a combinational component schedule
+// consumers at strictly higher levels, later in the same sweep; stores
+// made in the sequential phase schedule their cross-component consumers
+// for the NEXT sweep.  Sweeps repeat until nothing is pending.
 //
-// Why this is race-free:
-//
-//   - Components on one level share no dependency edge, and a dependency
-//     between combinational components always points to a strictly higher
-//     level, so two concurrently running components never touch the same
-//     net: every shared write (sigs, sigID, changed, altOut, wiredOut)
-//     lands at an index owned by exactly one component.
-//   - Workers never write scheduling state for other components.  All
-//     cross-component marking happens at the level barrier, on the calling
-//     goroutine, from the per-task changed-net lists; the WaitGroup
-//     provides the happens-before edge for everything the workers wrote.
-//   - The interner and evaluation cache are internally striped and
-//     synchronized.
-//
-// Why this is deterministic: the relaxation is a confluent fixed-point
-// iteration, so the converged waveforms are schedule-independent, and
-// every decision that affects *reported* output — the pending sets, the
-// sweep count, the evaluation budgets, the convergence verdict — is made
-// either inside one component (serial) or at a barrier from
-// order-independent sums.  Reports are bit-identical to the serial engine
-// for every worker count; only wall-clock time and the cache hit/miss
-// split vary.
+// The relaxation is a confluent fixed-point iteration, so the converged
+// waveforms — and every reported result — equal Reference's; only the
+// Events, PrimEvals and Sweeps work counters reflect the schedule.
 package verify
 
-import (
-	"sync"
-	"sync/atomic"
+import "scaldtv/internal/netlist"
 
-	"scaldtv/internal/netlist"
-)
-
-// compResult is what one component evaluation reports back to the barrier:
-// work counters, the nets whose stored signal changed (with repeats, for
-// feedback components that move a net more than once), and whether the
-// component still has pending members and must run again next sweep.
-// changed is a capacity-capped span of the worker scratch's accumulation
-// buffer, valid until the barrier truncates the buffer after marking.
-type compResult struct {
-	evals   int
-	events  int
-	again   bool // a feedback component used up this sweep's budget
-	changed []netlist.NetID
-}
-
-// runComp evaluates one component's pending members using the given
-// scratch.  Non-feedback components hold a single primitive with no
-// self-loop: one evaluation suffices, because any input change from this
-// very evaluation would be a cycle.  Feedback components iterate a scoped
-// worklist — fanout is followed only to members of the same component —
-// toward a local fixed point, but only within a small per-sweep budget:
-// a loop whose inputs are still settling (its driving storage runs in the
-// serial phase, between sweeps) must not burn the whole evaluation budget
-// chasing a moving target, the way the serial FIFO naturally interleaves
-// loop iteration with the rest of the circuit.  Members still pending when
-// the budget runs out stay marked and the component reports again=true, so
-// the barrier reschedules it for the next sweep; only the caller's global
-// pass cap declares non-convergence.
-func (v *verifier) runComp(ci int32, sc *evalScratch, pending []bool, lev *netlist.Levelization) compResult {
+// runComp evaluates one component's pending members, appending every net
+// whose stored signal changed (with repeats, for feedback components that
+// move a net more than once) to the scratch's changed list.  Non-feedback
+// components hold a single primitive with no self-loop: one evaluation
+// suffices, because any input change from this very evaluation would be a
+// cycle.  Feedback components iterate a scoped worklist — fanout is
+// followed only to members of the same component — toward a local fixed
+// point, but only within a small per-sweep budget: a loop whose inputs are
+// still settling (its driving storage runs in the sequential phase,
+// between sweeps) must not burn the whole evaluation budget chasing a
+// moving target, the way the FIFO naturally interleaves loop iteration
+// with the rest of the circuit.  Members still pending when the budget
+// runs out stay marked and runComp reports again=true, so the caller
+// reschedules the component for the next sweep; only the global pass cap
+// declares non-convergence.
+func (v *verifier) runComp(ci int32, pending []bool, lev *netlist.Levelization) (again bool) {
+	sc := v.sc()
 	c := &lev.Comps[ci]
-	var r compResult
-	n0 := len(sc.changed)
-	// span caps the result's view of the scratch buffer at its current
-	// length, so later appends by the same worker can never alias it (a
-	// relocated backing array keeps the already-written prefix valid).
-	span := func() []netlist.NetID { return sc.changed[n0:len(sc.changed):len(sc.changed)] }
 	if !c.Feedback {
 		for _, m := range c.Members {
 			if !pending[m] {
 				continue
 			}
 			pending[m] = false
-			r.evals++
-			sc.changed = v.evalPrim(m, sc, sc.changed)
+			v.evals++
+			sc.changed = v.evalPrim(m, sc.changed)
 		}
-		r.events = len(sc.changed) - n0
-		r.changed = span()
-		return r
+		return false
 	}
 
 	budget := defaultEvalsPerPrim * len(c.Members)
+	evals := 0
 	queue := make([]netlist.PrimID, 0, len(c.Members))
 	inQ := make(map[netlist.PrimID]bool, len(c.Members))
 	for _, m := range c.Members {
@@ -100,9 +59,8 @@ func (v *verifier) runComp(ci int32, sc *evalScratch, pending []bool, lev *netli
 			inQ[m] = true
 		}
 	}
-	var buf []netlist.NetID
 	for qi := 0; qi < len(queue); qi++ {
-		if r.evals >= budget {
+		if evals >= budget {
 			// Out of budget this sweep: hand the unprocessed tail back to
 			// the pending set and ask for another sweep.
 			for _, m := range queue[qi:] {
@@ -110,17 +68,15 @@ func (v *verifier) runComp(ci int32, sc *evalScratch, pending []bool, lev *netli
 					pending[m] = true
 				}
 			}
-			r.again = true
-			r.changed = span()
-			return r
+			return true
 		}
 		m := queue[qi]
 		inQ[m] = false
-		r.evals++
-		buf = v.evalPrim(m, sc, buf[:0])
-		for _, id := range buf {
-			r.events++
-			sc.changed = append(sc.changed, id)
+		evals++
+		v.evals++
+		n := len(sc.changed)
+		sc.changed = v.evalPrim(m, sc.changed)
+		for _, id := range sc.changed[n:] {
 			for _, q := range v.d.Nets[id].Fanout {
 				if lev.Comp[q] != ci || inQ[q] {
 					continue
@@ -130,158 +86,90 @@ func (v *verifier) runComp(ci int32, sc *evalScratch, pending []bool, lev *netli
 			}
 		}
 	}
-	r.changed = span()
-	return r
+	return false
 }
 
 // wavefrontRelax converges the seeded worklist by levelized sweeps.  It
-// reports whether the fixed point was reached within the pass cap.
-//
-// This is also the compiled tape's execution loop (v.prog != nil): the
-// levelization comes from the program, each level's components are read
-// from the tape's contiguous level spans, and with one worker the level
-// runs inline on the calling goroutine — the serial tape sweep.  The
-// relaxation is the same confluent fixed-point iteration either way, so
-// results are bit-identical to the serial FIFO engine.
+// reports whether the fixed point was reached within the pass cap, which
+// is checked after each level and after each sequential component; the
+// context is polled before each sweep and after each level.
 func (v *verifier) wavefrontRelax() bool {
-	lev := v.d.Levelization()
-	if v.prog != nil {
-		lev = v.prog.Lev
-	}
-	nWorkers := v.opts.intraWorkers()
-	if v.wfScratch == nil {
-		v.wfScratch = make([]*evalScratch, nWorkers)
-		for i := range v.wfScratch {
-			v.wfScratch[i] = v.newScratch()
-		}
-	}
+	lev := v.prog.Lev
+	sc := v.sc()
 	capN := v.passCap()
 
 	// Drain the seeded FIFO into wavefront marks: pending per primitive,
-	// plus a dirty flag per component routing it to the parallel levels or
-	// the serial phase.
+	// plus a dirty flag per component routing it to the levels or the
+	// sequential phase.
 	pending := make([]bool, len(v.d.Prims))
 	compPending := make([]bool, len(lev.Comps))
 	seqPending := make([]bool, len(lev.Comps))
 	seqNext := make([]bool, len(lev.Comps))
-	for v.queueLen() > 0 {
-		p := v.popQueue()
-		v.inQueue[p] = false
-		ci := lev.Comp[p]
-		if ci < 0 {
-			continue
-		}
-		pending[p] = true
+	// schedule marks component ci pending: a sequential component in
+	// seqDst, a combinational one in compPending.
+	schedule := func(ci int32, seqDst []bool) {
 		if lev.Comps[ci].Seq {
-			seqPending[ci] = true
+			seqDst[ci] = true
 		} else {
 			compPending[ci] = true
 		}
 	}
-
-	// mark schedules every cross-component consumer of a changed net.  Seq
-	// consumers go to seqDst — this sweep's serial phase from the parallel
-	// phase, the next sweep from the serial phase.  Comb consumers go to
-	// compPending: from the parallel phase they sit at a strictly higher
-	// level and run later this sweep; from the serial phase the mark
-	// survives into the next sweep's parallel phase.
-	mark := func(changed []netlist.NetID, src int32, seqDst []bool) {
-		for _, id := range changed {
-			for _, q := range v.d.Nets[id].Fanout {
-				cq := lev.Comp[q]
-				if cq < 0 || cq == src {
-					continue
-				}
-				pending[q] = true
-				if lev.Comps[cq].Seq {
-					seqDst[cq] = true
-				} else {
-					compPending[cq] = true
-				}
-			}
+	for v.queueLen() > 0 {
+		p := v.popQueue()
+		v.inQueue[p] = false
+		if ci := lev.Comp[p]; ci >= 0 {
+			pending[p] = true
+			schedule(ci, seqPending)
 		}
 	}
-	dirty := func() bool {
-		for _, b := range compPending {
-			if b {
-				return true
+
+	// run relaxes one component and schedules every cross-component
+	// consumer of the nets it moved, plus the component itself when a
+	// feedback loop ran out of budget.  Sequential consumers go to seqDst
+	// — this sweep's sequential phase from a level, the next sweep from
+	// the sequential phase.  Combinational consumers sit at a strictly
+	// higher level, so from a level they run later this sweep, and from
+	// the sequential phase the mark survives into the next sweep.
+	run := func(ci int32, seqDst []bool) {
+		if v.runComp(ci, pending, lev) {
+			schedule(ci, seqDst)
+		}
+		v.events += len(sc.changed)
+		for _, id := range sc.changed {
+			for _, q := range v.d.Nets[id].Fanout {
+				if cq := lev.Comp[q]; cq >= 0 && cq != ci {
+					pending[q] = true
+					schedule(cq, seqDst)
+				}
 			}
 		}
-		for _, b := range seqPending {
-			if b {
+		sc.changed = sc.changed[:0]
+	}
+	dirty := func() bool {
+		for i := range compPending {
+			if compPending[i] || seqPending[i] {
 				return true
 			}
 		}
 		return false
 	}
 
-	var tasks []int32
-	var results []compResult
 	for dirty() {
-		// Cancellation is polled only between sweeps and at level
-		// barriers — schedule-neutral points where no worker is running —
-		// so an aborted run never exposes a partially marked sweep.
 		if err := v.ctxCheck(); err != nil {
 			return false
 		}
 		v.sweeps++
-
-		// Parallel phase: levels in ascending order, each level's pending
-		// components fanned out over the worker pool.  On the tape the
-		// level is a contiguous span of the component order.
-		for li := range lev.Levels {
-			level := lev.Levels[li]
-			if v.prog != nil {
-				span := v.prog.LevelSpan[li]
-				level = v.prog.CompOrder[span[0]:span[1]]
-			}
-			tasks = tasks[:0]
+		for _, level := range lev.Levels {
+			ran := false
 			for _, ci := range level {
 				if compPending[ci] {
 					compPending[ci] = false
-					tasks = append(tasks, ci)
+					ran = true
+					run(ci, seqPending)
 				}
 			}
-			if len(tasks) == 0 {
+			if !ran {
 				continue
-			}
-			if cap(results) < len(tasks) {
-				results = make([]compResult, len(tasks))
-			}
-			results = results[:len(tasks)]
-			if len(tasks) == 1 || nWorkers == 1 {
-				for i := range tasks {
-					results[i] = v.runComp(tasks[i], v.wfScratch[0], pending, lev)
-				}
-			} else {
-				nw := nWorkers
-				if nw > len(tasks) {
-					nw = len(tasks)
-				}
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < nw; w++ {
-					wg.Add(1)
-					go func(sc *evalScratch) {
-						defer wg.Done()
-						for {
-							i := next.Add(1) - 1
-							if i >= int64(len(tasks)) {
-								return
-							}
-							results[i] = v.runComp(tasks[i], sc, pending, lev)
-						}
-					}(v.wfScratch[w])
-				}
-				wg.Wait()
-			}
-
-			// Barrier: fold counters (order-independent sums) and check the
-			// global cap, then do all cross-component marking serially.
-			// Budget-exhausted feedback components rerun next sweep.
-			for i := range results {
-				v.evals += results[i].evals
-				v.events += results[i].events
 			}
 			if v.evals >= capN {
 				return false
@@ -289,39 +177,16 @@ func (v *verifier) wavefrontRelax() bool {
 			if err := v.ctxCheck(); err != nil {
 				return false
 			}
-			for i, ci := range tasks {
-				if results[i].again {
-					compPending[ci] = true
-				}
-				mark(results[i].changed, ci, seqPending)
-			}
-			// The changed spans are consumed; recycle every worker's
-			// accumulation buffer for the next level.
-			for _, sc := range v.wfScratch {
-				sc.changed = sc.changed[:0]
-			}
 		}
-
-		// Serial phase: sequential components in ascending order, on the
-		// calling goroutine.  Their stores defer cross-component consumers
-		// to the next sweep, so a concurrently evaluating reader can never
-		// exist — there are none running here.
 		for _, ci := range lev.Seq {
 			if !seqPending[ci] {
 				continue
 			}
 			seqPending[ci] = false
-			r := v.runComp(ci, v.wfScratch[0], pending, lev)
-			v.evals += r.evals
-			v.events += r.events
+			run(ci, seqNext)
 			if v.evals >= capN {
 				return false
 			}
-			if r.again {
-				seqNext[ci] = true
-			}
-			mark(r.changed, ci, seqNext)
-			v.wfScratch[0].changed = v.wfScratch[0].changed[:0]
 		}
 		seqPending, seqNext = seqNext, seqPending
 	}

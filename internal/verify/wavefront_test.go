@@ -10,94 +10,10 @@ import (
 	"scaldtv/internal/tick"
 )
 
-// The intra-case contract under test: for every IntraWorkers value the
-// verifier's reports — violations, margins, kept waveforms, the
-// cross-reference — are bit-identical to the serial engine's, and between
-// any two wavefront worker counts even the work counters (Events,
-// PrimEvals, Sweeps) agree exactly.  Cache hit/miss counters are exempt:
-// which worker takes a given miss is scheduling-dependent (see Stats).
-// Run with -race to exercise the level worker pool.
-
-func TestIntraDeterminism(t *testing.T) {
-	d := buildMultiCase(t, 8)
-	opts := func(iw int) Options {
-		return Options{Workers: 1, IntraWorkers: iw, KeepWaves: true, Margins: true}
-	}
-	base, err := Run(d, opts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Violations) == 0 {
-		t.Fatal("the multi-case design should produce violations to compare")
-	}
-	for _, iw := range []int{2, 8} {
-		res, err := Run(d, opts(iw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameReports(t, fmt.Sprintf("intra=1 vs %d", iw), base, res)
-		if res.Stats.IntraWorkers != iw {
-			t.Errorf("intra=%d: Stats.IntraWorkers = %d", iw, res.Stats.IntraWorkers)
-		}
-	}
-	// Between wavefront runs the schedule decisions are made at barriers
-	// from order-independent sums, so the work counters agree exactly.
-	r2, err := Run(d, opts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := Run(d, opts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReports(t, "intra=2 vs 8", r2, r8)
-	for i := range r2.Cases {
-		if r2.Cases[i].Events != r8.Cases[i].Events || r2.Cases[i].PrimEvals != r8.Cases[i].PrimEvals {
-			t.Errorf("case %d work counters differ between intra worker counts: %+v vs %+v",
-				i, r2.Cases[i], r8.Cases[i])
-		}
-	}
-	if r2.Stats.Sweeps != r8.Stats.Sweeps || r2.Stats.Sweeps == 0 {
-		t.Errorf("sweep counts: intra=2 %d vs intra=8 %d (want equal, nonzero)",
-			r2.Stats.Sweeps, r8.Stats.Sweeps)
-	}
-}
-
-// TestIntraDeterminismGenerated repeats the check on a generated Mark
-// IIA-style design — pipeline rings, registers, latches, muxes and
-// checkers at scale — with and without the evaluation cache, and composed
-// with case-level workers.
-func TestIntraDeterminismGenerated(t *testing.T) {
-	d, _, err := gen.Generate(gen.Config{Chips: 102, Cases: 4, Inject: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(d, Options{Workers: 1, KeepWaves: true, Margins: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Violations) == 0 {
-		t.Fatal("the injected slow path should produce violations")
-	}
-	variants := []Options{
-		{Workers: 1, IntraWorkers: 2, KeepWaves: true, Margins: true},
-		{Workers: 1, IntraWorkers: 8, KeepWaves: true, Margins: true},
-		{Workers: 1, IntraWorkers: 4, KeepWaves: true, Margins: true, NoCache: true},
-		{Workers: 2, IntraWorkers: 4, KeepWaves: true, Margins: true},
-	}
-	for _, o := range variants {
-		res, err := Run(d, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameReports(t, fmt.Sprintf("gen workers=%d intra=%d nocache=%v",
-			o.Workers, o.IntraWorkers, o.NoCache), base, res)
-	}
-}
-
-// TestIntraExamples checks bit-identity on every example-style topology
-// the generator can produce: plain, variable-cycle, and wired-OR bus
-// designs, with multiple declared cases.
+// TestIntraExamples checks the intra-case wavefront (the compiled tape)
+// against Reference on the generator's example-style topologies — plain
+// and variable-cycle designs with multiple declared cases — at Workers 1,
+// 2 and 8.
 func TestIntraExamples(t *testing.T) {
 	cfgs := map[string]gen.Config{
 		"plain":    {Chips: 51, Cases: 2, Inject: 1},
@@ -108,29 +24,29 @@ func TestIntraExamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Run(d, Options{Workers: 1, KeepWaves: true, Margins: true})
+		base, err := Reference(d, Options{Workers: 1, KeepWaves: true, Margins: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, iw := range []int{2, 8} {
-			res, err := Run(d, Options{Workers: 1, IntraWorkers: iw, KeepWaves: true, Margins: true})
+		for _, w := range []int{1, 2, 8} {
+			res, err := Run(d, Options{Workers: w, KeepWaves: true, Margins: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameReports(t, fmt.Sprintf("%s intra=%d", name, iw), base, res)
+			sameReports(t, fmt.Sprintf("%s workers=%d", name, w), base, res)
 		}
 	}
 }
 
-// TestIntraReverify: the wavefront engine resumes a retained fixed point
-// exactly like the serial engine — Reverify after random parameter edits
-// stays bit-identical to a from-scratch serial run of the edited design.
+// TestIntraReverify: the wavefront resumes a retained fixed point —
+// Reverify after random parameter edits stays bit-identical to a
+// from-scratch Reference run of the edited design.
 func TestIntraReverify(t *testing.T) {
 	d, _, err := gen.Generate(gen.Config{Chips: 34, Cases: 2, Inject: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Workers: 1, IntraWorkers: 4, KeepWaves: true, Margins: true}
+	opts := Options{Workers: 1, KeepWaves: true, Margins: true}
 	V := NewVerifier(d, opts)
 	if _, err := V.Verify(); err != nil {
 		t.Fatal(err)
@@ -145,7 +61,7 @@ func TestIntraReverify(t *testing.T) {
 		if !inc.Stats.Incremental {
 			t.Fatalf("step %d (%s): fell back to a full run", step, desc)
 		}
-		scratch, err := Run(d, Options{Workers: 1, KeepWaves: true, Margins: true})
+		scratch, err := Reference(d, opts)
 		if err != nil {
 			t.Fatalf("step %d (%s): scratch: %v", step, desc, err)
 		}
@@ -153,62 +69,59 @@ func TestIntraReverify(t *testing.T) {
 	}
 }
 
-// TestIntraWavefrontStats: the levelization counters are reported exactly
-// when the wavefront engine runs — explicitly via IntraWorkers > 1 or
-// implicitly via the tape — and stay zero under the serial engine (which
-// requires NoTape, since the tape always sweeps level spans).
+// TestIntraWavefrontStats: the levelization counters describe the
+// design's levelization on every tape run, and stay zero on Reference,
+// which drains a FIFO.
 func TestIntraWavefrontStats(t *testing.T) {
 	d, _, err := gen.Generate(gen.Config{Chips: 51, Cases: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Run(d, Options{Workers: 1, NoTape: true})
+	ref, err := Reference(d, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Stats.IntraWorkers != 0 || serial.Stats.Levels != 0 || serial.Stats.SCCs != 0 || serial.Stats.Sweeps != 0 {
-		t.Errorf("serial run reports wavefront stats: %+v", serial.Stats)
+	if ref.Stats.Levels != 0 || ref.Stats.SCCs != 0 || ref.Stats.Sweeps != 0 {
+		t.Errorf("Reference run reports wavefront stats: %+v", ref.Stats)
 	}
-	tape, err := Run(d, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tape.Stats.Tape || tape.Stats.Levels == 0 || tape.Stats.SCCs == 0 || tape.Stats.Sweeps == 0 {
-		t.Errorf("tape run should report wavefront stats: %+v", tape.Stats)
-	}
-	res, err := Run(d, Options{Workers: 1, IntraWorkers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lev := d.Levelization()
-	st := res.Stats
-	if st.IntraWorkers != 8 || st.Levels != len(lev.Levels) || st.SCCs != len(lev.Comps) ||
-		st.FeedbackSCCs != lev.Feedback || st.Sweeps == 0 {
-		t.Errorf("wavefront stats = %+v, levelization has %d levels / %d comps / %d feedback",
-			st, len(lev.Levels), len(lev.Comps), lev.Feedback)
+	for _, w := range []int{1, 2} {
+		res, err := Run(d, Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lev := d.Levelization()
+		st := res.Stats
+		if st.Levels != len(lev.Levels) || st.SCCs != len(lev.Comps) ||
+			st.FeedbackSCCs != lev.Feedback || st.Sweeps == 0 {
+			t.Errorf("workers=%d: wavefront stats = %+v, levelization has %d levels / %d comps / %d feedback",
+				w, st, len(lev.Levels), len(lev.Comps), lev.Feedback)
+		}
 	}
 }
 
 // TestIntraConvergenceCap: pass-cap exhaustion is reported under the
-// wavefront engine too (the cap is checked at barriers).
+// wavefront too (the cap is checked after each level) and agrees with
+// Reference, whose FIFO checks it per evaluation.
 func TestIntraConvergenceCap(t *testing.T) {
 	d := buildFig25(t)
-	res, err := Run(d, Options{MaxPasses: 2, IntraWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range res.Violations {
-		if v.Kind == ConvergenceViolation {
-			found = true
+	for name, run := range map[string]func(*netlist.Design, Options) (*Result, error){"tape": Run, "reference": Reference} {
+		res, err := run(d, Options{MaxPasses: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Error("pass cap exhaustion should be reported under the wavefront engine")
+		found := false
+		for _, v := range res.Violations {
+			if v.Kind == ConvergenceViolation {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: pass cap exhaustion should be reported", name)
+		}
 	}
 }
 
-// TestQueueBoundedCapacity: the serial worklist's backing array stays
+// TestQueueBoundedCapacity: the FIFO worklist's backing array stays
 // bounded by the outstanding entries, not the total number of pops — the
 // [1:] re-slice it replaced pinned the array head and regrew forever.
 func TestQueueBoundedCapacity(t *testing.T) {
@@ -224,7 +137,7 @@ func TestQueueBoundedCapacity(t *testing.T) {
 		prev = o
 	}
 	d := b.MustBuild()
-	v, _, err := initVerifier(d, Options{}, nil, nil, nil)
+	v, _, err := initVerifier(d, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

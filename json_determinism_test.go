@@ -9,11 +9,10 @@ import (
 )
 
 // TestJSONReportByteDeterminism locks the contract the scaldtvd service
-// depends on: the JSON report is byte-identical for every combination of
-// case workers, intra-case workers, cache setting and evaluation engine
-// (compiled tape or interpreter), for every example design.  (The report
-// deliberately carries no event or timing counters, which are
-// schedule-dependent.)
+// depends on: the JSON report is byte-identical for every case-worker
+// count, for every example design.  (The report deliberately carries no
+// event or timing counters, which are schedule-dependent.)
+// TestReferenceParityExamples holds the same reports to verify.Reference.
 func TestJSONReportByteDeterminism(t *testing.T) {
 	designs, err := filepath.Glob(filepath.Join("examples", "*", "*.scald"))
 	if err != nil {
@@ -35,12 +34,6 @@ func TestJSONReportByteDeterminism(t *testing.T) {
 				{Workers: 1},
 				{Workers: 2},
 				{Workers: 8},
-				{Workers: 1, IntraWorkers: 2},
-				{Workers: 2, IntraWorkers: 4},
-				{Workers: 1, NoCache: true},
-				{Workers: 1, NoTape: true},
-				{Workers: 2, IntraWorkers: 4, NoTape: true},
-				{Workers: 8, IntraWorkers: 8, NoTape: true},
 			} {
 				res, err := VerifySource(text, cfg)
 				if err != nil {
@@ -71,8 +64,7 @@ func TestJSONReportByteDeterminism(t *testing.T) {
 // exploration (candidate ranking, chosen splits and minimal case set)
 // and the statistical delay analysis.  Exploration probes reuse the
 // engine's retained fixed point and the statistical pass integrates on
-// a fixed grid, so neither may depend on worker counts, the cache, or
-// the choice of tape versus interpreter.
+// a fixed grid, so neither may depend on worker counts.
 func TestExploreJSONByteDeterminism(t *testing.T) {
 	subjects := []struct {
 		name    string
@@ -95,12 +87,6 @@ func TestExploreJSONByteDeterminism(t *testing.T) {
 				{Workers: 1},
 				{Workers: 2},
 				{Workers: 8},
-				{Workers: 1, IntraWorkers: 2},
-				{Workers: 2, IntraWorkers: 4},
-				{Workers: 8, IntraWorkers: 8},
-				{Workers: 1, NoCache: true},
-				{Workers: 1, NoTape: true},
-				{Workers: 8, IntraWorkers: 8, NoTape: true},
 			} {
 				cfg.Explore = sub.opts.Explore
 				cfg.Delays = sub.opts.Delays

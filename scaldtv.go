@@ -315,11 +315,10 @@ func CompileWithLibrary(header, body string) (*Design, error) {
 // Result.Exploration describing the search.
 //
 // When ctx is canceled (or its deadline expires) the relaxation aborts at
-// the next pass boundary or wavefront level barrier and the call returns
-// an Error of kind CanceledError wrapping ctx.Err().  Cancellation is
-// checked only at those schedule-neutral points, so a run that completes
-// is bit-identical to an uncancelled one for every Workers/IntraWorkers
-// setting.
+// the next sweep or wavefront level boundary and the call returns an
+// Error of kind CanceledError wrapping ctx.Err().  Cancellation is checked
+// only at those schedule-neutral points, so a run that completes is
+// bit-identical to an uncancelled one for every Workers setting.
 func VerifyContext(ctx context.Context, d *Design, opts Options) (*Result, error) {
 	if opts.Explore {
 		return explore.RunContext(ctx, d, opts)

@@ -66,8 +66,6 @@ func TestStoreParityExamples(t *testing.T) {
 				{Workers: 1},
 				{Workers: 2},
 				{Workers: 8},
-				{Workers: 1, IntraWorkers: 2},
-				{Workers: 8, IntraWorkers: 2},
 			} {
 				// Exact hit with a restored session: the store key ignores
 				// execution options, so every worker configuration hits the
