@@ -387,23 +387,45 @@ func BenchmarkClaim_PathSearch(b *testing.B) {
 	b.ReportMetric(r.TVCaseDelay.NS(), "verifier-case-ns")
 }
 
-// BenchmarkPathSearch_Scale runs the path-search baseline over a generated
-// design, for the baseline-cost comparison.
-func BenchmarkPathSearch_Scale(b *testing.B) {
-	d, _, err := gen.Generate(gen.Config{Chips: 510})
+// BenchmarkPathSearch runs each instance of the path algebra over a
+// 340-chip generated design: the worst-case path search, the quadrature
+// behind the statistical delay model, and the term sets behind the
+// analytic one's margin surface.
+func BenchmarkPathSearch(b *testing.B) {
+	d, _, err := gen.Generate(gen.Config{Chips: 340, Inject: 1, Cases: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	var eps int
-	for i := 0; i < b.N; i++ {
-		a, err := pathsearch.Analyze(d)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("analysis=worstcase", func(b *testing.B) {
+		var eps int
+		for i := 0; i < b.N; i++ {
+			a, err := pathsearch.Analyze(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eps = len(a.Endpoints)
 		}
-		eps = len(a.Endpoints)
-	}
-	b.ReportMetric(float64(eps), "endpoints")
+		b.ReportMetric(float64(eps), "endpoints")
+	})
+	b.Run("analysis=dist", func(b *testing.B) {
+		var sites int
+		for i := 0; i < b.N; i++ {
+			s, _, err := pathsearch.AnalyzeDist(d, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sites = len(s)
+		}
+		b.ReportMetric(float64(sites), "sites")
+	})
+	b.Run("analysis=analytic", func(b *testing.B) {
+		var sites int
+		for i := 0; i < b.N; i++ {
+			s, _ := pathsearch.AnalyzeAnalytic(d, 0)
+			sites = len(s)
+		}
+		b.ReportMetric(float64(sites), "sites")
+	})
 }
 
 // --- micro-benchmarks of the core value algebra (design-choice ablations

@@ -18,9 +18,8 @@ import (
 func main() {
 	lib := flag.Bool("lib", false, "make the component library available")
 	budget := flag.String("budget", "", "flag endpoints slower than this (e.g. 35ns)")
-	statistical := flag.Bool("stat", false, "probability-based analysis (§4.2.4): mean + kσ arrivals")
-	correlated := flag.Bool("correlated", false, "with -stat: assume fully correlated component delays")
-	ksigma := flag.Float64("ksigma", 3, "with -stat: confidence multiplier")
+	statistical := flag.Bool("stat", false, "probability-based analysis (§4.2.4): the quadrature of -delays=statistical, mean and kσ arrivals")
+	ksigma := flag.Float64("ksigma", 3, "with -stat: read arrivals at the Φ(k) quantile")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: scaldpath [flags] design.scald")
@@ -39,17 +38,17 @@ func main() {
 		fail(err)
 	}
 	if *statistical {
-		a, err := pathsearch.AnalyzeStatistical(design, pathsearch.StatOptions{Correlated: *correlated})
+		sites, _, err := pathsearch.AnalyzeDist(design, 0)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Print(a.String())
+		fmt.Print(pathsearch.StatString(sites, *ksigma))
 		if *budget != "" {
 			t, err := tick.Parse(*budget)
 			if err != nil {
 				fail(err)
 			}
-			errs := a.Errors(t, *ksigma)
+			errs := pathsearch.StatErrors(sites, t, *ksigma)
 			fmt.Printf("\n%d endpoint(s) exceed the %s budget at %.1fσ\n", len(errs), t, *ksigma)
 			if len(errs) > 0 {
 				os.Exit(1)

@@ -104,16 +104,42 @@ type SiteTerms struct {
 // are truncated and flagged inexact.
 const DefaultMaxTerms = 32
 
-// termSet is the per-net DP state for one side.
+// termSet is one side's term set at a net, with whether it survived the
+// term cap intact.
 type termSet struct {
-	terms   []Term
-	reached bool
-	exact   bool
+	terms []Term
+	exact bool
 }
 
-// pruner proves term dominance over the design's parameter box.
+// termSets is the analytic instance's value at a net: the late and early
+// term sets of the paths reaching it.
+type termSets struct {
+	late, early termSet
+}
+
+// pruner is the analytic instance of the path algebra: an edge adds its
+// constant part to every term and counts its delay function, and
+// reconvergent paths union their term sets, dropping the terms it proves
+// dominated over the design's parameter box.
 type pruner struct {
-	d *netlist.Design
+	d        *netlist.Design
+	maxTerms int
+	defVals  []float64
+}
+
+func (pr *pruner) start() termSets {
+	return termSets{late: termSet{terms: []Term{{}}, exact: true}, early: termSet{terms: []Term{{}}, exact: true}}
+}
+
+func (pr *pruner) extend(v termSets, e edge) termSets {
+	return termSets{
+		late:  termSet{terms: extendTerms(v.late.terms, e, true), exact: v.late.exact},
+		early: termSet{terms: extendTerms(v.early.terms, e, false), exact: v.early.exact},
+	}
+}
+
+func (pr *pruner) join(dst, v termSets) termSets {
+	return termSets{late: pr.mergeTerms(dst.late, v.late, true), early: pr.mergeTerms(dst.early, v.early, false)}
 }
 
 // maxPruneParams bounds the vertex enumeration of a dominance proof.
@@ -174,11 +200,8 @@ func (pr *pruner) dominates(a, b Term, late bool) bool {
 // keep the extremal constant, provably dominated classes are dropped,
 // and a set still over the cap is truncated (deterministically, best
 // default-point values first) and flagged inexact.
-func (pr *pruner) mergeTerms(dst termSet, src []Term, srcExact, late bool, maxTerms int, defVals []float64) termSet {
-	out := termSet{reached: true, exact: dst.exact && srcExact}
-	if !dst.reached {
-		out.exact = srcExact
-	}
+func (pr *pruner) mergeTerms(dst, src termSet, late bool) termSet {
+	out := termSet{exact: dst.exact && src.exact}
 	byKey := map[string]int{}
 	var terms []Term
 	addAll := func(ts []Term) {
@@ -195,7 +218,7 @@ func (pr *pruner) mergeTerms(dst termSet, src []Term, srcExact, late bool, maxTe
 		}
 	}
 	addAll(dst.terms)
-	addAll(src)
+	addAll(src.terms)
 	if len(terms) > 1 {
 		kept := make([]Term, 0, len(terms))
 		for i := range terms {
@@ -219,10 +242,10 @@ func (pr *pruner) mergeTerms(dst termSet, src []Term, srcExact, late bool, maxTe
 		}
 		terms = kept
 	}
-	if len(terms) > maxTerms {
+	if len(terms) > pr.maxTerms {
 		fns := pr.d.DelayFns
 		sort.SliceStable(terms, func(i, j int) bool {
-			vi, vj := terms[i].Value(fns, late, defVals), terms[j].Value(fns, late, defVals)
+			vi, vj := terms[i].Value(fns, late, pr.defVals), terms[j].Value(fns, late, pr.defVals)
 			if vi != vj {
 				if late {
 					return vi > vj
@@ -231,7 +254,7 @@ func (pr *pruner) mergeTerms(dst termSet, src []Term, srcExact, late bool, maxTe
 			}
 			return terms[i].key() < terms[j].key()
 		})
-		terms = terms[:maxTerms]
+		terms = terms[:pr.maxTerms]
 		out.exact = false
 	}
 	out.terms = terms
@@ -240,24 +263,16 @@ func (pr *pruner) mergeTerms(dst termSet, src []Term, srcExact, late bool, maxTe
 
 // extendTerms advances a term set across one edge.
 func extendTerms(ts []Term, e edge, late bool) []Term {
+	c := e.cnst.Min
+	if late {
+		c = e.cnst.Max
+	}
 	out := make([]Term, len(ts))
 	for i, t := range ts {
-		nt := Term{Const: t.Const, Counts: t.Counts}
+		out[i] = Term{Const: t.Const + c, Counts: t.Counts}
 		if e.fn > 0 {
-			if late {
-				nt.Const += e.cmax
-			} else {
-				nt.Const += e.cmin
-			}
-			nt.Counts = bumpCount(t.Counts, e.fn)
-		} else {
-			if late {
-				nt.Const += e.max
-			} else {
-				nt.Const += e.min
-			}
+			out[i].Counts = bumpCount(t.Counts, e.fn)
 		}
-		out[i] = nt
 	}
 	return out
 }
@@ -285,73 +300,49 @@ func bumpCount(counts []FnCount, fn int32) []FnCount {
 	return out
 }
 
-// AnalyzeAnalytic runs the symbolic DP over the same combinational
-// graph as Analyze, producing the late and early term sets for every
-// constraint-site end pin (keyed by "prim:port" label), unioned over
-// every start.  maxTerms ≤ 0 selects DefaultMaxTerms.  Combinational
-// loops are reported as in Analyze; looped nets get no terms.
+// AnalyzeAnalytic runs the analytic instance of the path algebra over
+// the same combinational graph as Analyze, producing the late and early
+// term sets for every constraint-site end pin (keyed by "prim:port"
+// label), unioned over every start.  maxTerms ≤ 0 selects
+// DefaultMaxTerms.  Combinational loops are reported as in Analyze;
+// looped nets get no terms.
 func AnalyzeAnalytic(d *netlist.Design, maxTerms int) (map[string]*SiteTerms, []string) {
 	if maxTerms <= 0 {
 		maxTerms = DefaultMaxTerms
 	}
 	g := buildGraph(d)
-	n := len(d.Nets)
-	pr := &pruner{d: d}
-	defVals := d.ParamDefaults()
-	out := make(map[string]*SiteTerms)
-	late := make([]termSet, n)
-	early := make([]termSet, n)
-	for _, s := range g.starts {
-		for i := 0; i < n; i++ {
-			late[i], early[i] = termSet{}, termSet{}
+	alg := &pruner{d: d, maxTerms: maxTerms, defVals: d.ParamDefaults()}
+	union := make(map[string]termSets)
+	newTraversal[termSets](g, alg).fold(func(_ int32, pin *endPin, v termSets) bool {
+		if cur, ok := union[pin.label]; ok {
+			v = alg.join(cur, v)
 		}
-		late[s] = termSet{terms: []Term{{}}, reached: true, exact: true}
-		early[s] = termSet{terms: []Term{{}}, reached: true, exact: true}
-		for _, u := range g.order {
-			if !late[u].reached {
-				continue
-			}
-			for _, e := range g.adj[u] {
-				late[e.to] = pr.mergeTerms(late[e.to], extendTerms(late[u].terms, e, true), late[u].exact, true, maxTerms, defVals)
-				early[e.to] = pr.mergeTerms(early[e.to], extendTerms(early[u].terms, e, false), early[u].exact, false, maxTerms, defVals)
-			}
-		}
-		for net, pins := range g.ends {
-			if !late[net].reached {
-				continue
-			}
-			for _, pin := range pins {
-				st := out[pin.label]
-				if st == nil {
-					st = &SiteTerms{To: pin.label, LateExact: true, EarlyExact: true}
-					out[pin.label] = st
-				}
-				lt := termSet{terms: st.Late, reached: st.Late != nil, exact: st.LateExact}
-				lt = pr.mergeTerms(lt, extendTerms(late[net].terms, edge{max: pin.wire.Max, min: pin.wire.Min}, true), late[net].exact, true, maxTerms, defVals)
-				st.Late, st.LateExact = lt.terms, lt.exact
-				et := termSet{terms: st.Early, reached: st.Early != nil, exact: st.EarlyExact}
-				et = pr.mergeTerms(et, extendTerms(early[net].terms, edge{max: pin.wire.Max, min: pin.wire.Min}, false), early[net].exact, false, maxTerms, defVals)
-				st.Early, st.EarlyExact = et.terms, et.exact
-			}
-		}
+		union[pin.label] = v
+		return true
+	})
+	out := make(map[string]*SiteTerms, len(union))
+	for label, v := range union {
+		out[label] = &SiteTerms{To: label, Late: v.late.terms, Early: v.early.terms, LateExact: v.late.exact, EarlyExact: v.early.exact}
 	}
 	return out, g.loops
 }
 
-// SiteTermsByPrim regroups AnalyzeAnalytic output by checker/storage
-// instance name (the part of the end label before the colon), keeping
-// each instance's pins sorted by label so iteration is deterministic.
-func SiteTermsByPrim(sites map[string]*SiteTerms) map[string][]*SiteTerms {
-	byPrim := make(map[string][]*SiteTerms)
-	for label, st := range sites {
+// ByPrim regroups a per-pin result of AnalyzeDist or AnalyzeAnalytic by
+// checker or storage instance — the part of each "prim:port" label
+// before its last colon — keeping each instance's pins in label order.
+func ByPrim[S any](sites map[string]S) map[string][]S {
+	labels := make([]string, 0, len(sites))
+	for label := range sites {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	byPrim := make(map[string][]S)
+	for _, label := range labels {
 		prim := label
-		if i := lastColon(label); i >= 0 {
+		if i := strings.LastIndexByte(label, ':'); i >= 0 {
 			prim = label[:i]
 		}
-		byPrim[prim] = append(byPrim[prim], st)
-	}
-	for _, sts := range byPrim {
-		sort.Slice(sts, func(i, j int) bool { return sts[i].To < sts[j].To })
+		byPrim[prim] = append(byPrim[prim], sites[label])
 	}
 	return byPrim
 }

@@ -2,9 +2,9 @@ package pathsearch
 
 import (
 	"math"
-	"sort"
 
 	"scaldtv/internal/netlist"
+	"scaldtv/internal/serr"
 	"scaldtv/internal/tick"
 )
 
@@ -69,13 +69,12 @@ func RangeDist(r tick.Range, step tick.Time) Dist {
 	if r.Width() == 0 || step <= 0 {
 		return PointDist(r.Min, step)
 	}
-	lo, hi := snap(r.Min, step), snap(r.Max, step)
-	if lo == hi {
+	lo, n := snap(r.Min, step), gridPoints(r, step)
+	if n == 1 {
 		return Dist{Start: lo, Step: step, P: []float64{1}}
 	}
 	mean := float64(r.Min+r.Max) / 2
 	sigma := float64(r.Width()) / 6
-	n := int((hi-lo)/step) + 1
 	p := make([]float64, n)
 	total := 0.0
 	for i := 0; i < n; i++ {
@@ -99,6 +98,15 @@ func RangeDist(r tick.Range, step tick.Time) Dist {
 		p[len(p)/2] = 1
 	}
 	return Dist{Start: lo, Step: step, P: p}
+}
+
+// gridPoints is the length of RangeDist(r, step): the grid points from
+// the one nearest the range's lower end to the one nearest its upper end.
+func gridPoints(r tick.Range, step tick.Time) int {
+	if step <= 0 {
+		return 1
+	}
+	return int((snap(max(r.Min, r.Max), step)-snap(min(r.Min, r.Max), step))/step) + 1
 }
 
 // Convolve is the distribution of the sum of two independent delays —
@@ -134,28 +142,27 @@ func Convolve(a, b Dist) Dist {
 	return Dist{Start: a.Start + b.Start, Step: step, P: p}
 }
 
-// aligned returns both pmfs re-indexed onto one grid window covering
-// both supports.  Both inputs must share the step (PointDist takes the
-// step of its context, so the invariant holds across the DP).
-func aligned(a, b Dist) (start tick.Time, step tick.Time, pa, pb []float64) {
+// window is the grid span covering both supports: its first point, the
+// step and the number of points.  Both inputs must share the step
+// (PointDist takes the step of its context, so the invariant holds
+// across the DP).
+func window(a, b Dist) (start, step tick.Time, n int) {
 	step = a.Step
 	if step <= 0 {
 		step = b.Step
 	}
-	start = a.Start
-	if b.Start < start {
-		start = b.Start
-	}
-	endA := a.Start + tick.Time(len(a.P)-1)*step
-	endB := b.Start + tick.Time(len(b.P)-1)*step
-	end := endA
-	if endB > end {
-		end = endB
-	}
-	n := 1
+	start = min(a.Start, b.Start)
+	end := max(a.Start+tick.Time(len(a.P)-1)*step, b.Start+tick.Time(len(b.P)-1)*step)
+	n = 1
 	if step > 0 {
 		n = int((end-start)/step) + 1
 	}
+	return start, step, n
+}
+
+// aligned returns both pmfs re-indexed onto their common window.
+func aligned(a, b Dist) (start tick.Time, step tick.Time, pa, pb []float64) {
+	start, step, n := window(a, b)
 	pa = make([]float64, n)
 	pb = make([]float64, n)
 	offA, offB := 0, 0
@@ -283,99 +290,87 @@ func DefaultDistStep(period tick.Time) tick.Time {
 	return step
 }
 
-// AnalyzeDist runs the quadrature DP over the same combinational graph
-// as Analyze, producing one SiteDist per end pin (keyed by its
-// "prim:port" label), for the start with the largest worst-case arrival.
+// AnalyzeDist runs the quadrature instance of the path algebra over the
+// same combinational graph as Analyze, producing one SiteDist per end
+// pin (keyed by its "prim:port" label), for the start with the largest
+// worst-case arrival; ties go to the start whose name sorts first.
 // step ≤ 0 selects DefaultDistStep.  Designs with combinational loops
-// report the loop nets like Analyze; looped nets get no distribution.
-func AnalyzeDist(d *netlist.Design, step tick.Time) (map[string]SiteDist, []string) {
+// report the loop nets like Analyze; looped nets get no distribution.  A
+// distribution that would need more than maxSupport grid points is a
+// Limit error.
+func AnalyzeDist(d *netlist.Design, step tick.Time) (map[string]SiteDist, []string, error) {
 	if step <= 0 {
 		step = DefaultDistStep(d.Period)
 	}
 	g := buildGraph(d)
-	n := len(d.Nets)
-	const unset = tick.Time(-1)
-	minA := make([]tick.Time, n)
-	maxA := make([]tick.Time, n)
-	late := make([]Dist, n)
-	early := make([]Dist, n)
+	alg := &distAlgebra{step: step}
 	out := make(map[string]SiteDist)
-	for _, s := range g.starts {
-		for i := 0; i < n; i++ {
-			minA[i], maxA[i] = unset, unset
-			late[i], early[i] = Dist{}, Dist{}
+	newTraversal[arrival](g, alg).fold(func(s int32, pin *endPin, v arrival) bool {
+		if alg.err != nil {
+			return false
 		}
-		minA[s], maxA[s] = 0, 0
-		late[s] = PointDist(0, step)
-		early[s] = PointDist(0, step)
-		for _, u := range g.order {
-			if maxA[u] == unset {
-				continue
-			}
-			for _, e := range g.adj[u] {
-				ed := RangeDist(tick.Range{Min: e.min, Max: e.max}, step)
-				late[e.to] = CombineMax(late[e.to], Convolve(late[u], ed))
-				early[e.to] = CombineMin(early[e.to], Convolve(early[u], ed))
-				if na := minA[u] + e.min; minA[e.to] == unset || na < minA[e.to] {
-					minA[e.to] = na
-				}
-				if na := maxA[u] + e.max; na > maxA[e.to] {
-					maxA[e.to] = na
-				}
-			}
+		from := d.Nets[s].Name
+		if cur, ok := out[pin.label]; !ok || v.wc.Max > cur.WCMax || (v.wc.Max == cur.WCMax && from < cur.From) {
+			out[pin.label] = SiteDist{From: from, To: pin.label, WCMin: v.wc.Min, WCMax: v.wc.Max, Late: v.late, Early: v.early}
 		}
-		// Deterministic end sweep: the ends map iterates in random order,
-		// but entries with different labels never interact and same-label
-		// updates arrive in the deterministic start order, with a total
-		// keep-best rule.
-		for net, pins := range g.ends {
-			if maxA[net] == unset {
-				continue
-			}
-			for _, pin := range pins {
-				wd := RangeDist(pin.wire, step)
-				cand := SiteDist{
-					From:  d.Nets[s].Name,
-					To:    pin.label,
-					WCMin: minA[net] + pin.wire.Min,
-					WCMax: maxA[net] + pin.wire.Max,
-					Late:  Convolve(late[net], wd),
-					Early: Convolve(early[net], wd),
-				}
-				cur, ok := out[pin.label]
-				if !ok || cand.WCMax > cur.WCMax ||
-					(cand.WCMax == cur.WCMax && cand.From < cur.From) {
-					out[pin.label] = cand
-				}
-			}
-		}
+		return true
+	})
+	if alg.err != nil {
+		return nil, nil, alg.err
 	}
-	return out, g.loops
+	return out, g.loops, nil
 }
 
-// SiteDistsByPrim regroups AnalyzeDist output by checker/storage
-// instance name (the part of the end label before the colon), keeping
-// each instance's pins sorted by label so iteration is deterministic.
-func SiteDistsByPrim(sites map[string]SiteDist) map[string][]SiteDist {
-	byPrim := make(map[string][]SiteDist)
-	for label, sd := range sites {
-		prim := label
-		if i := lastColon(label); i >= 0 {
-			prim = label[:i]
-		}
-		byPrim[prim] = append(byPrim[prim], sd)
-	}
-	for _, sds := range byPrim {
-		sort.Slice(sds, func(i, j int) bool { return sds[i].To < sds[j].To })
-	}
-	return byPrim
+// maxSupport caps the grid points of any one arrival distribution, so a
+// delay range far wider than the grid is a Limit error instead of an
+// allocation that exhausts memory.  The largest end-pin support on the
+// 340- and 1003-chip generated designs is 251 points.
+const maxSupport = 1 << 16
+
+// arrival is the quadrature instance's value at a net: the worst-case
+// interval of the paths reaching it and their latest- and
+// earliest-arrival distributions.
+type arrival struct {
+	wc          tick.Range
+	late, early Dist
 }
 
-func lastColon(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == ':' {
-			return i
-		}
+// distAlgebra is the quadrature instance: series delays convolve,
+// reconvergent latest arrivals combine as the max and earliest ones as
+// the min.  Every operation checks its result's length against
+// maxSupport before it allocates; the first that would exceed it records
+// err, and every later one is refused.
+type distAlgebra struct {
+	step tick.Time
+	err  error
+}
+
+// fits reports whether a result of n grid points may be built.
+func (a *distAlgebra) fits(n int) bool {
+	if a.err == nil && n > maxSupport {
+		a.err = serr.Newf(serr.Limit, "pathsearch: an arrival distribution needs more than %d points of the %s ns quadrature grid", maxSupport, a.step)
 	}
-	return -1
+	return a.err == nil
+}
+
+func (a *distAlgebra) start() arrival {
+	return arrival{late: PointDist(0, a.step), early: PointDist(0, a.step)}
+}
+
+func (a *distAlgebra) extend(v arrival, e edge) arrival {
+	n := gridPoints(e.delay, a.step)
+	if !a.fits(n) || !a.fits(len(v.late.P)+n-1) || !a.fits(len(v.early.P)+n-1) {
+		return v
+	}
+	ed := RangeDist(e.delay, a.step)
+	return arrival{wc: v.wc.Add(e.delay), late: Convolve(v.late, ed), early: Convolve(v.early, ed)}
+}
+
+func (a *distAlgebra) join(dst, v arrival) arrival {
+	_, _, nl := window(dst.late, v.late)
+	_, _, ne := window(dst.early, v.early)
+	if !a.fits(nl) || !a.fits(ne) {
+		return dst
+	}
+	return arrival{wc: ticks{}.join(dst.wc, v.wc), late: CombineMax(dst.late, v.late), early: CombineMin(dst.early, v.early)}
 }

@@ -1,10 +1,12 @@
 package pathsearch
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"scaldtv/internal/netlist"
+	"scaldtv/internal/serr"
 	"scaldtv/internal/tick"
 )
 
@@ -141,7 +143,10 @@ func TestCDFMonotoneAndBounds(t *testing.T) {
 // distribution against the worst-case interval analysis.
 func TestAnalyzeDistChain(t *testing.T) {
 	d := statChain(t, tick.R(5, 15), tick.R(10, 10), tick.R(2, 8))
-	sites, loops := AnalyzeDist(d, 0)
+	sites, loops, err := AnalyzeDist(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(loops) != 0 {
 		t.Fatalf("unexpected loops: %v", loops)
 	}
@@ -177,6 +182,31 @@ func TestAnalyzeDistChain(t *testing.T) {
 		if p := sd.Early.CDF(wcMin - stp - 1); p > 1e-6 {
 			t.Errorf("%s: mass before worst-case min (CDF=%v)", sd.To, p)
 		}
+	}
+}
+
+// TestAnalyzeDistSupportCap: a distribution longer than maxSupport is a
+// Limit error, whether one delay range is too wide for the grid or two
+// narrow arrivals reconverge too far apart.
+func TestAnalyzeDistSupportCap(t *testing.T) {
+	// 100 ns period: a 390 ps grid, so 65536 points span about 25.6 µs.
+	wide := statChain(t, tick.R(0, 30000))
+	b := netlist.NewBuilder("far apart")
+	b.SetPeriod(100 * tick.NS)
+	b.SetDefaultWire(tick.Range{})
+	in, late, z := b.Net("IN .S0-50"), b.Net("LATE"), b.Net("Z")
+	b.Buf("SLOW", tick.R(30000, 30000), []netlist.NetID{late}, netlist.Conns(in))
+	b.Gate(netlist.KOr, "JOIN", tick.R(1, 1), []netlist.NetID{z}, netlist.Conns(in), netlist.Conns(late))
+	b.Register("REG", tick.R(1, 2), []netlist.NetID{b.Net("Q")}, netlist.Conn{Net: b.Net("CK .P40-60")}, netlist.Conns(z))
+	for name, d := range map[string]*netlist.Design{"wide range": wide, "far-apart join": b.MustBuild()} {
+		sites, _, err := AnalyzeDist(d, 0)
+		if !errors.Is(err, serr.Sentinel(serr.Limit)) || sites != nil {
+			t.Errorf("%s: AnalyzeDist = %d sites, %v; want a Limit error", name, len(sites), err)
+		}
+	}
+	// Just under the cap still prices.
+	if _, _, err := AnalyzeDist(statChain(t, tick.R(0, 25000)), 0); err != nil {
+		t.Errorf("25 µs range: %v", err)
 	}
 }
 

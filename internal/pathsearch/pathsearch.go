@@ -33,30 +33,31 @@ type Analysis struct {
 	CombLoops []string // nets on combinational cycles (no storage break)
 }
 
+// edge is one combinational hop: from the net it is listed under to the
+// net to, through the wire at the primitive's input pin and the
+// primitive itself.
 type edge struct {
-	to       int32
-	min, max tick.Time
-
-	// Analytic decomposition of the same edge: when fn > 0 the traversed
-	// primitive's delay is Design.DelayFns[fn-1] and cmin/cmax hold only
-	// the constant part (wire + select extra), so min = cmin + fn.Min at
-	// the default point and likewise for max.  The worst-case and
-	// statistical DPs read only min/max; the analytic DP reads fn and the
-	// constant parts.
-	fn         int32
-	cmin, cmax tick.Time
+	to int32
+	// fn > 0 marks a primitive whose delay is the analytic function
+	// Design.DelayFns[fn-1]; cnst is then the part of delay the function
+	// does not cover (wire plus select extra).  With fn == 0, cnst is all
+	// of delay.  Only the analytic instance reads fn and cnst.
+	fn    int32
+	delay tick.Range // the hop's delay at the default parameter point
+	cnst  tick.Range
 }
 
+// endPin is a pin that terminates paths: a storage or checker input, or
+// a primary output.  Its wire is the last edge of every path ending there.
 type endPin struct {
-	label string
-	wire  tick.Range
+	label string // "prim:port", or "output(net)"
+	wire  edge
 }
 
-// graph is the shared combinational-path graph used by both the
-// worst-case and the statistical analyses.
+// graph is the combinational-path graph every analysis runs over.
 type graph struct {
 	adj    [][]edge
-	ends   map[int32][]endPin
+	ends   [][]endPin // per net: the end pins it feeds
 	starts []int32
 	order  []int32
 	loops  []string
@@ -65,16 +66,18 @@ type graph struct {
 func buildGraph(d *netlist.Design) *graph {
 	n := len(d.Nets)
 	adj := make([][]edge, n)
-	ends := make(map[int32][]endPin)
+	ends := make([][]endPin, n)
 
 	addEnd := func(c netlist.Conn, prim, port string) {
 		w := d.WireDelay(c.Net, 'E')
-		ends[int32(c.Net)] = append(ends[int32(c.Net)], endPin{
-			label: prim + ":" + port,
-			wire:  w,
-		})
+		ends[c.Net] = append(ends[c.Net], endPin{label: prim + ":" + port, wire: edge{delay: w, cnst: w}})
 	}
 
+	// outStamp and inStamp mark the nets already collected for primitive
+	// pi with pi+1.
+	outStamp := make([]int, n)
+	inStamp := make([]int, n)
+	var outNets []int32
 	for pi := range d.Prims {
 		p := &d.Prims[pi]
 		switch {
@@ -85,48 +88,47 @@ func buildGraph(d *netlist.Design) *graph {
 		case p.Kind.IsStorage():
 			// Data (and control) inputs terminate paths; outputs start
 			// new ones (handled by the start set below).
-			for i, port := range p.In {
+			for _, port := range p.In {
 				for _, c := range port.Bits {
-					_ = i
 					addEnd(c, p.Name, port.Name)
 				}
 			}
 		default:
 			// Combinational: every distinct input net feeds every output
 			// net with the wire delay at the pin plus the element delay.
-			outNets := map[int32]bool{}
+			outNets = outNets[:0]
 			for _, port := range p.Out {
 				for _, o := range port.Bits {
-					outNets[int32(o)] = true
+					if outStamp[o] != pi+1 {
+						outStamp[o] = pi + 1
+						outNets = append(outNets, int32(o))
+					}
 				}
 			}
-			seen := map[int32]bool{}
 			for ii, port := range p.In {
 				extra := tick.Range{}
 				if ii < p.Kind.NumSelects() {
 					extra = p.SelectDelay
 				}
 				for _, c := range port.Bits {
-					if seen[int32(c.Net)] {
+					if inStamp[c.Net] == pi+1 {
 						continue
 					}
-					seen[int32(c.Net)] = true
+					inStamp[c.Net] = pi + 1
 					dir, _ := c.Directives.Head()
 					w := d.WireDelay(c.Net, dir)
 					delay := p.Delay
 					if dir.ZeroesGate() {
 						delay = tick.Range{}
 					}
-					total := w.Add(delay).Add(extra)
-					fn := int32(0)
-					cmin, cmax := total.Min, total.Max
+					e := edge{delay: w.Add(delay).Add(extra)}
+					e.cnst = e.delay
 					if p.Fn > 0 && !dir.ZeroesGate() {
-						fn = p.Fn
-						ce := w.Add(extra)
-						cmin, cmax = ce.Min, ce.Max
+						e.fn, e.cnst = p.Fn, w.Add(extra)
 					}
-					for o := range outNets {
-						adj[c.Net] = append(adj[c.Net], edge{to: o, min: total.Min, max: total.Max, fn: fn, cmin: cmin, cmax: cmax})
+					for _, o := range outNets {
+						e.to = o
+						adj[c.Net] = append(adj[c.Net], e)
 					}
 				}
 			}
@@ -136,7 +138,7 @@ func buildGraph(d *netlist.Design) *graph {
 	// Primary outputs: driven nets nothing reads terminate paths too.
 	for i := range d.Nets {
 		if len(d.Nets[i].Fanout) == 0 && d.Nets[i].Driver != netlist.NoDriver {
-			ends[int32(i)] = append(ends[int32(i)], endPin{label: "output(" + d.Nets[i].Name + ")"})
+			ends[i] = append(ends[i], endPin{label: "output(" + d.Nets[i].Name + ")"})
 		}
 	}
 
@@ -146,7 +148,7 @@ func buildGraph(d *netlist.Design) *graph {
 	for i := range d.Nets {
 		drv := d.Nets[i].Driver
 		if drv == netlist.NoDriver || d.Prims[drv].Kind.IsStorage() {
-			if len(adj[i]) > 0 || len(ends[int32(i)]) > 0 {
+			if len(adj[i]) > 0 || len(ends[i]) > 0 {
 				starts = append(starts, int32(i))
 			}
 		}
@@ -159,50 +161,92 @@ func buildGraph(d *netlist.Design) *graph {
 	return &graph{adj: adj, ends: ends, starts: starts, order: order, loops: loops}
 }
 
-// Analyze searches every combinational path of the design.
-func Analyze(d *netlist.Design) (*Analysis, error) {
-	g := buildGraph(d)
-	n := len(d.Nets)
-	adj, ends, starts, order := g.adj, g.ends, g.starts, g.order
-	a := &Analysis{CombLoops: g.loops}
+// A pathAlgebra values the paths through the graph.  A path's value
+// begins as start at its first net and is carried across each edge by
+// extend — the wire into an end pin is one more edge — and where paths
+// reconverge on a net, join merges the value already there (dst) with
+// the arriving one.  The traversal never swaps join's operands, so an
+// instance whose join rounds (the quadrature's CombineMax and
+// CombineMin) stays bit-reproducible.
+type pathAlgebra[V any] interface {
+	start() V
+	extend(v V, e edge) V
+	join(dst, v V) V
+}
 
-	// Longest/shortest path DP per start over the shared topological
-	// order.
-	const unset = tick.Time(-1)
-	minA := make([]tick.Time, n)
-	maxA := make([]tick.Time, n)
-	for _, s := range starts {
-		for i := range minA {
-			minA[i], maxA[i] = unset, unset
+// traversal runs one path algebra over the graph's topological order.
+// It owns the per-net values and their reachability, and clears both
+// before every sweep.
+type traversal[V any] struct {
+	g       *graph
+	alg     pathAlgebra[V]
+	val     []V
+	reached []bool
+}
+
+func newTraversal[V any](g *graph, alg pathAlgebra[V]) *traversal[V] {
+	return &traversal[V]{g: g, alg: alg, val: make([]V, len(g.adj)), reached: make([]bool, len(g.adj))}
+}
+
+// sweep values every net reachable from the sources over all the paths
+// that reach it.
+func (t *traversal[V]) sweep(sources ...int32) {
+	clear(t.val)
+	clear(t.reached)
+	for _, s := range sources {
+		t.val[s], t.reached[s] = t.alg.start(), true
+	}
+	for _, u := range t.g.order {
+		if !t.reached[u] {
+			continue
 		}
-		minA[s], maxA[s] = 0, 0
-		for _, u := range order {
-			if maxA[u] == unset {
+		for _, e := range t.g.adj[u] {
+			v := t.alg.extend(t.val[u], e)
+			if t.reached[e.to] {
+				v = t.alg.join(t.val[e.to], v)
+			}
+			t.val[e.to], t.reached[e.to] = v, true
+		}
+	}
+}
+
+// fold sweeps from every start in turn and hands f each end pin the
+// start reaches, with the value of the paths ending there: starts in
+// order, then end pins in net order.  It stops when f returns false.
+func (t *traversal[V]) fold(f func(start int32, pin *endPin, v V) bool) {
+	for _, s := range t.g.starts {
+		t.sweep(s)
+		for net, pins := range t.g.ends {
+			if !t.reached[net] {
 				continue
 			}
-			for _, e := range adj[u] {
-				if na := minA[u] + e.min; minA[e.to] == unset || na < minA[e.to] {
-					minA[e.to] = na
+			for i := range pins {
+				if !f(s, &pins[i], t.alg.extend(t.val[net], pins[i].wire)) {
+					return
 				}
-				if na := maxA[u] + e.max; na > maxA[e.to] {
-					maxA[e.to] = na
-				}
-			}
-		}
-		for net, pins := range ends {
-			if maxA[net] == unset {
-				continue
-			}
-			for _, pin := range pins {
-				a.Endpoints = append(a.Endpoints, Endpoint{
-					From: d.Nets[s].Name,
-					To:   pin.label,
-					Min:  minA[net] + pin.wire.Min,
-					Max:  maxA[net] + pin.wire.Max,
-				})
 			}
 		}
 	}
+}
+
+// ticks is the worst-case instance: a net's value is the shortest and
+// longest delay of its paths.
+type ticks struct{}
+
+func (ticks) start() tick.Range                      { return tick.Range{} }
+func (ticks) extend(v tick.Range, e edge) tick.Range { return v.Add(e.delay) }
+func (ticks) join(dst, v tick.Range) tick.Range {
+	return tick.Range{Min: min(dst.Min, v.Min), Max: max(dst.Max, v.Max)}
+}
+
+// Analyze searches every combinational path of the design.
+func Analyze(d *netlist.Design) (*Analysis, error) {
+	g := buildGraph(d)
+	a := &Analysis{CombLoops: g.loops}
+	newTraversal[tick.Range](g, ticks{}).fold(func(s int32, pin *endPin, v tick.Range) bool {
+		a.Endpoints = append(a.Endpoints, Endpoint{From: d.Nets[s].Name, To: pin.label, Min: v.Min, Max: v.Max})
+		return true
+	})
 	sort.Slice(a.Endpoints, func(i, j int) bool {
 		if a.Endpoints[i].Max != a.Endpoints[j].Max {
 			return a.Endpoints[i].Max > a.Endpoints[j].Max
@@ -292,55 +336,29 @@ func (a *Analysis) String() string {
 // measurement §4.2.1 describes for self-timed designs, where the result
 // sizes the delay inserted into the module's "done" circuit.  Signal names
 // are logical base names; every bit of each named signal participates.
+// One sweep starts from every input at once.
 func ModuleDelay(d *netlist.Design, from, to []string) (tick.Range, error) {
-	g := buildGraph(d)
-	fromNets := map[int32]bool{}
-	for _, name := range from {
-		for _, n := range d.NetsByBase(name) {
-			fromNets[int32(n)] = true
+	nets := func(names []string) []int32 {
+		var out []int32
+		for _, name := range names {
+			for _, n := range d.NetsByBase(name) {
+				out = append(out, int32(n))
+			}
 		}
+		return out
 	}
-	toNets := map[int32]bool{}
-	for _, name := range to {
-		for _, n := range d.NetsByBase(name) {
-			toNets[int32(n)] = true
-		}
-	}
-	if len(fromNets) == 0 || len(toNets) == 0 {
+	sources, sinks := nets(from), nets(to)
+	if len(sources) == 0 || len(sinks) == 0 {
 		return tick.Range{}, fmt.Errorf("pathsearch: module boundary signals not found")
 	}
-	const unset = tick.Time(-1)
-	n := len(d.Nets)
-	minA := make([]tick.Time, n)
-	maxA := make([]tick.Time, n)
-	for i := range minA {
-		minA[i], maxA[i] = unset, unset
-	}
-	for s := range fromNets {
-		minA[s], maxA[s] = 0, 0
-	}
-	for _, u := range g.order {
-		if maxA[u] == unset {
-			continue
-		}
-		for _, e := range g.adj[u] {
-			if na := minA[u] + e.min; minA[e.to] == unset || na < minA[e.to] {
-				minA[e.to] = na
-			}
-			if na := maxA[u] + e.max; na > maxA[e.to] {
-				maxA[e.to] = na
-			}
-		}
-	}
+	t := newTraversal[tick.Range](buildGraph(d), ticks{})
+	t.sweep(sources...)
 	out := tick.Range{Min: tick.Infinity, Max: 0}
 	reached := false
-	for t := range toNets {
-		if maxA[t] == unset {
-			continue
+	for _, n := range sinks {
+		if t.reached[n] {
+			out, reached = ticks{}.join(out, t.val[n]), true
 		}
-		reached = true
-		out.Min = min(out.Min, minA[t])
-		out.Max = max(out.Max, maxA[t])
 	}
 	if !reached {
 		return tick.Range{}, fmt.Errorf("pathsearch: no combinational path from the module inputs to its outputs")

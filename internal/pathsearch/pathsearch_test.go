@@ -188,3 +188,56 @@ func TestString(t *testing.T) {
 		t.Errorf("rendering wrong:\n%s", s)
 	}
 }
+
+// chain builds a 10-gate buffer chain, delay 1.0/3.0 ns per gate, between
+// a primary input and a register data pin.
+func chain(t *testing.T) *netlist.Design {
+	t.Helper()
+	b := netlist.NewBuilder("chain")
+	b.SetPeriod(100 * tick.NS)
+	b.SetDefaultWire(tick.Range{})
+	prev := b.Net("IN .S0-50")
+	for i := 0; i < 10; i++ {
+		o := b.Net("N" + string(rune('0'+i)))
+		b.Buf("B"+string(rune('0'+i)), tick.R(1, 3), []netlist.NetID{o}, netlist.Conns(prev))
+		prev = o
+	}
+	q := b.Net("Q")
+	b.Register("R", tick.R(1, 2), []netlist.NetID{q}, netlist.Conn{Net: b.Net("CK .P40-60")}, netlist.Conns(prev))
+	return b.MustBuild()
+}
+
+func TestModuleDelay(t *testing.T) {
+	d := chain(t)
+	lat, err := ModuleDelay(d, []string{"IN"}, []string{"N9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat.Min != 10*tick.NS || lat.Max != 30*tick.NS {
+		t.Errorf("module latency = %v, want 10.0/30.0", lat)
+	}
+	// Unknown boundary signals.
+	if _, err := ModuleDelay(d, []string{"NOPE"}, []string{"N9"}); err == nil {
+		t.Error("unknown inputs should fail")
+	}
+	// Unreachable outputs.
+	if _, err := ModuleDelay(d, []string{"N9"}, []string{"IN"}); err == nil {
+		t.Error("unreachable outputs should fail")
+	}
+}
+
+func TestModuleDelayVectorBits(t *testing.T) {
+	b := netlist.NewBuilder("vec")
+	b.SetPeriod(50 * tick.NS)
+	b.SetDefaultWire(tick.Range{})
+	in := b.Vector("IN .S0-25", 4)
+	out := b.Vector("OUT", 4)
+	b.Gate(netlist.KBuf, "B", tick.R(2, 7), out, netlist.ConnsOf(in))
+	lat, err := ModuleDelay(b.MustBuild(), []string{"IN"}, []string{"OUT"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat != tick.R(2, 7) {
+		t.Errorf("vector module latency = %v, want 2.0/7.0", lat)
+	}
+}

@@ -4,160 +4,84 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
-	"scaldtv/internal/netlist"
 	"scaldtv/internal/tick"
 )
 
-// Statistical (probability-based) path analysis in the style of DIGSIM
-// (§1.4.1.2, §4.2.4 — the paper's future-work direction).  Each component
-// delay becomes a normal distribution whose 3σ limits are the data-sheet
-// minimum and maximum: mean = (min+max)/2, σ = (max−min)/6.  Along a path,
-// means add; with uncorrelated components the variances add (σ grows as
-// √n), so a long path's statistical worst case is far better than the sum
-// of the maxima — the reason a "real design usually could be made to run
-// faster than the minimum/maximum system will predict" (§1.4.1.1).
-//
-// With Correlated set, every component is assumed to track together (the
-// same-production-run scenario of §4.2.4): sigmas add linearly and the
-// 3σ arrival degenerates to the worst-case sum — the paper's argument for
-// why min/max analysis "may therefore be the best" when correlations are
-// unknown.
+// Probability-based path listing in the style of DIGSIM (§1.4.1.2,
+// §4.2.4 — the paper's future-work direction), read off the same
+// quadrature distributions that price sites under -delays=statistical:
+// each end pin's latest arrival from AnalyzeDist, at its mean and at the
+// Φ(k) quantile — the arrival a normal distribution reaches k standard
+// deviations above its mean.  Along a long path of independent delays
+// that quantile sits far below the sum of the maxima, the reason a "real
+// design usually could be made to run faster than the minimum/maximum
+// system will predict" (§1.4.1.1).  Delays that are instead fully
+// correlated (one production run, §4.2.4) all sit at their maxima
+// together: that is the worst-case listing Analyze already gives.
 
-// StatOptions tunes the statistical analysis.
-type StatOptions struct {
-	// Correlated assumes all component delays track together (sigmas add
-	// linearly) instead of being independent (variances add).
-	Correlated bool
-}
-
-// StatEndpoint is one start→end path summary with a distribution.
-type StatEndpoint struct {
-	From  string
-	To    string
-	Mean  tick.Time
-	Sigma float64 // picoseconds
-}
-
-// Arrival returns the mean + k·σ arrival time.
-func (e StatEndpoint) Arrival(k float64) tick.Time {
-	return e.Mean + tick.Time(math.Round(k*e.Sigma))
-}
-
-// StatAnalysis is the result of a statistical path search.
-type StatAnalysis struct {
-	Endpoints []StatEndpoint
-	CombLoops []string
-	Opts      StatOptions
-}
-
-// AnalyzeStatistical runs the probability-based analysis over the same
-// path graph as Analyze.
-func AnalyzeStatistical(d *netlist.Design, opts StatOptions) (*StatAnalysis, error) {
-	g := buildGraph(d)
-	a := &StatAnalysis{CombLoops: g.loops, Opts: opts}
-	n := len(d.Nets)
-
-	// Per-start longest-path DP over (mean, spread).  Reconvergent paths
-	// are resolved by keeping the statistically-latest one (largest
-	// mean + 3σ) — the standard approximation for the max of normals.
-	type dist struct {
-		mean   tick.Time
-		spread float64 // σ if correlated is false is tracked via variance below
-		varr   float64
-		set    bool
-	}
-	sigmaOf := func(ds dist) float64 {
-		if opts.Correlated {
-			return ds.spread
-		}
-		return math.Sqrt(ds.varr)
-	}
-	arr := make([]dist, n)
-	for _, s := range g.starts {
-		for i := range arr {
-			arr[i] = dist{}
-		}
-		arr[s] = dist{set: true}
-		for _, u := range g.order {
-			if !arr[u].set {
-				continue
-			}
-			for _, e := range g.adj[u] {
-				mean := arr[u].mean + (e.min+e.max)/2
-				sg := float64(e.max-e.min) / 6
-				cand := dist{
-					mean:   mean,
-					spread: arr[u].spread + sg,
-					varr:   arr[u].varr + sg*sg,
-					set:    true,
-				}
-				cur := arr[e.to]
-				if !cur.set ||
-					float64(cand.mean)+3*sigmaOf(cand) > float64(cur.mean)+3*sigmaOf(cur) {
-					arr[e.to] = cand
-				}
-			}
-		}
-		for net, pins := range g.ends {
-			if !arr[net].set {
-				continue
-			}
-			for _, pin := range pins {
-				wMean := (pin.wire.Min + pin.wire.Max) / 2
-				wSigma := float64(pin.wire.Width()) / 6
-				ep := StatEndpoint{
-					From: d.Nets[s].Name,
-					To:   pin.label,
-					Mean: arr[net].mean + wMean,
-				}
-				if opts.Correlated {
-					ep.Sigma = arr[net].spread + wSigma
-				} else {
-					ep.Sigma = math.Sqrt(arr[net].varr + wSigma*wSigma)
-				}
-				a.Endpoints = append(a.Endpoints, ep)
-			}
+// Quantile is the earliest grid time by which the distribution has
+// accumulated probability p (its last point when p exceeds the mass).
+func (d Dist) Quantile(p float64) tick.Time {
+	f := 0.0
+	for i, q := range d.P {
+		f += q
+		if f >= p || i == len(d.P)-1 {
+			return d.Start + tick.Time(i)*d.Step
 		}
 	}
-	sort.Slice(a.Endpoints, func(i, j int) bool {
-		ai, aj := a.Endpoints[i].Arrival(3), a.Endpoints[j].Arrival(3)
-		if ai != aj {
-			return ai > aj
-		}
-		if a.Endpoints[i].From != a.Endpoints[j].From {
-			return a.Endpoints[i].From < a.Endpoints[j].From
-		}
-		return a.Endpoints[i].To < a.Endpoints[j].To
-	})
-	return a, nil
+	return d.Start
 }
 
-// Errors returns the endpoints whose k-sigma arrival exceeds the budget.
-func (a *StatAnalysis) Errors(budget tick.Time, k float64) []StatEndpoint {
-	var out []StatEndpoint
-	for _, e := range a.Endpoints {
-		if e.Arrival(k) > budget {
-			out = append(out, e)
+// Arrival is the site's latest arrival k standard deviations out: the
+// Φ(k) quantile of Late.
+func (sd SiteDist) Arrival(k float64) tick.Time { return sd.Late.Quantile(normCDF(k, 0, 1)) }
+
+// StatErrors returns the sites of AnalyzeDist whose Φ(k) arrival exceeds
+// the budget, latest first.
+func StatErrors(sites map[string]SiteDist, budget tick.Time, k float64) []SiteDist {
+	var out []SiteDist
+	for _, sd := range statOrder(sites, k) {
+		if sd.Arrival(k) > budget {
+			out = append(out, sd)
 		}
 	}
 	return out
 }
 
-// String renders the statistical critical-path table.
-func (a *StatAnalysis) String() string {
-	mode := "uncorrelated (RSS)"
-	if a.Opts.Correlated {
-		mode = "fully correlated"
-	}
-	s := fmt.Sprintf("STATISTICAL PATHS (probability-based, %s, 3σ shown)\n\n", mode)
-	for i, e := range a.Endpoints {
+// StatString renders the statistical critical-path table: per end pin
+// its critical start, mean latest arrival and Φ(k) arrival.
+func StatString(sites map[string]SiteDist, k float64) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "STATISTICAL PATHS (quadrature, independent delays, %gσ shown)\n\n", k)
+	rows := statOrder(sites, k)
+	for i, sd := range rows {
 		if i >= 20 {
-			s += fmt.Sprintf("  … %d more\n", len(a.Endpoints)-i)
+			fmt.Fprintf(&sb, "  … %d more\n", len(rows)-i)
 			break
 		}
-		s += fmt.Sprintf("  %-30s → %-34s mean %8s  3σ %8s ns\n",
-			e.From, e.To, e.Mean, e.Arrival(3))
+		fmt.Fprintf(&sb, "  %-30s → %-34s mean %8s  %gσ %8s ns\n",
+			sd.From, sd.To, tick.Time(math.Round(sd.Late.Mean())), k, sd.Arrival(k))
 	}
-	return s
+	return sb.String()
+}
+
+// statOrder lists the sites by Φ(k) arrival, latest first, then by start
+// and end pin.
+func statOrder(sites map[string]SiteDist, k float64) []SiteDist {
+	out := make([]SiteDist, 0, len(sites))
+	for _, sd := range sites {
+		out = append(out, sd)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if ai, aj := out[i].Arrival(k), out[j].Arrival(k); ai != aj {
+			return ai > aj
+		}
+		if out[i].From != out[j].From {
+			return out[i].From < out[j].From
+		}
+		return out[i].To < out[j].To
+	})
+	return out
 }

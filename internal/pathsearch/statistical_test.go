@@ -9,31 +9,23 @@ import (
 	"scaldtv/internal/tick"
 )
 
-// chain builds a 10-gate buffer chain, delay 1.0/3.0 ns per gate, between
-// a primary input and a register data pin.
-func chain(t *testing.T) *netlist.Design {
+// statSite runs AnalyzeDist and returns the site of one end pin.
+func statSite(t *testing.T, d *netlist.Design, label string) (map[string]SiteDist, SiteDist) {
 	t.Helper()
-	b := netlist.NewBuilder("chain")
-	b.SetPeriod(100 * tick.NS)
-	b.SetDefaultWire(tick.Range{})
-	prev := b.Net("IN .S0-50")
-	for i := 0; i < 10; i++ {
-		o := b.Net(strings.Repeat("N", 1) + string(rune('0'+i)))
-		b.Buf("B"+string(rune('0'+i)), tick.R(1, 3), []netlist.NetID{o}, netlist.Conns(prev))
-		prev = o
+	sites, _, err := AnalyzeDist(d, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	q := b.Net("Q")
-	b.Register("R", tick.R(1, 2), []netlist.NetID{q}, netlist.Conn{Net: b.Net("CK .P40-60")}, netlist.Conns(prev))
-	return b.MustBuild()
+	sd, ok := sites[label]
+	if !ok {
+		t.Fatalf("no distribution at %s: %+v", label, sites)
+	}
+	return sites, sd
 }
 
 func TestStatisticalBeatsWorstCase(t *testing.T) {
 	d := chain(t)
 	wc, err := Analyze(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := AnalyzeStatistical(d, StatOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,25 +38,17 @@ func TestStatisticalBeatsWorstCase(t *testing.T) {
 	if wcMax != 30*tick.NS {
 		t.Fatalf("worst-case max = %v, want 30 ns", wcMax)
 	}
-	var ep *StatEndpoint
-	for i := range st.Endpoints {
-		if st.Endpoints[i].From == "IN .S0-50" && st.Endpoints[i].To == "R:D" {
-			ep = &st.Endpoints[i]
-		}
+	sites, sd := statSite(t, d, "R:D")
+	if sd.From != "IN .S0-50" {
+		t.Errorf("critical start = %q, want IN .S0-50", sd.From)
 	}
-	if ep == nil {
-		t.Fatalf("statistical endpoint missing: %+v", st.Endpoints)
+	// Mean 10 × 2 ns = 20 ns, up to one cell of the 0.39 ns grid; the
+	// Φ(3) quantile (23.4 ns) sits between the mean and the worst case.
+	if m := sd.Late.Mean(); math.Abs(m-float64(20*tick.NS)) > float64(sd.Late.Step) {
+		t.Errorf("mean = %.0f ps, want 20 ns within one %v grid step", m, sd.Late.Step)
 	}
-	// Mean 10 × 2 ns = 20 ns; σ = √10 × (2/6) ns ≈ 1.054 ns; 3σ ≈ 23.2 ns.
-	if ep.Mean != 20*tick.NS {
-		t.Errorf("mean = %v, want 20 ns", ep.Mean)
-	}
-	wantSigma := math.Sqrt(10) * 2000 / 6
-	if math.Abs(ep.Sigma-wantSigma) > 1 {
-		t.Errorf("sigma = %.1f ps, want %.1f", ep.Sigma, wantSigma)
-	}
-	if got := ep.Arrival(3); got >= wcMax || got <= ep.Mean {
-		t.Errorf("3σ arrival %v should sit between the mean and the worst case %v", got, wcMax)
+	if got := sd.Arrival(3); got >= wcMax || float64(got) <= sd.Late.Mean() {
+		t.Errorf("3σ arrival %v should sit between the mean %.0f ps and the worst case %v", got, sd.Late.Mean(), wcMax)
 	}
 	// The §1.4.1.1 point: the statistical analysis passes a budget the
 	// worst-case analysis fails.
@@ -72,32 +56,14 @@ func TestStatisticalBeatsWorstCase(t *testing.T) {
 	if len(wc.Errors(budget)) == 0 {
 		t.Error("worst-case analysis should fail the 25 ns budget")
 	}
-	if len(st.Errors(budget, 3)) != 0 {
-		t.Errorf("statistical analysis should pass the 25 ns budget: %+v", st.Errors(budget, 3))
+	if errs := StatErrors(sites, budget, 3); len(errs) != 0 {
+		t.Errorf("statistical analysis should pass the 25 ns budget: %+v", errs)
 	}
-}
-
-func TestStatisticalCorrelatedDegeneratesToWorstCase(t *testing.T) {
-	// The §4.2.4 caveat: components from one production run track
-	// together, so sigmas add linearly and 3σ reaches the worst-case sum.
-	d := chain(t)
-	st, err := AnalyzeStatistical(d, StatOptions{Correlated: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range st.Endpoints {
-		if e.From == "IN .S0-50" && e.To == "R:D" {
-			if got := e.Arrival(3); got != 30*tick.NS {
-				t.Errorf("correlated 3σ arrival = %v, want the worst-case 30 ns", got)
-			}
-			return
-		}
-	}
-	t.Fatal("endpoint missing")
 }
 
 func TestStatisticalZeroSpread(t *testing.T) {
-	// Fixed delays: sigma 0, arrival = mean = exact delay.
+	// Fixed delays: a single-point distribution at the grid point nearest
+	// the exact delay (5.07 ns on this design's 195 ps grid).
 	b := netlist.NewBuilder("fixed")
 	b.SetPeriod(50 * tick.NS)
 	b.SetDefaultWire(tick.Range{})
@@ -106,66 +72,28 @@ func TestStatisticalZeroSpread(t *testing.T) {
 	b.Buf("B", tick.R(5, 5), []netlist.NetID{x}, netlist.Conns(in))
 	q := b.Net("Q")
 	b.Register("R", tick.R(1, 1), []netlist.NetID{q}, netlist.Conn{Net: b.Net("CK .P20-30")}, netlist.Conns(x))
-	st, err := AnalyzeStatistical(b.MustBuild(), StatOptions{})
-	if err != nil {
-		t.Fatal(err)
+	_, sd := statSite(t, b.MustBuild(), "R:D")
+	want := snap(5*tick.NS, DefaultDistStep(50*tick.NS))
+	if want != 5070 {
+		t.Fatalf("nearest grid point = %v, want 5.07 ns", want)
 	}
-	for _, e := range st.Endpoints {
-		if e.From == "IN .S0-25" && e.To == "R:D" {
-			if e.Mean != 5*tick.NS || e.Sigma != 0 {
-				t.Errorf("fixed-delay endpoint = %+v", e)
-			}
-			return
-		}
+	if len(sd.Late.P) != 1 || sd.Late.Start != want || sd.Arrival(3) != want || sd.Late.Mean() != float64(want) {
+		t.Errorf("fixed-delay site = %+v, want a single point at %v", sd, want)
 	}
-	t.Fatal("endpoint missing")
+	if sd.WCMin != 5*tick.NS || sd.WCMax != 5*tick.NS {
+		t.Errorf("worst case = %v/%v, want 5.0/5.0", sd.WCMin, sd.WCMax)
+	}
 }
 
 func TestStatisticalString(t *testing.T) {
-	st, err := AnalyzeStatistical(chain(t), StatOptions{})
+	sites, _, err := AnalyzeDist(chain(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := st.String(); !strings.Contains(s, "STATISTICAL PATHS") || !strings.Contains(s, "3σ") {
-		t.Errorf("rendering wrong:\n%s", s)
-	}
-	st2, _ := AnalyzeStatistical(chain(t), StatOptions{Correlated: true})
-	if s := st2.String(); !strings.Contains(s, "correlated") {
-		t.Errorf("correlated mode not labelled:\n%s", s)
-	}
-}
-
-func TestModuleDelay(t *testing.T) {
-	d := chain(t)
-	lat, err := ModuleDelay(d, []string{"IN"}, []string{"N9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat.Min != 10*tick.NS || lat.Max != 30*tick.NS {
-		t.Errorf("module latency = %v, want 10.0/30.0", lat)
-	}
-	// Unknown boundary signals.
-	if _, err := ModuleDelay(d, []string{"NOPE"}, []string{"N9"}); err == nil {
-		t.Error("unknown inputs should fail")
-	}
-	// Unreachable outputs.
-	if _, err := ModuleDelay(d, []string{"N9"}, []string{"IN"}); err == nil {
-		t.Error("unreachable outputs should fail")
-	}
-}
-
-func TestModuleDelayVectorBits(t *testing.T) {
-	b := netlist.NewBuilder("vec")
-	b.SetPeriod(50 * tick.NS)
-	b.SetDefaultWire(tick.Range{})
-	in := b.Vector("IN .S0-25", 4)
-	out := b.Vector("OUT", 4)
-	b.Gate(netlist.KBuf, "B", tick.R(2, 7), out, netlist.ConnsOf(in))
-	lat, err := ModuleDelay(b.MustBuild(), []string{"IN"}, []string{"OUT"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat != tick.R(2, 7) {
-		t.Errorf("vector module latency = %v, want 2.0/7.0", lat)
+	s := StatString(sites, 3)
+	for _, want := range []string{"STATISTICAL PATHS", "3σ", "IN .S0-50", "R:D"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("rendering lacks %q:\n%s", want, s)
+		}
 	}
 }

@@ -638,6 +638,41 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestStatisticalLimitKeepsServing: a statistical verify whose arrival
+// distributions outgrow the quadrature's support cap answers with the
+// Limit status instead of exhausting the process's memory, and the
+// server answers the next request normally.
+func TestStatisticalLimitKeepsServing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	huge := `design HUGE
+period 50ns
+buf "B" delay=(0.0,1000000000.0) ("IN .S0-25") -> ("X")
+setuphold "CHK" setup=1.0 hold=1.0 ("X", "CK .P20-30")
+`
+	body, _ := json.Marshal(verifyRequest{Source: huge, Delays: "statistical"})
+	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want %d: %s", resp.StatusCode, http.StatusServiceUnavailable, got)
+	}
+	var eb errBody
+	if err := json.Unmarshal(got, &eb); err != nil || eb.Error.Kind != "limit" {
+		t.Fatalf("error body %s (%v), want kind limit", got, err)
+	}
+	src := sessSource(2)
+	resp, got = post(t, ts.URL+"/v1/verify", src)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status %d: %s", resp.StatusCode, got)
+	}
+	if want := cliJSON(t, src, scaldtv.Options{}); !bytes.Equal(got, want) {
+		t.Errorf("next request's report differs from the CLI's\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
 // TestReportFormats: the text renderings of a retained result.
 func TestReportFormats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -258,7 +258,7 @@ func (V *Verifier) fillMarginSurface(res *Result, vals []float64) {
 		ms.Params = append(ms.Params, ParamBinding{Name: p.Name, Value: v, Lo: p.Lo, Hi: p.Hi})
 		ms.byName[p.Name] = i
 	}
-	byPrim := pathsearch.SiteTermsByPrim(sites)
+	byPrim := pathsearch.ByPrim(sites)
 	for _, m := range res.Margins {
 		pins := byPrim[m.Prim]
 		if len(pins) == 0 {

@@ -101,6 +101,40 @@ func TestReverifyCancelFallsBackToScratch(t *testing.T) {
 	}
 }
 
+// TestReverifyStatisticalLimitDropsState: an edit that makes the
+// statistical pass refuse the design (a delay range too wide for the
+// quadrature) is a Limit error that, like a cancellation, drops the
+// retained state, so the next Reverify is a full run equal to a scratch
+// verification.
+func TestReverifyStatisticalLimitDropsState(t *testing.T) {
+	d := buildMultiCase(t, 4)
+	opts := Options{Workers: 1, KeepWaves: true, Delays: StatisticalDelays{}}
+	V := NewVerifier(d, opts)
+	if _, err := V.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	pi := findPrim(t, d, "DELAY B")
+	ch := netlist.Changes{Prims: []netlist.PrimID{pi}}
+	orig := d.Prims[pi].Delay
+	d.Prims[pi].Delay.Max = tick.FromNS(1e9)
+	if _, err := V.Reverify(ch); !errors.Is(err, serr.Sentinel(serr.Limit)) {
+		t.Fatalf("Reverify = %v, want a Limit error", err)
+	}
+	d.Prims[pi].Delay = orig
+	inc, err := V.Reverify(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc.Stats.Incremental {
+		t.Error("Reverify after a refused statistical pass claims to be incremental")
+	}
+	scratch, err := Run(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReports(t, "reverify after a refused statistical pass", scratch, inc)
+}
+
 // TestDeadlineMidVerifyIsCleanAbort: a deadline expiring somewhere inside
 // a larger run either completes with the exact deterministic result or
 // aborts with a canceled-kind error — never anything in between.  Run

@@ -219,14 +219,8 @@ func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
 	if prog != nil {
 		progStats(prog, &res.Stats)
 	}
-	if sm, ok := V.opts.statistical(); ok {
-		V.fillSiteProbs(res, sm.Grid)
-	}
-	if _, ok := V.opts.analytic(); ok {
-		V.fillMarginSurface(res, V.pinVals)
-	}
-	if V.statMargins {
-		res.Margins = nil
+	if err := V.delayModelPass(res); err != nil {
+		return nil, err
 	}
 	if retain {
 		V.cases, V.perCase, V.res = cases, perCase, res
@@ -394,8 +388,23 @@ func (V *Verifier) ReverifyContext(ctx context.Context, ch netlist.Changes) (*Re
 	res.Stats.WallTime = time.Since(wallStart)
 	res.Stats.ReverifyTime = time.Since(buildStart)
 	progStats(V.perCase[0].prog, &res.Stats)
+	if err := V.delayModelPass(res); err != nil {
+		// As after an aborted case, the next call starts from scratch.
+		V.perCase, V.res = nil, nil
+		return nil, err
+	}
+	V.res = res
+	return res, nil
+}
+
+// delayModelPass runs the Options.Delays post-pass over a merged result:
+// statistical mode prices the margins, analytic mode builds the margin
+// surface, and margins collected only for the pass are stripped.
+func (V *Verifier) delayModelPass(res *Result) error {
 	if sm, ok := V.opts.statistical(); ok {
-		V.fillSiteProbs(res, sm.Grid)
+		if err := V.fillSiteProbs(res, sm.Grid); err != nil {
+			return err
+		}
 	}
 	if _, ok := V.opts.analytic(); ok {
 		V.fillMarginSurface(res, V.pinVals)
@@ -403,8 +412,7 @@ func (V *Verifier) ReverifyContext(ctx context.Context, ch netlist.Changes) (*Re
 	if V.statMargins {
 		res.Margins = nil
 	}
-	V.res = res
-	return res, nil
+	return nil
 }
 
 // Update adopts an edited design: when it differs from the current one

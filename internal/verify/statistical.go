@@ -26,13 +26,15 @@ import (
 // the design's arrival-time distributions.  Margins whose checker has no
 // combinational path ending at it (clock-only sites, assertion
 // cross-checks) carry no arrival distribution and are skipped.  grid is
-// the quadrature step (StatisticalDelays.Grid; 0 = period/256).
-func (V *Verifier) fillSiteProbs(res *Result, grid tick.Time) {
-	sites, _ := pathsearch.AnalyzeDist(V.d, grid)
-	if len(sites) == 0 {
-		return
+// the quadrature step (StatisticalDelays.Grid; 0 = period/256).  A
+// design whose arrival distributions outgrow the quadrature's support
+// cap is a Limit error.
+func (V *Verifier) fillSiteProbs(res *Result, grid tick.Time) error {
+	sites, _, err := pathsearch.AnalyzeDist(V.d, grid)
+	if err != nil || len(sites) == 0 {
+		return err
 	}
-	byPrim := pathsearch.SiteDistsByPrim(sites)
+	byPrim := pathsearch.ByPrim(sites)
 	probs := make([]SiteProb, 0, len(res.Margins))
 	for _, m := range res.Margins {
 		pins := byPrim[m.Prim]
@@ -79,6 +81,7 @@ func (V *Verifier) fillSiteProbs(res *Result, grid tick.Time) {
 	if len(probs) > 0 {
 		res.SiteProbs = probs
 	}
+	return nil
 }
 
 // roundProb clamps to [0,1] and rounds to 1e-6 — the report precision,

@@ -1,9 +1,15 @@
 package scaldtv
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"scaldtv/internal/pathsearch"
 )
 
 // TestStatisticalSiteProbSemantics locks the two ends of the
@@ -84,4 +90,73 @@ setuphold CHK setup=2.0 hold=1.0 (D, "MCK .P0-4")
 			t.Errorf("deep-path rows must not be marked AT RISK:\n%s", l)
 		}
 	})
+}
+
+// hugeRangeSource is a two-primitive design whose buffer delay spans 0
+// to the given number of nanoseconds: on the 195 ps quadrature grid its
+// arrival distribution needs far more points than the support cap.
+const hugeRangeSource = `design HUGE
+period 50ns
+buf "B" delay=(0.0,%s) ("IN .S0-25") -> ("X")
+setuphold "CHK" setup=1.0 hold=1.0 ("X", "CK .P20-30")
+`
+
+// TestStatisticalSupportCap: a delay range far wider than the quadrature
+// grid is a Limit error, returned at once, not an allocation that
+// exhausts memory (1e9 ns) or takes seconds (1e7 ns).  Worst-case mode
+// still answers the same design.
+func TestStatisticalSupportCap(t *testing.T) {
+	for _, width := range []string{"1000000000.0", "10000000.0"} {
+		src := fmt.Sprintf(hugeRangeSource, width)
+		start := time.Now()
+		_, err := VerifySource(src, Options{Delays: StatisticalDelays{}})
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("delay (0, %s): took %v", width, el)
+		}
+		if !errors.Is(err, ErrLimit) {
+			t.Errorf("delay (0, %s): err = %v, want a Limit error", width, err)
+		}
+		if _, err := VerifySource(src, Options{}); err != nil {
+			t.Errorf("delay (0, %s): worst-case verify: %v", width, err)
+		}
+	}
+}
+
+// TestStatCriticalStartAgrees: scaldpath -stat and -delays=statistical
+// price with one model, so the critical start -stat lists for a site's
+// binding pin is the CRITICAL FROM of the statistical report.
+func TestStatCriticalStartAgrees(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("examples", "selftimed", "selftimed.scald"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Compile(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Verify(d, Options{Delays: StatisticalDelays{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, _, err := pathsearch.AnalyzeDist(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := pathsearch.StatString(sites, 3)
+	byPrim := pathsearch.ByPrim(sites)
+	if len(res.SiteProbs) == 0 {
+		t.Fatal("no statistical site rows")
+	}
+	for _, sp := range res.SiteProbs {
+		pins := byPrim[sp.Prim]
+		if len(pins) != 1 {
+			t.Fatalf("%s: %d end pins, want 1", sp.Prim, len(pins))
+		}
+		if pins[0].From != sp.From {
+			t.Errorf("%s: -stat critical start %q, -delays=statistical CRITICAL FROM %q", sp.Prim, pins[0].From, sp.From)
+		}
+		if !strings.Contains(listing, sp.From) || !strings.Contains(listing, pins[0].To) {
+			t.Errorf("-stat listing lacks %s → %s:\n%s", sp.From, pins[0].To, listing)
+		}
+	}
 }
