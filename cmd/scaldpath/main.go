@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"scaldtv"
@@ -15,19 +16,34 @@ import (
 	"scaldtv/internal/tick"
 )
 
-func main() {
-	lib := flag.Bool("lib", false, "make the component library available")
-	budget := flag.String("budget", "", "flag endpoints slower than this (e.g. 35ns)")
-	statistical := flag.Bool("stat", false, "probability-based analysis (§4.2.4): the quadrature of -delays=statistical, mean and kσ arrivals")
-	ksigma := flag.Float64("ksigma", 3, "with -stat: read arrivals at the Φ(k) quantile")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: scaldpath [flags] design.scald")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams; it returns
+// the exit status: 0 clean, 1 endpoints over the budget, 2 usage or
+// design errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("scaldpath", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	lib := fs.Bool("lib", false, "make the component library available")
+	budget := fs.String("budget", "", "flag endpoints slower than this (e.g. 35ns)")
+	statistical := fs.Bool("stat", false, "probability-based analysis (§4.2.4): the quadrature of -delays=statistical, mean and kσ arrivals")
+	ksigma := fs.Float64("ksigma", 3, "with -stat: read arrivals at the Φ(k) quantile")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: scaldpath [flags] design.scald")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "scaldpath:", err)
+		return 2
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	text := string(src)
 	if *lib {
@@ -35,49 +51,45 @@ func main() {
 	}
 	design, err := scaldtv.Compile(text)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *statistical {
-		sites, _, err := pathsearch.AnalyzeDist(design, 0)
+		sites, loops, err := pathsearch.AnalyzeDist(design, 0)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Print(pathsearch.StatString(sites, *ksigma))
+		fmt.Fprint(stdout, pathsearch.StatString(sites, loops, *ksigma))
 		if *budget != "" {
 			t, err := tick.Parse(*budget)
 			if err != nil {
-				fail(err)
+				return fail(err)
 			}
 			errs := pathsearch.StatErrors(sites, t, *ksigma)
-			fmt.Printf("\n%d endpoint(s) exceed the %s budget at %.1fσ\n", len(errs), t, *ksigma)
+			fmt.Fprintf(stdout, "\n%d endpoint(s) exceed the %s budget at %.1fσ\n", len(errs), t, *ksigma)
 			if len(errs) > 0 {
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 	a, err := pathsearch.Analyze(design)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Print(a.String())
+	fmt.Fprint(stdout, a.String())
 	if *budget != "" {
 		t, err := tick.Parse(*budget)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		errs := a.Errors(t)
-		fmt.Printf("\n%d endpoint(s) exceed the %s budget\n", len(errs), t)
+		fmt.Fprintf(stdout, "\n%d endpoint(s) exceed the %s budget\n", len(errs), t)
 		for _, e := range errs {
-			fmt.Printf("  %s → %s: %s/%s ns\n", e.From, e.To, e.Min, e.Max)
+			fmt.Fprintf(stdout, "  %s → %s: %s/%s ns\n", e.From, e.To, e.Min, e.Max)
 		}
 		if len(errs) > 0 {
-			os.Exit(1)
+			return 1
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "scaldpath:", err)
-	os.Exit(2)
+	return 0
 }

@@ -2,6 +2,7 @@ package pathsearch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,7 +65,8 @@ func (t Term) weight() int32 {
 	return n
 }
 
-// key is the canonical path-class signature.
+// key is the canonical path-class signature as a string, which orders
+// equal-valued classes when a term set is truncated.
 func (t Term) key() string {
 	var sb strings.Builder
 	for _, c := range t.Counts {
@@ -202,19 +204,15 @@ func (pr *pruner) dominates(a, b Term, late bool) bool {
 // default-point values first) and flagged inexact.
 func (pr *pruner) mergeTerms(dst, src termSet, late bool) termSet {
 	out := termSet{exact: dst.exact && src.exact}
-	byKey := map[string]int{}
 	var terms []Term
 	addAll := func(ts []Term) {
 		for _, t := range ts {
-			k := t.key()
-			if i, ok := byKey[k]; ok {
-				if late && t.Const > terms[i].Const || !late && t.Const < terms[i].Const {
-					terms[i].Const = t.Const
-				}
-				continue
+			i := slices.IndexFunc(terms, func(u Term) bool { return slices.Equal(u.Counts, t.Counts) })
+			if i < 0 {
+				terms = append(terms, t)
+			} else if late && t.Const > terms[i].Const || !late && t.Const < terms[i].Const {
+				terms[i].Const = t.Const
 			}
-			byKey[k] = len(terms)
-			terms = append(terms, t)
 		}
 	}
 	addAll(dst.terms)

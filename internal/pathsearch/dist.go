@@ -1,7 +1,9 @@
 package pathsearch
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"scaldtv/internal/netlist"
 	"scaldtv/internal/serr"
@@ -58,10 +60,13 @@ func normCDF(x, mean, sigma float64) float64 {
 }
 
 // RangeDist discretises a delay range onto the grid: a truncated normal
-// with the 3σ limits at the data-sheet min and max.  A zero-width range
-// degenerates to a single-point distribution, and a range narrower than
-// one grid step collapses to the point at its midpoint — both edge cases
-// that used to be representable only as full intervals.
+// with the 3σ limits at the data-sheet min and max, over the grid points
+// from the one nearest the range's lower end to the one nearest its
+// upper end.  A zero-width range, and any range whose two ends snap to
+// the same grid point, is a single point there.  A range narrower than
+// one grid step that straddles a snap boundary keeps two points: on a
+// 195 ps grid, [90 ps, 110 ps] puts about 0.23 on 0 and 0.77 on 195 ps,
+// although its midpoint snaps to 195 ps.
 func RangeDist(r tick.Range, step tick.Time) Dist {
 	if !r.Valid() {
 		r = tick.Range{Min: r.Max, Max: r.Min}
@@ -290,35 +295,60 @@ func DefaultDistStep(period tick.Time) tick.Time {
 	return step
 }
 
-// AnalyzeDist runs the quadrature instance of the path algebra over the
-// same combinational graph as Analyze, producing one SiteDist per end
-// pin (keyed by its "prim:port" label), for the start with the largest
-// worst-case arrival; ties go to the start whose name sorts first.
-// step ≤ 0 selects DefaultDistStep.  Designs with combinational loops
-// report the loop nets like Analyze; looped nets get no distribution.  A
-// distribution that would need more than maxSupport grid points is a
-// Limit error.
+// AnalyzeDist prices every end pin (keyed by its "prim:port" label) with
+// the quadrature instance of the path algebra, over the same
+// combinational graph as Analyze, for the pin's critical start: the one
+// with the largest worst-case arrival, ties going to the start whose
+// name sorts first, and among one start's pins sharing a label, to the
+// first in net order.  step ≤ 0 selects DefaultDistStep.  Designs with
+// combinational loops report the loop nets like Analyze; looped nets get
+// no distribution.  A distribution the answer needs that would have more
+// than maxSupport grid points is a Limit error.
+//
+// It runs in two passes.  The worst-case instance sweeps every start and
+// picks each label's critical (start, pin) pair; the quadrature then
+// sweeps only those starts and extends only the winning pins, so a start
+// that is critical for no pin is never priced.
 func AnalyzeDist(d *netlist.Design, step tick.Time) (map[string]SiteDist, []string, error) {
 	if step <= 0 {
 		step = DefaultDistStep(d.Period)
 	}
 	g := buildGraph(d)
-	alg := &distAlgebra{step: step}
-	out := make(map[string]SiteDist)
-	newTraversal[arrival](g, alg).fold(func(s int32, pin *endPin, v arrival) bool {
-		if alg.err != nil {
-			return false
-		}
-		from := d.Nets[s].Name
-		if cur, ok := out[pin.label]; !ok || v.wc.Max > cur.WCMax || (v.wc.Max == cur.WCMax && from < cur.From) {
-			out[pin.label] = SiteDist{From: from, To: pin.label, WCMin: v.wc.Min, WCMax: v.wc.Max, Late: v.late, Early: v.early}
+	crit := make(map[string]critical)
+	newTraversal[tick.Range](g, ticks{}).fold(func(s int32, pin *endPin, v tick.Range) bool {
+		if cur, ok := crit[pin.label]; !ok || v.Max > cur.wc.Max || (v.Max == cur.wc.Max && d.Nets[s].Name < d.Nets[cur.start].Name) {
+			crit[pin.label] = critical{start: s, pin: pin, wc: v}
 		}
 		return true
 	})
-	if alg.err != nil {
-		return nil, nil, alg.err
+	picks := make([]critical, 0, len(crit))
+	for _, c := range crit {
+		picks = append(picks, c)
+	}
+	slices.SortFunc(picks, func(a, b critical) int { return cmp.Compare(a.start, b.start) })
+
+	alg := &distAlgebra{step: step, ranges: make(map[tick.Range]Dist)}
+	t := newTraversal[arrival](g, alg)
+	out := make(map[string]SiteDist, len(picks))
+	for i, c := range picks {
+		if i == 0 || c.start != picks[i-1].start {
+			t.sweep(c.start)
+		}
+		v := t.at(c.pin)
+		if alg.err != nil {
+			return nil, nil, alg.err
+		}
+		out[c.pin.label] = SiteDist{From: d.Nets[c.start].Name, To: c.pin.label, WCMin: c.wc.Min, WCMax: c.wc.Max, Late: v.late, Early: v.early}
 	}
 	return out, g.loops, nil
+}
+
+// critical is an end pin's critical start, with the worst-case interval
+// of that start's paths ending at the pin.
+type critical struct {
+	start int32
+	pin   *endPin
+	wc    tick.Range
 }
 
 // maxSupport caps the grid points of any one arrival distribution, so a
@@ -327,11 +357,9 @@ func AnalyzeDist(d *netlist.Design, step tick.Time) (map[string]SiteDist, []stri
 // 340- and 1003-chip generated designs is 251 points.
 const maxSupport = 1 << 16
 
-// arrival is the quadrature instance's value at a net: the worst-case
-// interval of the paths reaching it and their latest- and
-// earliest-arrival distributions.
+// arrival is the quadrature instance's value at a net: the latest- and
+// earliest-arrival distributions of the paths reaching it.
 type arrival struct {
-	wc          tick.Range
 	late, early Dist
 }
 
@@ -339,10 +367,13 @@ type arrival struct {
 // reconvergent latest arrivals combine as the max and earliest ones as
 // the min.  Every operation checks its result's length against
 // maxSupport before it allocates; the first that would exceed it records
-// err, and every later one is refused.
+// err, and every later one is refused.  ranges holds the RangeDist of
+// each delay range met so far; a Dist's P is never written once built,
+// so every edge with that range shares it.
 type distAlgebra struct {
-	step tick.Time
-	err  error
+	step   tick.Time
+	ranges map[tick.Range]Dist
+	err    error
 }
 
 // fits reports whether a result of n grid points may be built.
@@ -362,8 +393,12 @@ func (a *distAlgebra) extend(v arrival, e edge) arrival {
 	if !a.fits(n) || !a.fits(len(v.late.P)+n-1) || !a.fits(len(v.early.P)+n-1) {
 		return v
 	}
-	ed := RangeDist(e.delay, a.step)
-	return arrival{wc: v.wc.Add(e.delay), late: Convolve(v.late, ed), early: Convolve(v.early, ed)}
+	ed, ok := a.ranges[e.delay]
+	if !ok {
+		ed = RangeDist(e.delay, a.step)
+		a.ranges[e.delay] = ed
+	}
+	return arrival{late: Convolve(v.late, ed), early: Convolve(v.early, ed)}
 }
 
 func (a *distAlgebra) join(dst, v arrival) arrival {
@@ -372,5 +407,5 @@ func (a *distAlgebra) join(dst, v arrival) arrival {
 	if !a.fits(nl) || !a.fits(ne) {
 		return dst
 	}
-	return arrival{wc: ticks{}.join(dst.wc, v.wc), late: CombineMax(dst.late, v.late), early: CombineMin(dst.early, v.early)}
+	return arrival{late: CombineMax(dst.late, v.late), early: CombineMin(dst.early, v.early)}
 }

@@ -21,21 +21,31 @@ func TestRangeDistTable(t *testing.T) {
 	tests := []struct {
 		name      string
 		r         tick.Range
-		wantLen   int     // 0 = any length > 1
-		wantMean  float64 // grid time
+		step      tick.Time // 0 = the 250 ps step
+		wantLen   int       // 0 = any length > 1
+		wantMean  float64   // grid time
 		meanTol   float64
 		wantStart tick.Time
+		wantP     []float64 // nil = not checked; else to within 1e-3
 	}{
 		{name: "zero width at zero", r: tick.R(0, 0), wantLen: 1, wantMean: 0, wantStart: 0},
 		{name: "zero width nonzero", r: tick.R(10, 10), wantLen: 1, wantMean: 10000, wantStart: 10000},
 		{name: "zero width off grid", r: tick.Range{Min: 10100, Max: 10100}, wantLen: 1, wantMean: 10000, wantStart: 10000},
 		{name: "sub-step width collapses", r: tick.Range{Min: 10000, Max: 10100}, wantLen: 1, wantMean: 10000, wantStart: 10000},
+		// Narrower than a step but straddling the snap boundary at
+		// 97.5 ps: two points, although the midpoint 100 ps snaps to 195.
+		{name: "sub-step width straddling a snap boundary", r: tick.Range{Min: 90, Max: 110}, step: 195,
+			wantLen: 2, wantMean: 195 * 0.7734, meanTol: 0.1, wantStart: 0, wantP: []float64{0.2266, 0.7734}},
 		{name: "normal range", r: tick.R(5, 15), wantMean: 10000, meanTol: float64(step)},
 		{name: "inverted range normalised", r: tick.Range{Min: 15000, Max: 5000}, wantMean: 10000, meanTol: float64(step)},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			d := RangeDist(tc.r, step)
+			stp := tc.step
+			if stp == 0 {
+				stp = step
+			}
+			d := RangeDist(tc.r, stp)
 			if tc.wantLen > 0 && len(d.P) != tc.wantLen {
 				t.Fatalf("len(P) = %d, want %d", len(d.P), tc.wantLen)
 			}
@@ -48,11 +58,17 @@ func TestRangeDistTable(t *testing.T) {
 			if math.Abs(d.Mean()-tc.wantMean) > tc.meanTol+1e-9 {
 				t.Errorf("mean = %v, want %v ± %v", d.Mean(), tc.wantMean, tc.meanTol)
 			}
-			if tc.wantLen == 1 && d.Start != tc.wantStart {
+			if tc.wantLen > 0 && d.Start != tc.wantStart {
 				t.Errorf("start = %v, want %v", d.Start, tc.wantStart)
 			}
-			if d.Start%step != 0 {
-				t.Errorf("start %v not on the %v grid", d.Start, step)
+			for i, p := range tc.wantP {
+				if math.Abs(d.P[i]-p) > 1e-3 {
+					t.Errorf("P = %v, want %v", d.P, tc.wantP)
+					break
+				}
+			}
+			if d.Start%stp != 0 {
+				t.Errorf("start %v not on the %v grid", d.Start, stp)
 			}
 		})
 	}
@@ -208,6 +224,81 @@ func TestAnalyzeDistSupportCap(t *testing.T) {
 	if _, _, err := AnalyzeDist(statChain(t, tick.R(0, 25000)), 0); err != nil {
 		t.Errorf("25 µs range: %v", err)
 	}
+}
+
+// TestAnalyzeDistCriticalStart pins which (start, pin) pair prices an end
+// pin: the largest WCMax, a tie going to the lower start name even when
+// that start comes later in net order, and among one start's pins
+// sharing a label, the pin on the lower net.  The distribution is the
+// winner's: its mean tells the two candidates apart.
+func TestAnalyzeDistCriticalStart(t *testing.T) {
+	newBuilder := func(name string) *netlist.Builder {
+		b := netlist.NewBuilder(name)
+		b.SetPeriod(100 * tick.NS)
+		b.SetDefaultWire(tick.Range{})
+		return b
+	}
+	ck := func(b *netlist.Builder) netlist.Conn { return netlist.Conn{Net: b.Net("CK .P40-60")} }
+
+	t.Run("name tie", func(t *testing.T) {
+		// ZB and AA tie at 16 ns; AA sorts first but has the higher net.
+		b := newBuilder("name tie")
+		zb, aa := b.Net("ZB .S0-50"), b.Net("AA .S0-50")
+		x, y, z := b.Net("X"), b.Net("Y"), b.Net("Z")
+		b.Buf("BZ", tick.R(10, 15), []netlist.NetID{x}, netlist.Conns(zb))
+		b.Buf("BA", tick.R(5, 15), []netlist.NetID{y}, netlist.Conns(aa))
+		b.Gate(netlist.KOr, "JOIN", tick.R(1, 1), []netlist.NetID{z}, netlist.Conns(x), netlist.Conns(y))
+		b.Register("REG", tick.R(1, 2), []netlist.NetID{b.Net("Q")}, ck(b), netlist.Conns(z))
+		_, sd := statSite(t, b.MustBuild(), "REG:D")
+		if sd.From != "AA .S0-50" || sd.WCMin != ns(6) || sd.WCMax != ns(16) {
+			t.Errorf("critical start %q [%v,%v], want AA .S0-50 [6.0,16.0]", sd.From, sd.WCMin, sd.WCMax)
+		}
+		if m := sd.Late.Mean(); math.Abs(m-float64(ns(11))) > float64(sd.Late.Step) {
+			t.Errorf("late mean %.0f ps, want AA's 11 ns within one %v step", m, sd.Late.Step)
+		}
+	})
+
+	t.Run("bit tie", func(t *testing.T) {
+		// IN reaches both bits of CHK:I at 15 ns.  Bit 1's net comes
+		// first in net order, bit 0's first in the order the sweep
+		// reaches them.
+		b := newBuilder("bit tie")
+		in := b.Net("IN .S0-50")
+		n1, n0 := b.Net("N1"), b.Net("N0")
+		b.Buf("B0", tick.R(5, 15), []netlist.NetID{n0}, netlist.Conns(in))
+		b.Buf("B1", tick.R(10, 15), []netlist.NetID{n1}, netlist.Conns(in))
+		b.SetupHold("CHK", ns(2), ns(1), netlist.Conns(n0, n1), ck(b))
+		_, sd := statSite(t, b.MustBuild(), "CHK:I")
+		if sd.From != "IN .S0-50" || sd.WCMin != ns(10) || sd.WCMax != ns(15) {
+			t.Errorf("site %q [%v,%v], want N1's IN .S0-50 [10.0,15.0]", sd.From, sd.WCMin, sd.WCMax)
+		}
+		if m := sd.Late.Mean(); math.Abs(m-float64(ns(12.5))) > float64(sd.Late.Step) {
+			t.Errorf("late mean %.0f ps, want N1's 12.5 ns within one %v step", m, sd.Late.Step)
+		}
+	})
+
+	t.Run("wide non-critical start", func(t *testing.T) {
+		// WIDE's range needs 76924 points of the 390 ps grid, more than
+		// maxSupport.  While SLOW is critical, WIDE is never priced; once
+		// WIDE is critical, its distribution is needed: a Limit error.
+		wideJoin := func(slow tick.Range) *netlist.Design {
+			b := newBuilder("wide non-critical")
+			slowIn, wideIn := b.Net("SLOW .S0-50"), b.Net("WIDE .S0-50")
+			x, y, z := b.Net("X"), b.Net("Y"), b.Net("Z")
+			b.Buf("BS", slow, []netlist.NetID{x}, netlist.Conns(slowIn))
+			b.Buf("BW", tick.R(0, 30000), []netlist.NetID{y}, netlist.Conns(wideIn))
+			b.Gate(netlist.KOr, "JOIN", tick.R(1, 1), []netlist.NetID{z}, netlist.Conns(x), netlist.Conns(y))
+			b.Register("REG", tick.R(1, 2), []netlist.NetID{b.Net("Q")}, ck(b), netlist.Conns(z))
+			return b.MustBuild()
+		}
+		_, sd := statSite(t, wideJoin(tick.R(40000, 40000)), "REG:D")
+		if sd.From != "SLOW .S0-50" || sd.WCMax != ns(40001) || len(sd.Late.P) != 1 {
+			t.Errorf("site %q WCMax %v with %d late points, want SLOW .S0-50 at 40001.0 as one point", sd.From, sd.WCMax, len(sd.Late.P))
+		}
+		if _, _, err := AnalyzeDist(wideJoin(tick.R(20000, 20000)), 0); !errors.Is(err, serr.Sentinel(serr.Limit)) {
+			t.Errorf("with WIDE critical: err = %v, want a Limit error", err)
+		}
+	})
 }
 
 // statChain builds IN -> buf(r1) -> buf(r2) -> buf(r3) -> REG.D so the

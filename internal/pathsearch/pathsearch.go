@@ -13,6 +13,7 @@ package pathsearch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"scaldtv/internal/netlist"
@@ -50,6 +51,7 @@ type edge struct {
 // endPin is a pin that terminates paths: a storage or checker input, or
 // a primary output.  Its wire is the last edge of every path ending there.
 type endPin struct {
+	net   int32
 	label string // "prim:port", or "output(net)"
 	wire  edge
 }
@@ -70,7 +72,7 @@ func buildGraph(d *netlist.Design) *graph {
 
 	addEnd := func(c netlist.Conn, prim, port string) {
 		w := d.WireDelay(c.Net, 'E')
-		ends[c.Net] = append(ends[c.Net], endPin{label: prim + ":" + port, wire: edge{delay: w, cnst: w}})
+		ends[c.Net] = append(ends[c.Net], endPin{net: int32(c.Net), label: prim + ":" + port, wire: edge{delay: w, cnst: w}})
 	}
 
 	// outStamp and inStamp mark the nets already collected for primitive
@@ -138,7 +140,7 @@ func buildGraph(d *netlist.Design) *graph {
 	// Primary outputs: driven nets nothing reads terminate paths too.
 	for i := range d.Nets {
 		if len(d.Nets[i].Fanout) == 0 && d.Nets[i].Driver != netlist.NoDriver {
-			ends[i] = append(ends[i], endPin{label: "output(" + d.Nets[i].Name + ")"})
+			ends[i] = append(ends[i], endPin{net: int32(i), label: "output(" + d.Nets[i].Name + ")"})
 		}
 	}
 
@@ -175,26 +177,38 @@ type pathAlgebra[V any] interface {
 }
 
 // traversal runs one path algebra over the graph's topological order.
-// It owns the per-net values and their reachability, and clears both
-// before every sweep.
+// It owns the per-net values and their reachability, and before every
+// sweep resets only the nets the last sweep touched, so a sweep costs
+// its sources' cone rather than the whole graph.
 type traversal[V any] struct {
 	g       *graph
 	alg     pathAlgebra[V]
 	val     []V
 	reached []bool
+	touched []int32 // nets the last sweep reached, in the order it reached them
+	endNets []int32 // fold's scratch: the touched nets that feed end pins
 }
 
 func newTraversal[V any](g *graph, alg pathAlgebra[V]) *traversal[V] {
-	return &traversal[V]{g: g, alg: alg, val: make([]V, len(g.adj)), reached: make([]bool, len(g.adj))}
+	n := len(g.adj)
+	// A sweep touches each net at most once, so neither list outgrows n.
+	nets := make([]int32, 2*n)
+	return &traversal[V]{g: g, alg: alg, val: make([]V, n), reached: make([]bool, n), touched: nets[:0:n], endNets: nets[n:n]}
 }
 
 // sweep values every net reachable from the sources over all the paths
-// that reach it.
+// that reach it.  A source listed twice is valued once.
 func (t *traversal[V]) sweep(sources ...int32) {
-	clear(t.val)
-	clear(t.reached)
+	var zero V
+	for _, n := range t.touched {
+		t.val[n], t.reached[n] = zero, false
+	}
+	t.touched = t.touched[:0]
 	for _, s := range sources {
-		t.val[s], t.reached[s] = t.alg.start(), true
+		if !t.reached[s] {
+			t.val[s], t.reached[s] = t.alg.start(), true
+			t.touched = append(t.touched, s)
+		}
 	}
 	for _, u := range t.g.order {
 		if !t.reached[u] {
@@ -204,11 +218,18 @@ func (t *traversal[V]) sweep(sources ...int32) {
 			v := t.alg.extend(t.val[u], e)
 			if t.reached[e.to] {
 				v = t.alg.join(t.val[e.to], v)
+			} else {
+				t.reached[e.to] = true
+				t.touched = append(t.touched, e.to)
 			}
-			t.val[e.to], t.reached[e.to] = v, true
+			t.val[e.to] = v
 		}
 	}
 }
+
+// at is the value of the last sweep's paths ending at pin, whose net
+// that sweep reached.
+func (t *traversal[V]) at(pin *endPin) V { return t.alg.extend(t.val[pin.net], pin.wire) }
 
 // fold sweeps from every start in turn and hands f each end pin the
 // start reaches, with the value of the paths ending there: starts in
@@ -216,12 +237,17 @@ func (t *traversal[V]) sweep(sources ...int32) {
 func (t *traversal[V]) fold(f func(start int32, pin *endPin, v V) bool) {
 	for _, s := range t.g.starts {
 		t.sweep(s)
-		for net, pins := range t.g.ends {
-			if !t.reached[net] {
-				continue
+		t.endNets = t.endNets[:0]
+		for _, n := range t.touched {
+			if len(t.g.ends[n]) > 0 {
+				t.endNets = append(t.endNets, n)
 			}
+		}
+		slices.Sort(t.endNets)
+		for _, net := range t.endNets {
+			pins := t.g.ends[net]
 			for i := range pins {
-				if !f(s, &pins[i], t.alg.extend(t.val[net], pins[i].wire)) {
+				if !f(s, &pins[i], t.at(&pins[i])) {
 					return
 				}
 			}
@@ -268,21 +294,18 @@ func topoOrder(n int, adj [][]edge, d *netlist.Design) ([]int32, []string) {
 			indeg[e.to]++
 		}
 	}
-	queue := make([]int32, 0, n)
+	// Kahn's algorithm, with order itself as the FIFO queue.
+	order := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
+			order = append(order, int32(i))
 		}
 	}
-	order := make([]int32, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, e := range adj[u] {
+	for head := 0; head < len(order); head++ {
+		for _, e := range adj[order[head]] {
 			indeg[e.to]--
 			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
+				order = append(order, e.to)
 			}
 		}
 	}
@@ -325,10 +348,16 @@ func (a *Analysis) String() string {
 		}
 		s += fmt.Sprintf("  %-30s → %-34s %8s / %-8s ns\n", e.From, e.To, e.Min, e.Max)
 	}
-	if len(a.CombLoops) > 0 {
-		s += fmt.Sprintf("\n  combinational loops through: %v\n", a.CombLoops)
+	return s + loopsLine(a.CombLoops)
+}
+
+// loopsLine is the closing line of a path listing: the nets on
+// combinational loops, or nothing when there are none.
+func loopsLine(loops []string) string {
+	if len(loops) == 0 {
+		return ""
 	}
-	return s
+	return fmt.Sprintf("\n  combinational loops through: %v\n", loops)
 }
 
 // ModuleDelay computes the minimum and maximum combinational latency from

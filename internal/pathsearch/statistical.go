@@ -51,8 +51,9 @@ func StatErrors(sites map[string]SiteDist, budget tick.Time, k float64) []SiteDi
 }
 
 // StatString renders the statistical critical-path table: per end pin
-// its critical start, mean latest arrival and Φ(k) arrival.
-func StatString(sites map[string]SiteDist, k float64) string {
+// its critical start, mean latest arrival and Φ(k) arrival, then the
+// combinational loop nets AnalyzeDist reported, as Analysis.String does.
+func StatString(sites map[string]SiteDist, loops []string, k float64) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "STATISTICAL PATHS (quadrature, independent delays, %gσ shown)\n\n", k)
 	rows := statOrder(sites, k)
@@ -64,6 +65,7 @@ func StatString(sites map[string]SiteDist, k float64) string {
 		fmt.Fprintf(&sb, "  %-30s → %-34s mean %8s  %gσ %8s ns\n",
 			sd.From, sd.To, tick.Time(math.Round(sd.Late.Mean())), k, sd.Arrival(k))
 	}
+	sb.WriteString(loopsLine(loops))
 	return sb.String()
 }
 

@@ -86,11 +86,11 @@ func TestStatisticalZeroSpread(t *testing.T) {
 }
 
 func TestStatisticalString(t *testing.T) {
-	sites, _, err := AnalyzeDist(chain(t), 0)
+	sites, loops, err := AnalyzeDist(chain(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := StatString(sites, 3)
+	s := StatString(sites, loops, 3)
 	for _, want := range []string{"STATISTICAL PATHS", "3σ", "IN .S0-50", "R:D"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendering lacks %q:\n%s", want, s)

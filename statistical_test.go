@@ -138,11 +138,11 @@ func TestStatCriticalStartAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, _, err := pathsearch.AnalyzeDist(d, 0)
+	sites, loops, err := pathsearch.AnalyzeDist(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	listing := pathsearch.StatString(sites, 3)
+	listing := pathsearch.StatString(sites, loops, 3)
 	byPrim := pathsearch.ByPrim(sites)
 	if len(res.SiteProbs) == 0 {
 		t.Fatal("no statistical site rows")
