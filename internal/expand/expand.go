@@ -1,13 +1,15 @@
 // Package expand implements the SCALD Macro Expander (§3.3.2): it turns a
 // parsed HDL file into the flat primitive netlist the Timing Verifier
 // evaluates.  Pass 1 resolves macro definitions and signal synonyms (port
-// bindings); Pass 2 emits the fully elaborated design, one vectored
-// primitive instance at a time.
+// bindings), and counts the nets and primitives Pass 2 will create, so
+// the netlist's tables grow at most once; Pass 2 emits the fully
+// elaborated design, one vectored primitive instance at a time.
 package expand
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,35 +94,54 @@ type expander struct {
 
 	paramIdx map[string]int32 // declared parameter name → Design.Params index
 	fnIDs    map[string]int32 // canonical delay-function key → AddDelayFn handle
-
-	// vectors memoizes this expansion's resolved vector references, so a
-	// repeated reference neither re-parses the name nor rebuilds a bit.
-	vectors map[vectorRef][]netlist.NetID
-}
-
-// vectorRef is one vector reference: a signal name and a bit range.
-type vectorRef struct {
-	name   string
-	lo, hi int
 }
 
 // frame is one level of macro expansion context.
 type frame struct {
 	path     string
-	macro    string // the macro definition being expanded, "" at the root
+	m        *hdl.Macro // the macro definition being expanded, nil at the root
 	params   map[string]int
-	bindings map[string][]netlist.Conn // port name → actual connections
-	locals   []hdl.PortDecl            // local declarations
+	bindings [][]netlist.Conn // m.Ports index → actual connections
 }
 
-// local finds a local declaration by name; a later declaration wins.
-func (fr *frame) local(name string) (hdl.PortDecl, bool) {
-	for i := len(fr.locals) - 1; i >= 0; i-- {
-		if fr.locals[i].Name == name {
-			return fr.locals[i], true
+// macro names the frame's macro, "" at the root.
+func (fr *frame) macro() string {
+	if fr.m == nil {
+		return ""
+	}
+	return fr.m.Name
+}
+
+// A signal name inside a macro body is one of its ports, one of its
+// locals, or a global name.
+type refKind uint8
+
+const (
+	refGlobal refKind = iota
+	refPort
+	refLocal
+)
+
+// scope classifies a signal name inside macro m (nil at the root), for
+// Pass 2 and the census alike: a port binds the caller's nets, a local
+// names nets of its own per expansion, and any other name is global.
+// i indexes m.Ports or m.Locals; a port shadows a local, and a later
+// local declaration shadows an earlier one.
+func scope(m *hdl.Macro, name string) (kind refKind, i int) {
+	if m == nil {
+		return refGlobal, 0
+	}
+	for i, pd := range m.Ports {
+		if pd.Name == name {
+			return refPort, i
 		}
 	}
-	return hdl.PortDecl{}, false
+	for i := len(m.Locals) - 1; i >= 0; i-- {
+		if m.Locals[i].Name == name {
+			return refLocal, i
+		}
+	}
+	return refGlobal, 0
 }
 
 // Expand flattens the parsed file into a verified netlist design.
@@ -134,13 +155,18 @@ func Expand(f *hdl.File) (*netlist.Design, *Report, error) {
 }
 
 func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
-	name := f.Design
+	// Strings the design keeps are cloned from the parse, whose strings
+	// all point into the source text.
+	name := strings.Clone(f.Design)
 	if name == "" {
 		name = "unnamed"
 	}
 	b := netlist.NewBuilder(name)
 	if f.Period <= 0 {
 		return nil, nil, fmt.Errorf("expand: the design must specify a clock period (§2.2)")
+	}
+	if nets, prims, ok := count(f, b); ok {
+		b.Reserve(nets, prims)
 	}
 	b.SetPeriod(f.Period)
 	if f.ClockUnit > 0 {
@@ -169,7 +195,6 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 		labels:   map[string]int{},
 		paramIdx: map[string]int32{},
 		fnIDs:    map[string]int32{},
-		vectors:  map[vectorRef][]netlist.NetID{},
 	}
 	// Design parameter declarations; a parameter without an explicit
 	// range is fixed at its default.
@@ -178,7 +203,7 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 		if !pd.HasRange {
 			lo, hi = pd.Default, pd.Default
 		}
-		e.paramIdx[pd.Name] = b.Param(pd.Name, pd.Default, lo, hi)
+		e.paramIdx[pd.Name] = b.Param(strings.Clone(pd.Name), pd.Default, lo, hi)
 	}
 	// Pass 1: collect macro definitions.
 	for _, m := range f.Macros {
@@ -187,14 +212,14 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 		}
 		e.macros[m.Name] = m
 	}
-	root := &frame{path: "", params: map[string]int{}, bindings: map[string][]netlist.Conn{}}
+	root := &frame{path: "", params: map[string]int{}}
 
 	// Root signal pre-declarations.
 	for _, sd := range f.Signals {
 		lo, hi := 0, 0
 		if sd.HasRange {
 			var err error
-			lo, hi, err = e.evalRange(sd.Lo, sd.Hi, root.params)
+			lo, hi, err = evalRange(sd.Lo, sd.Hi, root.params)
 			if err != nil {
 				return nil, nil, fmt.Errorf("expand: signal %q: %v", sd.Name, err)
 			}
@@ -236,9 +261,9 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 			if a.Value == 1 {
 				v = values.V1
 			}
-			assigns = append(assigns, netlist.Assign(sig.Base, v))
+			assigns = append(assigns, netlist.Assign(strings.Clone(sig.Base), v))
 		}
-		e.b.AddCase(cd.Label, assigns...)
+		e.b.AddCase(strings.Clone(cd.Label), assigns...)
 	}
 
 	d, err := e.b.Build()
@@ -248,7 +273,7 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 	return d, e.report, nil
 }
 
-func (e *expander) evalRange(lo, hi hdl.Expr, params map[string]int) (int, int, error) {
+func evalRange(lo, hi hdl.Expr, params map[string]int) (int, int, error) {
 	l, err := lo.Eval(params)
 	if err != nil {
 		return 0, 0, err
@@ -270,34 +295,29 @@ func (e *expander) evalRange(lo, hi hdl.Expr, params map[string]int) (int, int, 
 }
 
 // globalBits resolves a global signal reference to its nets, creating them
-// on first use with the Builder's vector naming.  The returned slice is
-// shared with the memo and must not be modified.
+// on first use with the Builder's vector naming.  The returned slice may
+// alias the Builder's tables and must not be modified.
 func (e *expander) globalBits(name string, hasRange bool, lo, hi int) ([]netlist.NetID, error) {
 	if !hasRange {
 		return []netlist.NetID{e.b.Net(name)}, nil
 	}
-	key := vectorRef{name, lo, hi}
-	if bits, ok := e.vectors[key]; ok {
-		return bits, nil
-	}
-	sig, err := assertion.Parse(name)
+	s, err := e.b.Symbol(name)
 	if err != nil {
 		return nil, fmt.Errorf("expand: %v", err)
 	}
-	bits := make([]netlist.NetID, hi-lo+1)
-	e.b.VectorBits(bits, sig.Base, sig.Assert, lo)
-	e.vectors[key] = bits
-	return bits, nil
+	return e.b.Bits(s, lo, hi), nil
 }
 
 // resolve turns a signal expression into connections within a frame.
 func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 	var conns []netlist.Conn
 
-	if bound, ok := fr.bindings[se.Name]; ok {
+	switch kind, i := scope(fr.m, se.Name); kind {
+	case refPort:
 		// Macro port: the actual connection, optionally sub-sliced.
+		bound := fr.bindings[i]
 		if se.HasRange {
-			lo, hi, err := e.evalRange(se.Lo, se.Hi, fr.params)
+			lo, hi, err := evalRange(se.Lo, se.Hi, fr.params)
 			if err != nil {
 				return nil, fmt.Errorf("expand: line %d: %v", se.Line, err)
 			}
@@ -308,13 +328,14 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 		} else {
 			conns = append(conns, bound...)
 		}
-	} else if decl, ok := fr.local(se.Name); ok {
+	case refLocal:
 		// Macro local: a uniquified global per expansion (the /M markers).
+		decl := fr.m.Locals[i]
 		uname := fr.path + se.Name
 		dlo, dhi := 0, 0
 		if decl.HasRange {
 			var err error
-			dlo, dhi, err = e.evalRange(decl.Lo, decl.Hi, fr.params)
+			dlo, dhi, err = evalRange(decl.Lo, decl.Hi, fr.params)
 			if err != nil {
 				return nil, fmt.Errorf("expand: line %d: local %q: %v", se.Line, se.Name, err)
 			}
@@ -324,7 +345,7 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 			return nil, err
 		}
 		if se.HasRange {
-			lo, hi, err := e.evalRange(se.Lo, se.Hi, fr.params)
+			lo, hi, err := evalRange(se.Lo, se.Hi, fr.params)
 			if err != nil {
 				return nil, fmt.Errorf("expand: line %d: %v", se.Line, err)
 			}
@@ -334,11 +355,11 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 			all = all[lo-dlo : hi-dlo+1]
 		}
 		conns = netlist.ConnsOf(all)
-	} else {
+	default:
 		lo, hi := 0, 0
 		var err error
 		if se.HasRange {
-			lo, hi, err = e.evalRange(se.Lo, se.Hi, fr.params)
+			lo, hi, err = evalRange(se.Lo, se.Hi, fr.params)
 			if err != nil {
 				return nil, fmt.Errorf("expand: line %d: %v", se.Line, err)
 			}
@@ -354,7 +375,7 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 		conns = netlist.Invert(conns)
 	}
 	if se.Dirs != "" {
-		conns = e.b.Directive(se.Dirs, conns)
+		conns = e.b.Directive(strings.Clone(se.Dirs), conns)
 	}
 	return conns, nil
 }
@@ -442,16 +463,22 @@ var kindByName = map[string]netlist.Kind{
 	"minpulse":          netlist.KMinPulse,
 }
 
-func (e *expander) label(inst *hdl.Instance, fr *frame) string {
+// label names an instance within its frame, followed by suffix, as a
+// string of its own: at the root, an explicit label is cloned rather than
+// kept as a slice of the source.
+func (e *expander) label(inst *hdl.Instance, fr *frame, suffix string) string {
 	if inst.Label != "" {
-		return fr.path + inst.Label
+		if fr.path == "" && suffix == "" {
+			return strings.Clone(inst.Label)
+		}
+		return fr.path + inst.Label + suffix
 	}
 	key := inst.Kind
 	if inst.Kind == "use" {
 		key = inst.Macro
 	}
 	e.labels[key]++
-	return fr.path + key + "." + strconv.Itoa(e.labels[key])
+	return fr.path + key + "." + strconv.Itoa(e.labels[key]) + suffix
 }
 
 func (e *expander) tally(fr *frame, k netlist.Kind, width int) {
@@ -459,7 +486,7 @@ func (e *expander) tally(fr *frame, k netlist.Kind, width int) {
 	e.report.ScalarBits += width
 	e.report.Census[k]++
 	e.report.CensusBits[k] += width
-	e.report.PrimsByMacro[fr.macro]++
+	e.report.PrimsByMacro[fr.macro()]++
 }
 
 func (e *expander) instance(inst *hdl.Instance, fr *frame, depth int) error {
@@ -473,7 +500,7 @@ func (e *expander) instance(inst *hdl.Instance, fr *frame, depth int) error {
 	if !ok {
 		return fmt.Errorf("expand: line %d: unknown primitive %q", inst.Line, inst.Kind)
 	}
-	label := e.label(inst, fr)
+	label := e.label(inst, fr, "")
 
 	ins := make([][]netlist.Conn, len(inst.Ins))
 	for i, se := range inst.Ins {
@@ -622,10 +649,11 @@ func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
 	e.report.MacroUses++
 	e.report.UsesByMacro[m.Name]++
 
-	// Value parameters.
+	// Value parameters; an undeclared binding is reported in source
+	// order.
 	params := make(map[string]int, len(m.Params))
 	for _, pn := range m.Params {
-		exp, ok := inst.ParamVals[pn]
+		exp, ok := inst.Param(pn)
 		if !ok {
 			return fmt.Errorf("expand: line %d: macro %q needs parameter %s", inst.Line, m.Name, pn)
 		}
@@ -635,29 +663,22 @@ func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
 		}
 		params[pn] = v
 	}
-	for pn := range inst.ParamVals {
-		known := false
-		for _, declared := range m.Params {
-			if declared == pn {
-				known = true
-			}
-		}
-		if !known {
-			return fmt.Errorf("expand: line %d: macro %q has no parameter %s", inst.Line, m.Name, pn)
+	for _, pv := range inst.ParamVals {
+		if !slices.Contains(m.Params, pv.Name) {
+			return fmt.Errorf("expand: line %d: macro %q has no parameter %s", inst.Line, m.Name, pv.Name)
 		}
 	}
 
 	// Port bindings (the Pass-1 synonym resolution).
 	sub := &frame{
-		path:     e.label(inst, fr) + "/",
-		macro:    m.Name,
+		path:     e.label(inst, fr, "/"),
+		m:        m,
 		params:   params,
-		bindings: make(map[string][]netlist.Conn, len(m.Ports)),
-		locals:   m.Locals,
+		bindings: make([][]netlist.Conn, len(m.Ports)),
 	}
-	for _, pd := range m.Ports {
-		se, ok := inst.Conns[pd.Name]
-		if !ok {
+	for i, pd := range m.Ports {
+		se := inst.Conn(pd.Name)
+		if se == nil {
 			return fmt.Errorf("expand: line %d: macro %q port %s not connected", inst.Line, m.Name, pd.Name)
 		}
 		conns, err := e.resolve(se, fr)
@@ -666,7 +687,7 @@ func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
 		}
 		want := 1
 		if pd.HasRange {
-			lo, hi, err := e.evalRange(pd.Lo, pd.Hi, params)
+			lo, hi, err := evalRange(pd.Lo, pd.Hi, params)
 			if err != nil {
 				return fmt.Errorf("expand: line %d: port %s: %v", inst.Line, pd.Name, err)
 			}
@@ -685,12 +706,12 @@ func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
 			return fmt.Errorf("expand: line %d: macro %q port %s is %d bits, connection %q is %d",
 				inst.Line, m.Name, pd.Name, want, se.Name, len(conns))
 		}
-		sub.bindings[pd.Name] = conns
+		sub.bindings[i] = conns
 		e.report.Synonyms += len(conns)
 	}
-	for port := range inst.Conns {
-		if _, ok := sub.bindings[port]; !ok {
-			return fmt.Errorf("expand: line %d: macro %q has no port %s", inst.Line, m.Name, port)
+	for _, pc := range inst.Conns {
+		if kind, _ := scope(m, pc.Port); kind != refPort {
+			return fmt.Errorf("expand: line %d: macro %q has no port %s", inst.Line, m.Name, pc.Port)
 		}
 	}
 	for _, child := range m.Body {

@@ -232,6 +232,33 @@ reg "OUT REG" delay=(1.5,4.5) ("CLK .P0-4", DO) -> (Q<0:31>)
 setuphold "OUT REG CHK" setup=2.5 hold=1.5 (DO, "CLK .P0-4")
 `
 
+// TestExpandBindingErrorsDeterministic requires an undeclared port or
+// parameter binding to be reported as the first one in source order,
+// the same on every run.
+func TestExpandBindingErrorsDeterministic(t *testing.T) {
+	const macros = `period 50ns
+macro M1 {
+    param A, O
+    buf delay=(1,1) (A) -> (O)
+}
+macro M (SIZE) {
+    param A<0:SIZE-1>, O<0:SIZE-1>
+    buf delay=(1,1) (A<0:SIZE-1>) -> (O<0:SIZE-1>)
+}
+`
+	for _, c := range []struct{ use, want string }{
+		{`use M1 U (A="IN .S0-4", O=OUT, ZZ=P, YY=Q, XX=R, WW=S)`, `macro "M1" has no port ZZ`},
+		{`use M U SIZE=2 WIDTH=3 DEPTH=4 ZZ=5 (A="IN .S0-4"<0:1>, O=OUT<0:1>)`, `macro "M" has no parameter WIDTH`},
+	} {
+		for i := 0; i < 50; i++ {
+			err := expandErr(t, macros+c.use)
+			if err == nil || !strings.HasSuffix(err.Error(), c.want) {
+				t.Fatalf("run %d: Expand(%s) error %v, want one ending %q", i, c.use, err, c.want)
+			}
+		}
+	}
+}
+
 // TestFig25ThroughHDL runs the full pipeline — parse, expand, verify — on
 // the Fig 2-5 source and reproduces the Fig 3-11 errors exactly.
 func TestFig25ThroughHDL(t *testing.T) {

@@ -73,9 +73,9 @@ func RunScale(chips, workers int) (*ScaleResult, error) {
 		Report: rep,
 	}
 	out.Table31.Read = t1.Sub(t0)
-	// The macro-table and synonym work of the paper's Pass 1 happens
-	// inside Expand together with emission; the split is reported as one
-	// expansion phase.
+	// The paper's Pass 1 — the macro table and, here, the census that
+	// sizes the netlist — happens inside Expand together with emission;
+	// the split is reported as one expansion phase.
 	out.Table31.Pass1 = 0
 	out.Table31.Pass2 = t2.Sub(t1)
 	out.Table31.FromVerify(res.Stats)

@@ -118,13 +118,45 @@ type Instance struct {
 	Rise, Fall                 tick.Range // direction-dependent delays (§4.2.2)
 	Setup, Hold                tick.Time
 	High, Low                  tick.Time
-	ParamVals                  map[string]Expr // value-parameter bindings for "use"
+	ParamVals                  []ParamVal // value-parameter bindings for "use", in source order
 
-	Ins   []*SigExpr          // positional inputs (primitives)
-	Outs  []*SigExpr          // positional outputs (primitives)
-	Conns map[string]*SigExpr // named port bindings for "use"
+	Ins   []*SigExpr // positional inputs (primitives)
+	Outs  []*SigExpr // positional outputs (primitives)
+	Conns []PortConn // named port bindings for "use", in source order
 
 	Line int
+}
+
+// ParamVal binds a macro value parameter at a use.
+type ParamVal struct {
+	Name string
+	Val  Expr
+}
+
+// PortConn binds a macro port to a signal at a use.
+type PortConn struct {
+	Port string
+	Sig  *SigExpr
+}
+
+// Param returns the expression bound to the named value parameter.
+func (inst *Instance) Param(name string) (Expr, bool) {
+	for _, pv := range inst.ParamVals {
+		if pv.Name == name {
+			return pv.Val, true
+		}
+	}
+	return nil, false
+}
+
+// Conn returns the signal bound to the named port, or nil.
+func (inst *Instance) Conn(port string) *SigExpr {
+	for _, pc := range inst.Conns {
+		if pc.Port == port {
+			return pc.Sig
+		}
+	}
+	return nil
 }
 
 // SigExpr references a signal, optionally complemented, bit-sliced, and

@@ -2,6 +2,7 @@ package hdl
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -211,20 +212,10 @@ func fmtInstance(inst *Instance) string {
 	if inst.Label != "" {
 		sb.WriteString(" " + fmtName(inst.Label))
 	}
-	if inst.ParamVals != nil {
-		var keys []string
-		for k := range inst.ParamVals {
-			keys = append(keys, k)
-		}
-		// Deterministic order.
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-		for _, k := range keys {
-			fmt.Fprintf(&sb, " %s=%s", k, fmtExpr(inst.ParamVals[k]))
-		}
+	params := slices.Clone(inst.ParamVals)
+	slices.SortFunc(params, func(a, b ParamVal) int { return strings.Compare(a.Name, b.Name) })
+	for _, pv := range params {
+		fmt.Fprintf(&sb, " %s=%s", pv.Name, fmtExpr(pv.Val))
 	}
 	if inst.HasDelay {
 		fmt.Fprintf(&sb, " delay=(%s,%s)", inst.Delay.Min, inst.Delay.Max)
@@ -252,20 +243,13 @@ func fmtInstance(inst *Instance) string {
 	}
 	sb.WriteString(" (")
 	if inst.Kind == "use" {
-		var ports []string
-		for k := range inst.Conns {
-			ports = append(ports, k)
-		}
-		for i := 1; i < len(ports); i++ {
-			for j := i; j > 0 && ports[j] < ports[j-1]; j-- {
-				ports[j], ports[j-1] = ports[j-1], ports[j]
-			}
-		}
-		for i, k := range ports {
+		conns := slices.Clone(inst.Conns)
+		slices.SortFunc(conns, func(a, b PortConn) int { return strings.Compare(a.Port, b.Port) })
+		for i, pc := range conns {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			fmt.Fprintf(&sb, "%s=%s", k, fmtSigExpr(inst.Conns[k]))
+			fmt.Fprintf(&sb, "%s=%s", pc.Port, fmtSigExpr(pc.Sig))
 		}
 	} else {
 		for i, se := range inst.Ins {

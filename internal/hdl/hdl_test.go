@@ -125,10 +125,12 @@ use "16W RAM" RAM1 SIZE=32 (I="W DATA .S0-6"<0:31>, A=ADR<0:3>, WE=WE, DO=DO<0:3
 	if use.Kind != "use" || use.Macro != "16W RAM" || use.Label != "RAM1" {
 		t.Errorf("use head wrong: %+v", use)
 	}
-	if v, err := use.ParamVals["SIZE"].Eval(nil); err != nil || v != 32 {
+	if e, ok := use.Param("SIZE"); !ok {
+		t.Error("SIZE binding missing")
+	} else if v, err := e.Eval(nil); err != nil || v != 32 {
 		t.Errorf("SIZE binding = %d, %v", v, err)
 	}
-	if se := use.Conns["I"]; se == nil || se.Name != "W DATA .S0-6" || !se.HasRange {
+	if se := use.Conn("I"); se == nil || se.Name != "W DATA .S0-6" || !se.HasRange {
 		t.Errorf("I connection wrong: %+v", se)
 	}
 	// Negative hold parsed.
@@ -187,6 +189,7 @@ func TestParseErrors(t *testing.T) {
 		{`period 50ns  macro M { bogus (A) -> (B) }`, "unknown macro body"},
 		{`period 50ns  and frob=(1,2) (A) -> (X)`, "unknown property"},
 		{`period 50ns  use M (I=A, I=B)`, "connected twice"},
+		{"period 50ns\nuse M U SIZE=4 SIZE=2 (A=\"IN .S0-4\"<0:1>, O=OUT<0:1>)", `hdl:2:16: parameter "SIZE" bound twice`},
 		{`period 50ns  and (A<1:"s">) -> (X)`, "expression"},
 	}
 	for _, c := range bad {

@@ -3,6 +3,7 @@ package hdl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -26,8 +27,9 @@ var propKeys = map[string]bool{
 
 // Parser is a recursive-descent parser for the HDL.
 type Parser struct {
-	lex *Lexer
-	tok Token
+	lex   *Lexer
+	tok   Token
+	conns []PortConn // reused port-binding buffer of parseInstance
 }
 
 // Parse parses a complete source file.  Errors are structured
@@ -54,8 +56,13 @@ func (p *Parser) next() error {
 }
 
 func (p *Parser) errf(format string, args ...any) error {
-	return serr.New(serr.Parse, serr.Pos{Line: p.tok.Line, Col: p.tok.Col},
-		"hdl:%d:%d: %s", p.tok.Line, p.tok.Col, fmt.Sprintf(format, args...))
+	return errAt(p.tok, format, args...)
+}
+
+// errAt reports a parse error at the position of tok.
+func errAt(tok Token, format string, args ...any) error {
+	return serr.New(serr.Parse, serr.Pos{Line: tok.Line, Col: tok.Col},
+		"hdl:%d:%d: %s", tok.Line, tok.Col, fmt.Sprintf(format, args...))
 }
 
 func (p *Parser) isPunct(s string) bool { return p.tok.Kind == TPunct && p.tok.Text == s }
@@ -665,10 +672,7 @@ func (p *Parser) parseInstance() (*Instance, error) {
 			if err != nil {
 				return nil, err
 			}
-			if inst.ParamVals == nil {
-				inst.ParamVals = map[string]Expr{}
-			}
-			inst.ParamVals[label] = e
+			inst.ParamVals = append(inst.ParamVals, ParamVal{Name: label, Val: e})
 		} else {
 			inst.Label = label
 		}
@@ -677,6 +681,7 @@ func (p *Parser) parseInstance() (*Instance, error) {
 	for p.tok.Kind == TIdent {
 		key := strings.ToLower(p.tok.Text)
 		rawKey := p.tok.Text
+		keyTok := p.tok
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -730,14 +735,14 @@ func (p *Parser) parseInstance() (*Instance, error) {
 			if inst.Kind != "use" {
 				return nil, p.errf("unknown property %q", rawKey)
 			}
+			if _, dup := inst.Param(rawKey); dup {
+				return nil, errAt(keyTok, "parameter %q bound twice", rawKey)
+			}
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if inst.ParamVals == nil {
-				inst.ParamVals = map[string]Expr{}
-			}
-			inst.ParamVals[rawKey] = e
+			inst.ParamVals = append(inst.ParamVals, ParamVal{Name: rawKey, Val: e})
 		}
 	}
 	// Connections.
@@ -745,7 +750,9 @@ func (p *Parser) parseInstance() (*Instance, error) {
 		return nil, err
 	}
 	if inst.Kind == "use" {
-		inst.Conns = map[string]*SigExpr{}
+		// Bindings collect in a reused buffer, so each use allocates one
+		// exact-size slice.
+		inst.Conns = p.conns[:0]
 		for !p.isPunct(")") {
 			if p.tok.Kind != TIdent {
 				return nil, p.errf("expected a port name, found %s", p.tok)
@@ -761,16 +768,18 @@ func (p *Parser) parseInstance() (*Instance, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, dup := inst.Conns[port]; dup {
+			if inst.Conn(port) != nil {
 				return nil, p.errf("port %q connected twice", port)
 			}
-			inst.Conns[port] = se
+			inst.Conns = append(inst.Conns, PortConn{Port: port, Sig: se})
 			if p.isPunct(",") {
 				if err := p.next(); err != nil {
 					return nil, err
 				}
 			}
 		}
+		p.conns = inst.Conns
+		inst.Conns = slices.Clone(inst.Conns)
 		if err := p.next(); err != nil { // ")"
 			return nil, err
 		}

@@ -125,6 +125,8 @@ func isIdentBody(c byte) bool {
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // Next returns the next token.  Lexical errors are returned as an error.
+// A token's Text is a slice of the source, never a copy: anything that
+// outlives the source must clone the strings it keeps.
 func (l *Lexer) Next() (Token, error) {
 	l.skipSpaceAndComments()
 	tok := Token{Line: l.line, Col: l.col}
@@ -132,65 +134,64 @@ func (l *Lexer) Next() (Token, error) {
 		tok.Kind = TEOF
 		return tok, nil
 	}
-	c := l.peekByte()
+	start := l.pos
+	c := l.src[start]
 	switch {
 	case c == '"':
-		l.advance()
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return tok, fmt.Errorf("hdl:%d:%d: unterminated string", tok.Line, tok.Col)
-			}
-			ch := l.advance()
-			if ch == '"' {
-				break
-			}
-			if ch == '\n' {
-				return tok, fmt.Errorf("hdl:%d:%d: newline in string", tok.Line, tok.Col)
-			}
-			sb.WriteByte(ch)
+		end := start + 1
+		for end < len(l.src) && l.src[end] != '"' && l.src[end] != '\n' {
+			end++
 		}
+		if end == len(l.src) {
+			return tok, fmt.Errorf("hdl:%d:%d: unterminated string", tok.Line, tok.Col)
+		}
+		if l.src[end] == '\n' {
+			return tok, fmt.Errorf("hdl:%d:%d: newline in string", tok.Line, tok.Col)
+		}
+		l.skip(end + 1)
 		tok.Kind = TString
-		tok.Text = sb.String()
+		tok.Text = l.src[start+1 : end]
 		return tok, nil
 	case isIdentStart(c):
-		var sb strings.Builder
-		for l.pos < len(l.src) && isIdentBody(l.peekByte()) {
-			sb.WriteByte(l.advance())
+		end := start + 1
+		for end < len(l.src) && isIdentBody(l.src[end]) {
+			end++
 		}
+		l.skip(end)
 		tok.Kind = TIdent
-		tok.Text = sb.String()
+		tok.Text = l.src[start:end]
 		return tok, nil
 	case isDigit(c):
-		var sb strings.Builder
-		for l.pos < len(l.src) && (isDigit(l.peekByte()) || l.peekByte() == '.') {
-			sb.WriteByte(l.advance())
+		end := start + 1
+		for end < len(l.src) && (isDigit(l.src[end]) || l.src[end] == '.') {
+			end++
 		}
 		// Optional unit suffix glued to the number (50ns, 3us).
-		for l.pos < len(l.src) && isIdentStart(l.peekByte()) {
-			sb.WriteByte(l.advance())
+		for end < len(l.src) && isIdentStart(l.src[end]) {
+			end++
 		}
+		l.skip(end)
 		tok.Kind = TNumber
-		tok.Text = sb.String()
+		tok.Text = l.src[start:end]
 		return tok, nil
-	case c == '-':
-		l.advance()
-		if l.peekByte() == '>' {
-			l.advance()
-			tok.Kind = TPunct
-			tok.Text = "->"
-			return tok, nil
-		}
+	case c == '-' && start+1 < len(l.src) && l.src[start+1] == '>':
+		l.skip(start + 2)
 		tok.Kind = TPunct
-		tok.Text = "-"
+		tok.Text = l.src[start : start+2]
 		return tok, nil
-	case strings.IndexByte("(){}<>,=:&/*+", c) >= 0:
-		l.advance()
+	case c == '-' || strings.IndexByte("(){}<>,=:&/*+", c) >= 0:
+		l.skip(start + 1)
 		tok.Kind = TPunct
-		tok.Text = string(c)
+		tok.Text = l.src[start : start+1]
 		return tok, nil
 	}
 	return tok, fmt.Errorf("hdl:%d:%d: unexpected character %q", tok.Line, tok.Col, c)
+}
+
+// skip advances to end over bytes that hold no newline.
+func (l *Lexer) skip(end int) {
+	l.col += end - l.pos
+	l.pos = end
 }
 
 // LexAll tokenizes the entire input (for tests and error recovery).

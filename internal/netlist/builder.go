@@ -2,7 +2,10 @@ package netlist
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
+	"strings"
 
 	"scaldtv/internal/assertion"
 	"scaldtv/internal/tick"
@@ -15,8 +18,52 @@ import (
 type Builder struct {
 	d   *Design
 	err error
-	buf []byte // reused bit-name buffer of VectorBits
+
+	// names maps every net's full name to its ID while the design is
+	// built.  It is read when a net is about to be created, so every
+	// spelling of one name is one net, and for scalar references; never
+	// for a bit a symbol's table already holds.  Build drops it.
+	names map[string]NetID
+
+	syms   []symbol       // vector spellings resolved by Symbol
+	symIdx map[string]Sym // spelling → index into syms
+	buf    []byte         // reused bit-name buffer
+
+	// wantNets and wantPrims are the counts Reserve was given; a full
+	// table grows to them in one step (see regrow).
+	wantNets, wantPrims int
 }
+
+// Sym identifies a vector spelling resolved by Builder.Symbol.
+type Sym int32
+
+// Stem is what the bit names of a vector spelling share: bit i is named
+// Base<i>Suffix.  Spellings with one stem ("X .S0-4", "X  .S0-4") name
+// the same nets.
+type Stem struct {
+	Base   string // the spelling with its assertion stripped
+	Suffix string // " ‹assertion›" after each bit's subscript, or ""
+}
+
+// symbol is one vector spelling ("STG2 Q", "FN .S0-8") with the nets of
+// the bits resolved through it.  Its table spans bits lo, lo+1, ...; it
+// grows to cover a request only while it stays at most about twice the
+// bits it holds, so a far-off bit index costs a name lookup, never a
+// table that long.
+type symbol struct {
+	stem   Stem
+	assert *assertion.Assertion // shared by every bit; nil for none
+	lo     int                  // bit index of bits[0]
+	bits   []NetID              // noNet where the bit's net is not yet known
+	known  int                  // entries of bits that are not noNet
+}
+
+// noNet marks a symbol table entry whose net is not yet known.
+const noNet NetID = -1
+
+// minTable is the table span a symbol may always reach, however few
+// bits it holds.
+const minTable = 64
 
 // NewBuilder starts a design with the paper's customary defaults: the
 // caller must set the period; wire delay defaults to 0.0/2.0 ns and the
@@ -29,8 +76,42 @@ func NewBuilder(name string) *Builder {
 		DefaultWire:   tick.R(0, 2),
 		PrecisionSkew: tick.R(-1, 1),
 		ClockSkew:     tick.R(-5, 5),
-		byName:        make(map[string]NetID),
-	}}
+	}, names: make(map[string]NetID), symIdx: make(map[string]Sym)}
+}
+
+// firstStage is the most entries a table holds room for before the
+// design has filled that many: a design that fails early costs no more,
+// whatever counts Reserve was given.
+const firstStage = 1 << 10
+
+// maxAhead bounds how far past its length a full table grows towards
+// the counts Reserve was given: to at most the larger of maxAhead
+// entries and twice its length.  Counts that run ahead of the design
+// cost no more than that.
+const maxAhead = 1 << 17
+
+// Reserve sizes the net and primitive tables, and the build-time name
+// map, for the given counts, so none of them regrows more than once
+// while the design fills: each starts with room for at most firstStage
+// entries, and when it is full it grows to its count in one step (see
+// regrow).  Tables grow past the counts as usual if they must.  It is
+// for a new Builder: once a net or primitive exists, it does nothing.
+func (b *Builder) Reserve(nets, prims int) {
+	if len(b.d.Nets) > 0 || len(b.d.Prims) > 0 {
+		return
+	}
+	b.wantNets, b.wantPrims = nets, prims
+	b.d.Nets = make([]Net, 0, min(nets, firstStage))
+	b.d.Prims = make([]Prim, 0, min(prims, firstStage))
+	b.names = make(map[string]NetID, cap(b.d.Nets))
+}
+
+// regrow copies a full table into one with room for want entries, but
+// for no more than max(maxAhead, 2*len(s)).
+func regrow[T any](s []T, want int) []T {
+	t := make([]T, len(s), min(want, max(maxAhead, 2*len(s))))
+	copy(t, s)
+	return t
 }
 
 func (b *Builder) fail(format string, args ...any) {
@@ -83,11 +164,14 @@ func (b *Builder) SetWiredOr(on bool) *Builder {
 }
 
 // Net returns the net with the given full signal name, creating it on
-// first use.  The name may embed an assertion ("W DATA .S0-6").
+// first use.  The name may embed an assertion ("W DATA .S0-6").  A new
+// net keeps a copy of the name, so the caller's string may point into a
+// larger buffer the design must not retain.
 func (b *Builder) Net(name string) NetID {
-	if id, ok := b.d.byName[name]; ok {
+	if id, ok := b.names[name]; ok {
 		return id
 	}
+	name = strings.Clone(name)
 	sig, err := assertion.Parse(name)
 	if err != nil {
 		b.fail("%v", err)
@@ -97,6 +181,12 @@ func (b *Builder) Net(name string) NetID {
 }
 
 func (b *Builder) newNet(name, base string, a *assertion.Assertion) NetID {
+	if n := len(b.d.Nets); n == cap(b.d.Nets) && n < b.wantNets {
+		b.d.Nets = regrow(b.d.Nets, b.wantNets)
+		names := make(map[string]NetID, cap(b.d.Nets))
+		maps.Copy(names, b.names)
+		b.names = names
+	}
 	id := NetID(len(b.d.Nets))
 	b.d.Nets = append(b.d.Nets, Net{
 		Name:   name,
@@ -104,7 +194,7 @@ func (b *Builder) newNet(name, base string, a *assertion.Assertion) NetID {
 		Assert: a,
 		Driver: NoDriver,
 	})
-	b.d.byName[name] = id
+	b.names[name] = id
 	return id
 }
 
@@ -115,43 +205,111 @@ func (b *Builder) Vector(name string, width int) []NetID {
 		b.fail("vector %q with non-positive width %d", name, width)
 		width = 1
 	}
-	out := make([]NetID, width)
-	sig, err := assertion.Parse(name)
+	s, err := b.Symbol(name)
 	if err != nil {
 		b.fail("%v", err)
-		return out
+		return make([]NetID, width)
 	}
-	b.VectorBits(out, sig.Base, sig.Assert, 0)
-	return out
+	return slices.Clone(b.Bits(s, 0, width-1))
 }
 
-// VectorBits fills out with the nets of bits lo, lo+1, ... of the vector
-// signal with the given parsed base name and assertion (nil for none),
-// creating them on first use.  Bit i is named "BASE<i>", followed by
-// " ‹assertion›" when a is set; its Base is "BASE<i>" and every bit shares
-// a itself, which must not be mutated afterwards.  Names are built in a
-// reused buffer, so a bit that already exists costs one map lookup.
-func (b *Builder) VectorBits(out []NetID, base string, a *assertion.Assertion, lo int) {
-	var assert string
-	if a != nil {
-		assert = a.String()
+// Symbol resolves a vector spelling, parsing its base name and assertion
+// on first use.
+func (b *Builder) Symbol(name string) (Sym, error) {
+	if s, ok := b.symIdx[name]; ok {
+		return s, nil
 	}
-	buf := append(append(b.buf[:0], base...), '<')
-	stem := len(buf)
-	for i := range out {
-		buf = append(strconv.AppendInt(buf[:stem], int64(lo+i), 10), '>')
-		bitBase := len(buf)
-		if a != nil {
-			buf = append(append(buf, ' '), assert...)
-		}
-		if id, ok := b.d.byName[string(buf)]; ok {
-			out[i] = id
-			continue
-		}
-		name := string(buf)
-		out[i] = b.newNet(name, name[:bitBase], a)
+	sig, err := assertion.Parse(name)
+	if err != nil {
+		return 0, err
 	}
+	sy := symbol{stem: Stem{Base: sig.Base}, assert: sig.Assert}
+	if sig.Assert != nil {
+		sy.stem.Suffix = " " + sig.Assert.String()
+	}
+	s := Sym(len(b.syms))
+	b.syms = append(b.syms, sy)
+	b.symIdx[name] = s
+	return s, nil
+}
+
+// Stem returns the stem of a symbol's bit names.
+func (b *Builder) Stem(s Sym) Stem { return b.syms[s].stem }
+
+// Bits returns the nets of bits lo..hi of a vector symbol, creating them
+// on first use.  Bit i is named "BASE<i>", followed by " ‹assertion›"
+// when the spelling has one; its Base is "BASE<i>" and every bit shares
+// the symbol's *Assertion, which must not be mutated afterwards.  A bit
+// the symbol's table holds costs an index; any other is looked up by its
+// full name before it is created, so two spellings of one bit, or a
+// quoted scalar naming it, share its net.  The returned slice may alias
+// the table and must not be modified.
+func (b *Builder) Bits(s Sym, lo, hi int) []NetID {
+	sy := &b.syms[s]
+	if !sy.cover(lo, hi) {
+		out := make([]NetID, hi-lo+1)
+		for i := range out {
+			out[i] = b.bitNet(sy, lo+i)
+		}
+		return out
+	}
+	tab := sy.bits[lo-sy.lo : hi-sy.lo+1 : hi-sy.lo+1]
+	for i, id := range tab {
+		if id == noNet {
+			tab[i] = b.bitNet(sy, lo+i)
+			sy.known++
+		}
+	}
+	return tab
+}
+
+// cover widens the table to span bits lo..hi, unless that would leave
+// it more than about twice as long as the bits it would then hold.
+// Bounds are inclusive, so a bit index at the top of the int range
+// cannot overflow.
+func (sy *symbol) cover(lo, hi int) bool {
+	if len(sy.bits) == 0 {
+		sy.lo = lo
+	}
+	last := sy.lo + (len(sy.bits) - 1)
+	nlo, nlast := min(sy.lo, lo), max(last, hi)
+	if nlo == sy.lo && nlast == last {
+		return true
+	}
+	if nlast-nlo >= 2*(sy.known+hi-lo+1)+minTable {
+		return false
+	}
+	if nlo < sy.lo {
+		grown := make([]NetID, last-nlo+1, 2*(nlast-nlo+1))
+		fill(grown[:sy.lo-nlo])
+		copy(grown[sy.lo-nlo:], sy.bits)
+		sy.lo, sy.bits = nlo, grown
+	}
+	n := len(sy.bits)
+	sy.bits = append(sy.bits, make([]NetID, nlast-nlo+1-n)...)
+	fill(sy.bits[n:])
+	return true
+}
+
+func fill(ids []NetID) {
+	for i := range ids {
+		ids[i] = noNet
+	}
+}
+
+// bitNet returns the net of bit i of a symbol, creating it if no net has
+// its full name yet.
+func (b *Builder) bitNet(sy *symbol, i int) NetID {
+	buf := append(append(b.buf[:0], sy.stem.Base...), '<')
+	buf = append(strconv.AppendInt(buf, int64(i), 10), '>')
+	bitBase := len(buf)
+	buf = append(buf, sy.stem.Suffix...)
 	b.buf = buf
+	if id, ok := b.names[string(buf)]; ok {
+		return id
+	}
+	name := string(buf)
+	return b.newNet(name, name[:bitBase], sy.assert)
 }
 
 // SetWire overrides the interconnection delay of every given net (§2.5.3,
@@ -229,6 +387,9 @@ func (b *Builder) broadcast(port []Conn, width int, prim, name string) []Conn {
 }
 
 func (b *Builder) addPrim(p Prim) PrimID {
+	if n := len(b.d.Prims); n == cap(b.d.Prims) && n < b.wantPrims {
+		b.d.Prims = regrow(b.d.Prims, b.wantPrims)
+	}
 	id := PrimID(len(b.d.Prims))
 	b.d.Prims = append(b.d.Prims, p)
 	return id
@@ -475,10 +636,13 @@ func Assign(base string, v values.Value) CaseAssign {
 func (b *Builder) Err() error { return b.err }
 
 // Build validates the design, computes fanout lists, and returns it.
+// It drops the Builder's name and symbol tables, so the Builder must not
+// be used afterwards.
 func (b *Builder) Build() (*Design, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	b.names, b.syms, b.symIdx = nil, nil, nil
 	b.d.RebuildFanout()
 	if err := b.d.Check(); err != nil {
 		return nil, err

@@ -87,8 +87,8 @@ func (f *fnvSum) rngPtr(r *tick.Range) {
 
 // Fingerprint returns the full content hash of the design: every field
 // the verifier or the report renderer reads.  Fanout indices and the
-// levelization cache are derived state and excluded; byName is excluded
-// because it mirrors Nets[i].Name.
+// levelization cache are derived state and excluded; the name index is
+// excluded because it mirrors Nets[i].Name.
 func Fingerprint(d *Design) uint64 {
 	f := newFNV()
 	f.str(d.Name)

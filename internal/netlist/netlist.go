@@ -217,7 +217,10 @@ type Design struct {
 	Params   []Param
 	DelayFns []DelayFn
 
-	byName map[string]NetID
+	// names indexes Nets by full name.  Only NetByName and NewNet need
+	// it, so it is built on the first call to either, not with the
+	// design.
+	names atomic.Pointer[map[string]NetID]
 
 	// level caches the SCC condensation + levelization of the primitive
 	// graph (Levelization).  It is derived from the fanout index;
@@ -266,8 +269,8 @@ func (d *Design) WithCases(cases []Case) *Design {
 		Cases:         cases,
 		Params:        d.Params,
 		DelayFns:      d.DelayFns,
-		byName:        d.byName,
 	}
+	nd.names.Store(d.names.Load())
 	if lv := d.level.Load(); lv != nil {
 		nd.level.Store(lv)
 	}
@@ -291,10 +294,28 @@ func (d *Design) Env() assertion.Env {
 	}
 }
 
-// NetByName finds a net by its full name.
+// NetByName finds a net by its full name.  The first call builds the
+// name index; calls may run concurrently.
 func (d *Design) NetByName(name string) (NetID, bool) {
-	id, ok := d.byName[name]
+	id, ok := d.nameIndex()[name]
 	return id, ok
+}
+
+// nameIndex returns the full-name index of Nets, building it on first
+// use.  Two racing first calls may both build one; the first published
+// wins and the other is dropped.
+func (d *Design) nameIndex() map[string]NetID {
+	if m := d.names.Load(); m != nil {
+		return *m
+	}
+	m := make(map[string]NetID, len(d.Nets))
+	for i := range d.Nets {
+		m[d.Nets[i].Name] = NetID(i)
+	}
+	if !d.names.CompareAndSwap(nil, &m) {
+		return *d.names.Load()
+	}
+	return m
 }
 
 // BaseMatches reports whether a net's base name belongs to the logical
@@ -312,17 +333,16 @@ func BaseMatches(netBase, sigBase string) bool {
 
 // NewNet appends a net to an existing design — the hook for design
 // transforms such as automatic CORR insertion — keeping the name index
-// consistent.  The name must be unused.
+// consistent.  The name must be unused.  Like any structural edit, it
+// must not run concurrently with other use of the design.
 func (d *Design) NewNet(name, base string) (NetID, error) {
-	if d.byName == nil {
-		d.byName = make(map[string]NetID)
-	}
-	if _, dup := d.byName[name]; dup {
+	names := d.nameIndex()
+	if _, dup := names[name]; dup {
 		return 0, fmt.Errorf("netlist: net %q already exists", name)
 	}
 	id := NetID(len(d.Nets))
 	d.Nets = append(d.Nets, Net{Name: name, Base: base, Driver: NoDriver})
-	d.byName[name] = id
+	names[name] = id
 	return id, nil
 }
 

@@ -1,7 +1,9 @@
 package netlist
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"scaldtv/internal/tick"
@@ -83,6 +85,41 @@ func TestBuilderNetDeduplication(t *testing.T) {
 	for i := range v1 {
 		if v1[i] != v2[i] {
 			t.Error("vector bits not deduplicated")
+		}
+	}
+}
+
+// TestBuilderReserveStaged gives Reserve counts far beyond what the
+// design builds: each table holds room for firstStage entries until it
+// is full, and then for no more than maxAhead, so overstated counts
+// cost little.  Counts that are right leave the tables exactly full.
+func TestBuilderReserveStaged(t *testing.T) {
+	for _, c := range []struct {
+		want, nets, capAfter int
+	}{
+		{1 << 30, 3, firstStage},
+		{1 << 30, firstStage + 1, maxAhead},
+		{firstStage + 5, firstStage + 5, firstStage + 5},
+		{3, 3, 3},
+	} {
+		b := NewBuilder("staged")
+		b.SetPeriod(50 * tick.NS)
+		b.Reserve(c.want, c.want)
+		if want := min(c.want, firstStage); cap(b.d.Nets) != want || cap(b.d.Prims) != want {
+			t.Errorf("Reserve(%d): capacities %d and %d, want %d", c.want, cap(b.d.Nets), cap(b.d.Prims), want)
+		}
+		for i := 0; i < c.nets; i++ {
+			id := b.Net(fmt.Sprintf("N%d", i))
+			b.Buf(fmt.Sprintf("B%d", i), tick.R(1, 2), []NetID{id}, Conns(id))
+		}
+		if cap(b.d.Nets) != c.capAfter || cap(b.d.Prims) != c.capAfter {
+			t.Errorf("Reserve(%d), %d nets: capacities %d and %d, want %d",
+				c.want, c.nets, cap(b.d.Nets), cap(b.d.Prims), c.capAfter)
+		}
+		for i := 0; i < c.nets; i++ {
+			if id := b.Net(fmt.Sprintf("N%d", i)); id != NetID(i) {
+				t.Errorf("Reserve(%d): net N%d is %d after the tables grew", c.want, i, id)
+			}
 		}
 	}
 }
@@ -260,6 +297,36 @@ func TestNetByName(t *testing.T) {
 	}
 	if _, ok := des.NetByName("BAR"); ok {
 		t.Error("phantom net found")
+	}
+}
+
+// TestNetByNameConcurrent looks names up from several goroutines at
+// once, on a design and on its WithCases and PinParams copies, taken both
+// before and after the design's name index is built.  Run it with -race.
+func TestNetByNameConcurrent(t *testing.T) {
+	b := NewBuilder("names")
+	b.SetPeriod(50 * tick.NS)
+	bus := b.Vector("BUS .S0-4", 16)
+	des := b.MustBuild()
+	designs := []*Design{des, des.WithCases(nil), des.PinParams(des.ParamDefaults())}
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for _, d := range designs {
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(d *Design) {
+					defer wg.Done()
+					for i, want := range bus {
+						if got, ok := d.NetByName(fmt.Sprintf("BUS<%d> .S0-4", i)); !ok || got != want {
+							t.Errorf("NetByName(BUS<%d> .S0-4) = %d, %v, want %d", i, got, ok, want)
+						}
+					}
+				}(d)
+			}
+		}
+		wg.Wait()
+		// Copies taken once the index exists share it.
+		designs = append(designs, des.WithCases(nil), des.PinParams(des.ParamDefaults()))
 	}
 }
 

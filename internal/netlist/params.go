@@ -123,7 +123,7 @@ func (d *Design) ParamValues(overrides map[string]float64) ([]float64, error) {
 // evaluated at the given parameter vector: a plain constant-delay design
 // the engine (and the differential logicsim layer) can run without any
 // knowledge of parameters.  The clone shares nets, cases and the name
-// index with the original — only the primitive table is copied, since
+// index (once built) with the original — only the primitive table is copied, since
 // only Prim.Delay values change — and carries over the levelization
 // cache (structure-derived) but NOT the compiled-engine cache, whose
 // seed image and memo tables were built under the original delays.
@@ -144,8 +144,8 @@ func (d *Design) PinParams(vals []float64) *Design {
 		Nets:          d.Nets,
 		Prims:         append([]Prim(nil), d.Prims...),
 		Cases:         d.Cases,
-		byName:        d.byName,
 	}
+	nd.names.Store(d.names.Load())
 	for i := range nd.Prims {
 		if fn := nd.Prims[i].Fn; fn > 0 {
 			nd.Prims[i].Delay = d.DelayFns[fn-1].Eval(vals)

@@ -154,6 +154,10 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 		return nil, err
 	}
 
+	slotNet := make([]netlist.NetID, len(v0.wiredSlot))
+	for key, slot := range v0.wiredSlot {
+		slotNet[slot] = netlist.NetID(key[0])
+	}
 	perCase := make([]*verifier, len(cases))
 	for ci := range cases {
 		cs := &snap.Cases[ci]
@@ -169,11 +173,17 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 			return nil, err
 		}
 		for i, sig := range cs.Sigs {
+			if err := checkPeriod(d, cs.Label, netlist.NetID(i), sig.Wave); err != nil {
+				return nil, err
+			}
 			rc.setSig(netlist.NetID(i), sig)
 		}
 		for _, nw := range cs.AltOut {
 			if nw.Net < 0 || int(nw.Net) >= len(d.Nets) {
 				return nil, fmt.Errorf("verify: snapshot case %q pins net %d out of range", cs.Label, nw.Net)
+			}
+			if err := checkPeriod(d, cs.Label, nw.Net, nw.Wave); err != nil {
+				return nil, err
 			}
 			rc.altOutW[nw.Net] = nw.Wave
 			rc.altOutSet[nw.Net] = true
@@ -181,6 +191,9 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 		for _, sw := range cs.WiredOut {
 			if sw.Slot < 0 || sw.Slot >= len(rc.wiredOutW) {
 				return nil, fmt.Errorf("verify: snapshot case %q names wired-OR slot %d out of range", cs.Label, sw.Slot)
+			}
+			if err := checkPeriod(d, cs.Label, slotNet[sw.Slot], sw.Wave); err != nil {
+				return nil, err
 			}
 			rc.wiredOutW[sw.Slot] = sw.Wave
 			rc.wiredOutSet[sw.Slot] = true
@@ -428,6 +441,16 @@ func (d *decBuf) wave() values.Waveform {
 		}
 	}
 	return w
+}
+
+// checkPeriod rejects a restored waveform whose period is not the
+// design's: the engine combines waveforms segment by segment over one
+// period, so a foreign period cannot be resumed from.
+func checkPeriod(d *netlist.Design, label string, n netlist.NetID, w values.Waveform) error {
+	if w.Period != d.Period {
+		return fmt.Errorf("verify: snapshot case %q net %q has period %v, design period is %v", label, d.Nets[n].Name, w.Period, d.Period)
+	}
+	return nil
 }
 
 // UnmarshalSnapshot decodes a snapshot blob, rejecting wrong magic,

@@ -3,10 +3,12 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"scaldtv/internal/gen"
 	"scaldtv/internal/netlist"
+	"scaldtv/internal/values"
 )
 
 // The snapshot property under test: marshal → unmarshal → Restore on an
@@ -219,5 +221,42 @@ func TestSnapshotRestoreRejects(t *testing.T) {
 	}
 	if netlist.Fingerprint(other) == snap.DesignFP {
 		t.Error("fingerprint collision between distinct designs")
+	}
+}
+
+// TestSnapshotRestoreRejectsForeignPeriod requires Restore to refuse a
+// snapshot whose waveforms do not span the design's clock period, naming
+// the case and the net, instead of resuming from them.
+func TestSnapshotRestoreRejectsForeignPeriod(t *testing.T) {
+	d, _, err := gen.Generate(gen.Config{Chips: 51, Cases: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 1}
+	V := NewVerifier(d, opts)
+	if _, err := V.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := V.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := range snap.Cases {
+		for i := range snap.Cases[ci].Sigs {
+			snap.Cases[ci].Sigs[i].Wave = values.Const(d.Period/2, values.VS)
+		}
+	}
+	data, err := snap.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := UnmarshalSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Restore(d, opts, decoded)
+	want := fmt.Sprintf("snapshot case %q net %q has period", snap.Cases[0].Label, d.Nets[0].Name)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Restore error %v, want one containing %q", err, want)
 	}
 }
