@@ -222,9 +222,10 @@ func run() int {
 	opts.Margins = *slack > 0
 	var res *scaldtv.Result
 	if st != nil && (opts.Explore || !scaldtv.IsWorstCase(opts.Delays)) {
-		// Restored snapshots cannot carry the exploration, statistical or
-		// margin-surface sections, so these modes always run the engine
-		// directly.
+		// -explore rewrites the case list, which a stored fixed point of
+		// the declared cases cannot answer, so it always runs the engine.
+		// The delay models stay off the store too, as in the server's
+		// stateless verify, where corner queries need the live Result.
 		fmt.Fprintln(os.Stderr, "scaldtv: store: bypassed (-explore/-delays run the engine directly)")
 		st = nil
 	}

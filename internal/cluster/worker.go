@@ -103,7 +103,7 @@ func (w *Worker) runJob(r *http.Request, job *SubJob) *SubResult {
 
 	// Whole-run source-text fast path: answer from the persistent store
 	// before even compiling (explore runs always execute, as in the
-	// standalone daemon — snapshots cannot carry the exploration section).
+	// standalone daemon — exploration rewrites the case list).
 	useStore := w.cfg.Store != nil && job.WholeRun() && !opts.Explore
 	if useStore {
 		if rep, ok := w.cfg.Store.ServeReportSource(job.Source, opts); ok {

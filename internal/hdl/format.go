@@ -102,16 +102,7 @@ func Format(f *File) string {
 
 // fmtName quotes a name when it cannot stand as a bare identifier.
 func fmtName(s string) string {
-	bare := s != ""
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		ok := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' ||
-			(i > 0 && (c >= '0' && c <= '9' || c == '.'))
-		if !ok {
-			bare = false
-			break
-		}
-	}
+	bare := isIdent(s)
 	// Bare words that collide with keywords or primitive kinds must be
 	// quoted too.
 	lower := strings.ToLower(s)
@@ -128,6 +119,24 @@ func fmtName(s string) string {
 	}
 	return fmt.Sprintf("%q", s)
 }
+
+// isIdent reports whether s lexes as one bare identifier token.
+func isIdent(s string) bool {
+	if s == "" || !isIdentStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isIdentBody(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// bareKey reports whether an instance label or parameter name can stand
+// unquoted: an identifier that the parser does not read as a property
+// key.
+func bareKey(s string) bool { return isIdent(s) && !propKeys[strings.ToLower(s)] }
 
 func fmtTime(t tick.Time) string {
 	return t.String() + "ns"
@@ -210,12 +219,31 @@ func fmtInstance(inst *Instance) string {
 		sb.WriteString(" " + fmtName(inst.Macro))
 	}
 	if inst.Label != "" {
-		sb.WriteString(" " + fmtName(inst.Label))
+		label := fmtName(inst.Label)
+		if !bareKey(inst.Label) {
+			label = fmt.Sprintf("%q", inst.Label)
+		}
+		sb.WriteString(" " + label)
 	}
+	// Only the slot after the kind (or macro name) may hold a quoted
+	// name — a label, or a use's first parameter binding — so a binding
+	// whose name cannot stand bare is printed first, and quoted.
 	params := slices.Clone(inst.ParamVals)
-	slices.SortFunc(params, func(a, b ParamVal) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(params, func(a, b ParamVal) int {
+		if qa, qb := !bareKey(a.Name), !bareKey(b.Name); qa != qb {
+			if qa {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(a.Name, b.Name)
+	})
 	for _, pv := range params {
-		fmt.Fprintf(&sb, " %s=%s", pv.Name, fmtExpr(pv.Val))
+		key := pv.Name
+		if !bareKey(key) {
+			key = fmt.Sprintf("%q", key)
+		}
+		fmt.Fprintf(&sb, " %s=%s", key, fmtExpr(pv.Val))
 	}
 	if inst.HasDelay {
 		fmt.Fprintf(&sb, " delay=(%s,%s)", inst.Delay.Min, inst.Delay.Max)

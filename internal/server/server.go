@@ -442,9 +442,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeReport(rep, store.Provenance(prov))
 		return
 	}
-	// Restored snapshots cannot carry the statistical or margin-surface
-	// report sections, so non-worst-case delay models always run the
-	// engine directly, exactly as the scaldtv driver does.
+	// Corner queries are answered from the live Result's margin surface,
+	// which stored report bytes cannot give, so non-worst-case delay
+	// models always run the engine directly, exactly as the scaldtv CLI
+	// does.
 	useStore := s.cfg.Store != nil && scaldtv.IsWorstCase(opts.Delays)
 	if useStore {
 		// Source-text fast path: an exact repeat of a verified request is
@@ -585,9 +586,9 @@ func cornerResponse(res *scaldtv.Result, rep []byte, corners []map[string]float6
 // with the JSON report carrying the exploration section (and, with
 // ?delays=statistical, per-site violation probabilities).  The response
 // is byte-identical to `scaldtv -explore -json` for the same input.
-// Restored snapshots cannot carry the exploration section, so this
-// endpoint always runs the engine — there is no store fast path — and
-// provenance is simply absent.
+// Exploration rewrites the case list, which a stored fixed point of the
+// declared cases cannot answer, so this endpoint always runs the engine —
+// there is no store fast path — and provenance is simply absent.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -141,6 +143,50 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `"incremental": true`) {
 		t.Errorf("edit after restore was not incremental:\n%s", body)
+	}
+}
+
+// TestStoreKeepsDelayModelsApart: a store shared by statistical sessions
+// and worst-case verifies answers each from its own model.  A repeated
+// statistical session create is served from the store with the same
+// report, site probabilities included, and a worst-case verify of the
+// same source is never answered with the statistical report.
+func TestStoreKeepsDelayModelsApart(t *testing.T) {
+	_, ts := newTestServer(t, Config{Store: testStore(t)})
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "quickstart", "quickstart.scald"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := func() sessionEnvelope {
+		t.Helper()
+		resp, body := post(t, ts.URL+"/v1/sessions?lib=1&delays=statistical", string(src))
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create: status %d: %s", resp.StatusCode, body)
+		}
+		var env sessionEnvelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	cold, again := create(), create()
+	if cold.Provenance != "cold" || again.Provenance != "cached" {
+		t.Errorf("session provenances %q then %q, want cold then cached", cold.Provenance, again.Provenance)
+	}
+	if !bytes.Contains(again.Report, []byte(`"site_probs"`)) {
+		t.Errorf("cached statistical session report lost its site probabilities:\n%s", again.Report)
+	}
+	if !bytes.Equal(again.Report, cold.Report) {
+		t.Errorf("cached statistical session report differs from cold\n--- got ---\n%s\n--- want ---\n%s", again.Report, cold.Report)
+	}
+
+	resp, got := post(t, ts.URL+"/v1/verify?lib=1", string(src))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("verify: status %d: %s", resp.StatusCode, got)
+	}
+	if want := cliJSON(t, string(src), scaldtv.Options{}); !bytes.Equal(got, want) {
+		t.Errorf("worst-case verify (provenance %q) differs from scaldtv -json\n--- got ---\n%s\n--- want ---\n%s",
+			resp.Header.Get("X-Scaldtv-Provenance"), got, want)
 	}
 }
 

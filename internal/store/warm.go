@@ -83,7 +83,10 @@ func (s *Store) ServeReportSource(src string, opts verify.Options) ([]byte, bool
 // needs the compiled primitive count), so two option sets that resolve
 // to the same cap can map to different source keys — that only costs a
 // duplicate store entry, never a wrong answer, because GetBySource
-// validates the stored source byte for byte.
+// validates the stored source byte for byte.  The explore flag and the
+// delay model are mixed as verify.Fingerprint mixes them, except for a
+// plain worst-case run, whose key keeps its original bytes so existing
+// stores still answer it.
 func SourceKey(src string, opts verify.Options) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -108,6 +111,9 @@ func SourceKey(src string, opts verify.Options) uint64 {
 	for _, id := range ids {
 		mix(uint64(id))
 		mix(opts.Force[id].Fingerprint())
+	}
+	if opts.Explore || !verify.IsWorstCase(opts.Delays) {
+		verify.MixModes(opts, mix)
 	}
 	return h
 }

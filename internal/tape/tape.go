@@ -7,9 +7,9 @@
 // and a flat span of its input connections; per net, a preallocated
 // initial waveform slot (the §2.9 step-1 seed, already interned) so a run
 // seeds by copying handles instead of re-rendering assertions and
-// re-hashing 80 000 waveforms.  Evaluation runs simple gates on the packed
-// seven-value truth tables of internal/values and everything else on the
-// generic evaluator (Eval).
+// re-hashing 80 000 waveforms.  Every primitive is evaluated by
+// eval.PrimA, the evaluator the memo-free reference engine uses, so the
+// two engines share one set of §2.4.2 truth tables.
 //
 // A Program also owns the run-to-run persistent state: the waveform
 // interner, the evaluation memo and the negative cache of clean constraint
@@ -18,9 +18,9 @@
 // never needs an invalidation walk — stale entries are simply never hit —
 // and a warm re-run of an unchanged design is served almost entirely from
 // the tables.  Reports are bit-identical to the memo-free reference
-// engine: the gate tables are segment-exact (values.CombineTableA), the
-// sweep order is the confluent wavefront schedule, and the caches only
-// ever return what evaluation would recompute.
+// engine: evaluation is the same function, the sweep order is the
+// confluent wavefront schedule, and the caches only ever return what
+// evaluation would recompute.
 //
 // The Program hangs off the design's engine-cache slot
 // (netlist.Design.EngineCache); structural edits clear it via
@@ -205,15 +205,3 @@ func For(d *netlist.Design) (*Program, error) {
 
 // Seeds returns the current seed image.
 func (p *Program) Seeds() *Seeds { return p.seeds.Load() }
-
-// Eval evaluates one primitive: simple gates on the packed seven-value
-// truth tables (eval.GateTableA), everything else on the generic
-// evaluator.  The choice follows the primitive's current kind, never a
-// compile-time record: netlist.Diff lets an edit swap one same-shape gate
-// kind for another (AND for CHG, say) and keep the program.
-func Eval(d *netlist.Design, pr *netlist.Prim, get eval.Getter, a *values.Arena) ([]eval.Signal, error) {
-	if eval.TableKind(pr.Kind) {
-		return eval.GateTableA(d, pr, get, a)
-	}
-	return eval.PrimA(d, pr, get, a)
-}

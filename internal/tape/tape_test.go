@@ -3,7 +3,6 @@ package tape
 import (
 	"testing"
 
-	"scaldtv/internal/eval"
 	"scaldtv/internal/gen"
 	"scaldtv/internal/netlist"
 )
@@ -71,51 +70,6 @@ func TestCompileClassification(t *testing.T) {
 		if k != int(span[1]) {
 			t.Fatalf("prim %d: span [%d,%d) but %d conns", pi, span[0], span[1], k-int(span[0]))
 		}
-	}
-}
-
-// TestEvalFollowsKind: Eval picks the gate tables or the generic
-// evaluator from the primitive's current kind, so a same-shape swap of a
-// table gate for CHG on an already-compiled design evaluates as CHG.
-func TestEvalFollowsKind(t *testing.T) {
-	d := testDesign(t, 101)
-	p, err := Compile(d)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	seeds := p.Seeds()
-	get := func(n netlist.NetID) eval.Signal { return eval.Signal{Wave: seeds.Initial[n]} }
-	swapped := 0
-	for pi := range d.Prims {
-		pr := &d.Prims[pi]
-		if !eval.TableKind(pr.Kind) || len(pr.In) < 2 {
-			continue
-		}
-		orig := pr.Kind
-		for _, k := range []netlist.Kind{orig, netlist.KChg} {
-			pr.Kind = k
-			got, err := Eval(d, pr, get, nil)
-			if err != nil {
-				t.Fatalf("prim %d as %v: %v", pi, k, err)
-			}
-			want, err := eval.PrimA(d, pr, get, nil)
-			if err != nil {
-				t.Fatalf("prim %d as %v: generic: %v", pi, k, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("prim %d as %v: %d outputs, generic %d", pi, k, len(got), len(want))
-			}
-			for i := range got {
-				if !got[i].Wave.Equal(want[i].Wave) || got[i].Dirs != want[i].Dirs {
-					t.Errorf("prim %d as %v output %d: %v, generic %v", pi, k, i, got[i], want[i])
-				}
-			}
-		}
-		pr.Kind = orig
-		swapped++
-	}
-	if swapped == 0 {
-		t.Fatal("design has no multi-input table gates")
 	}
 }
 

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"scaldtv/internal/gen"
@@ -87,6 +88,20 @@ func sameReports(t *testing.T, tag string, a, b *Result) {
 	}
 	if len(a.Undefined) != len(b.Undefined) {
 		t.Fatalf("%s: undefined listings differ: %v vs %v", tag, a.Undefined, b.Undefined)
+	}
+	if len(a.SiteProbs) != len(b.SiteProbs) {
+		t.Fatalf("%s: site-probability counts differ: %d vs %d", tag, len(a.SiteProbs), len(b.SiteProbs))
+	}
+	for i := range a.SiteProbs {
+		if a.SiteProbs[i] != b.SiteProbs[i] {
+			t.Errorf("%s: site probability %d differs: %+v vs %+v", tag, i, a.SiteProbs[i], b.SiteProbs[i])
+		}
+	}
+	if (a.MarginSurface == nil) != (b.MarginSurface == nil) {
+		t.Fatalf("%s: margin surface present %v vs %v", tag, a.MarginSurface != nil, b.MarginSurface != nil)
+	}
+	if a.MarginSurface != nil && !reflect.DeepEqual(a.MarginSurface.Sites, b.MarginSurface.Sites) {
+		t.Errorf("%s: margin surface sites differ:\n  %+v\n  %+v", tag, a.MarginSurface.Sites, b.MarginSurface.Sites)
 	}
 	for ci := range a.Cases {
 		aw, bw := a.Cases[ci].Waves, b.Cases[ci].Waves

@@ -81,10 +81,13 @@ func (V *Verifier) VerifyContext(ctx context.Context) (*Result, error) {
 	return V.run(ctx, true)
 }
 
-// run is the full-verification engine behind both the package-level Run
-// (retain=false) and Verifier.Verify (retain=true).
-func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
-	d := V.d
+// setup resolves the session's effective options and design.  run calls
+// it before every full run and Restore before it installs a snapshot, so
+// a restored session is set up exactly like a live one.  A non-worst-case
+// delay model collects margins for its post-pass (delayModelPass strips
+// them again), and the analytic model pins the design at its parameter
+// point.  Repeated calls change nothing.
+func (V *Verifier) setup() error {
 	if !IsWorstCase(V.opts.Delays) && !V.opts.Margins {
 		// The statistical and analytic post-passes read every constraint
 		// outcome, so collect margins internally and strip them before
@@ -92,18 +95,115 @@ func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
 		V.opts.Margins = true
 		V.statMargins = true
 	}
-	if am, ok := V.opts.analytic(); ok && !V.pinned {
-		// Analytic mode: resolve the parameter point θ0 (declared
-		// defaults plus the model's overrides) and pin the design there.
-		// The relaxation then runs on plain constant delays; the symbolic
-		// surface is rebuilt by fillMarginSurface after the merge.
-		vals, err := d.ParamValues(am.Params)
-		if err != nil {
-			return nil, serr.Wrap(serr.Elaborate, err)
-		}
-		d = d.PinParams(vals)
-		V.d, V.pinVals, V.pinned = d, vals, true
+	if V.pinned {
+		return nil
 	}
+	d, err := V.pin(V.d)
+	if err != nil {
+		return err
+	}
+	V.d = d
+	return nil
+}
+
+// pin returns d pinned at the analytic model's parameter point θ0
+// (declared defaults plus the model's overrides) and records that point;
+// under any other model it returns d.  The relaxation then runs on plain
+// constant delays; the symbolic surface is rebuilt by fillMarginSurface
+// after the merge.
+func (V *Verifier) pin(d *netlist.Design) (*netlist.Design, error) {
+	am, ok := V.opts.analytic()
+	if !ok {
+		return d, nil
+	}
+	vals, err := d.ParamValues(am.Params)
+	if err != nil {
+		return nil, serr.Wrap(serr.Elaborate, err)
+	}
+	V.pinVals, V.pinned = vals, true
+	return d.PinParams(vals), nil
+}
+
+// caseList returns the design's cases; an empty design-case list means a
+// single unmapped cycle.
+func caseList(d *netlist.Design) []netlist.Case {
+	if len(d.Cases) == 0 {
+		return []netlist.Case{{Label: ""}}
+	}
+	return d.Cases
+}
+
+// dispatch runs job once per case index and returns the outcomes in
+// declared case order.  With one worker the jobs run in order on the
+// calling goroutine and stop at the first error; otherwise a pool of
+// workers goroutines takes them in any order, and each outcome lands in
+// the slot of its case index.
+func dispatch(nCases, workers int, job func(ci int) caseOutcome) []caseOutcome {
+	outs := make([]caseOutcome, nCases)
+	if workers == 1 {
+		for ci := range outs {
+			if outs[ci] = job(ci); outs[ci].err != nil {
+				break
+			}
+		}
+		return outs
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ci := range jobs {
+				outs[ci] = job(ci)
+			}
+		}()
+	}
+	for ci := range outs {
+		jobs <- ci
+	}
+	close(jobs)
+	wg.Wait()
+	return outs
+}
+
+// finish merges per-case outcomes into res in declared case order — the
+// ordering contract on Result.Violations and Result.Margins — records
+// the run's counters and runs the delay-model post-pass.  Full runs,
+// resumed runs and restored sessions all end here, so each reports
+// exactly what a from-scratch run of its design reports.  prog is nil
+// for the Reference engine.
+func (V *Verifier) finish(res *Result, outs []caseOutcome, workers int, wallStart time.Time, prog *tape.Program) error {
+	for _, o := range outs {
+		if o.err != nil {
+			return o.err
+		}
+		res.Cases = append(res.Cases, o.cr)
+		res.Violations = append(res.Violations, o.cr.Violations...)
+		res.Margins = append(res.Margins, o.margins...)
+		res.Stats.Events += o.cr.Events
+		res.Stats.PrimEvals += o.cr.PrimEvals
+		res.Stats.VerifyTime += o.verifyTime
+		res.Stats.CheckTime += o.checkTime
+		res.Stats.ReusedWaves += o.reused
+		res.Stats.Sweeps += o.sweeps
+	}
+	res.Stats.Cases = len(res.Cases)
+	res.Stats.Workers = workers
+	res.Stats.WallTime = time.Since(wallStart)
+	if prog != nil {
+		progStats(prog, &res.Stats)
+	}
+	return V.delayModelPass(res)
+}
+
+// run is the full-verification engine behind both the package-level Run
+// (retain=false) and Verifier.Verify (retain=true).
+func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
+	if err := V.setup(); err != nil {
+		return nil, err
+	}
+	d := V.d
 	var prog *tape.Program
 	var compileTime time.Duration
 	if V.ref {
@@ -134,92 +234,49 @@ func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
 	res.Stats.BuildTime = time.Since(buildStart)
 	res.Stats.TapeCompileTime = compileTime
 
-	// The case list: an empty design-case list means a single unmapped
-	// cycle.
-	cases := d.Cases
-	if len(cases) == 0 {
-		cases = []netlist.Case{{Label: ""}}
-	}
+	cases := caseList(d)
 	workers := V.opts.workers(len(cases))
-
 	perCase := make([]*verifier, len(cases))
-	wallStart := time.Now()
-	outs := make([]caseOutcome, len(cases))
+	var job func(ci int) caseOutcome
 	if workers == 1 {
 		// Sequential schedule: the first case relaxes the whole circuit,
 		// every later case reevaluates only its affected cone (§2.7).
 		// With retention on, each case's converged state is snapshotted
 		// before the shared verifier moves on.
-		for ci := range cases {
+		job = func(ci int) caseOutcome {
 			if retain {
 				v.sites = make([]siteChecks, len(d.Prims))
 			}
-			outs[ci] = v.runCase(cases[ci], ci == 0)
-			if outs[ci].err != nil {
-				break
-			}
-			if retain {
+			o := v.runCase(cases[ci], ci == 0)
+			if retain && o.err == nil {
 				snap := v.snapshot()
 				snap.sites, v.sites = v.sites, nil
 				perCase[ci] = snap
 			}
+			return o
 		}
 	} else {
 		// Concurrent schedule: each case is an independent relaxation to
-		// fixed point from a clone of the initialised snapshot, on a
-		// bounded worker pool.  Results land in the slot of their case
-		// index, so the merge below is in declared case order no matter
-		// which worker finishes first.  The clone that ran a case holds
-		// its converged state and is retained directly.
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ci := range jobs {
-					cv := v.clone()
-					if retain {
-						cv.sites = make([]siteChecks, len(d.Prims))
-					}
-					outs[ci] = cv.runCase(cases[ci], true)
-					if retain {
-						perCase[ci] = cv
-					} else if outs[ci].err == nil {
-						cv.releaseRunState()
-					}
-				}
-			}()
+		// fixed point from a clone of the initialised snapshot.  The clone
+		// that ran a case holds its converged state and is retained
+		// directly.
+		job = func(ci int) caseOutcome {
+			cv := v.clone()
+			if retain {
+				cv.sites = make([]siteChecks, len(d.Prims))
+			}
+			o := cv.runCase(cases[ci], true)
+			if retain {
+				perCase[ci] = cv
+			} else if o.err == nil {
+				cv.releaseRunState()
+			}
+			return o
 		}
-		for ci := range cases {
-			jobs <- ci
-		}
-		close(jobs)
-		wg.Wait()
 	}
-
-	// Merge in declared case order: the ordering contract on
-	// Result.Violations and Result.Margins.
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		res.Cases = append(res.Cases, o.cr)
-		res.Violations = append(res.Violations, o.cr.Violations...)
-		res.Margins = append(res.Margins, o.margins...)
-		res.Stats.Events += o.cr.Events
-		res.Stats.PrimEvals += o.cr.PrimEvals
-		res.Stats.VerifyTime += o.verifyTime
-		res.Stats.CheckTime += o.checkTime
-		res.Stats.Sweeps += o.sweeps
-	}
-	res.Stats.Cases = len(res.Cases)
-	res.Stats.Workers = workers
-	res.Stats.WallTime = time.Since(wallStart)
-	if prog != nil {
-		progStats(prog, &res.Stats)
-	}
-	if err := V.delayModelPass(res); err != nil {
+	wallStart := time.Now()
+	outs := dispatch(len(cases), workers, job)
+	if err := V.finish(res, outs, workers, wallStart, prog); err != nil {
 		return nil, err
 	}
 	if retain {
@@ -336,63 +393,23 @@ func (V *Verifier) ReverifyContext(ctx context.Context, ch netlist.Changes) (*Re
 	res.Stats.DirtyNets = cone.NetCount
 
 	workers := V.opts.workers(len(V.cases))
-	wallStart := time.Now()
-	outs := make([]caseOutcome, len(V.cases))
 	for _, rc := range V.perCase {
 		rc.ctx = ctx
 	}
-	if workers == 1 {
-		for ci := range V.cases {
-			outs[ci] = V.perCase[ci].reverifyCase(V.cases[ci], ch, dirtyPrim)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ci := range jobs {
-					outs[ci] = V.perCase[ci].reverifyCase(V.cases[ci], ch, dirtyPrim)
-				}
-			}()
-		}
-		for ci := range V.cases {
-			jobs <- ci
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
-	for _, o := range outs {
-		if o.err != nil {
-			// An aborted case left its retained verifier somewhere between
-			// the old and the new fixed point.  Drop all retained state:
-			// the next call falls back to a full Verify, which is by
-			// construction bit-identical to a from-scratch run.
-			V.perCase, V.res = nil, nil
-			return nil, o.err
-		}
-		res.Cases = append(res.Cases, o.cr)
-		res.Violations = append(res.Violations, o.cr.Violations...)
-		res.Margins = append(res.Margins, o.margins...)
-		res.Stats.Events += o.cr.Events
-		res.Stats.PrimEvals += o.cr.PrimEvals
-		res.Stats.VerifyTime += o.verifyTime
-		res.Stats.CheckTime += o.checkTime
-		res.Stats.ReusedWaves += o.reused
-		res.Stats.Sweeps += o.sweeps
-	}
-	res.Stats.Cases = len(res.Cases)
-	res.Stats.Workers = workers
-	res.Stats.WallTime = time.Since(wallStart)
-	res.Stats.ReverifyTime = time.Since(buildStart)
-	progStats(V.perCase[0].prog, &res.Stats)
-	if err := V.delayModelPass(res); err != nil {
-		// As after an aborted case, the next call starts from scratch.
+	wallStart := time.Now()
+	outs := dispatch(len(V.cases), workers, func(ci int) caseOutcome {
+		return V.perCase[ci].reverifyCase(V.cases[ci], ch, dirtyPrim)
+	})
+	if err := V.finish(res, outs, workers, wallStart, tmpl.prog); err != nil {
+		// An aborted case left its retained verifier somewhere between the
+		// old and the new fixed point, and a refused delay-model pass left
+		// the retained result stale.  Drop all retained state: the next
+		// call falls back to a full Verify, which is by construction
+		// bit-identical to a from-scratch run.
 		V.perCase, V.res = nil, nil
 		return nil, err
 	}
+	res.Stats.ReverifyTime = time.Since(buildStart)
 	V.res = res
 	return res, nil
 }
@@ -430,16 +447,11 @@ func (V *Verifier) UpdateContext(ctx context.Context, nd *netlist.Design) (res *
 	if nd == nil {
 		return nil, false, fmt.Errorf("verify: Update with nil design")
 	}
-	if am, ok := V.opts.analytic(); ok {
-		// Re-pin the edited design at the session's parameter point so
-		// the diff compares — and the relaxation runs on — the same
-		// constant-delay view as the retained state.
-		vals, err := nd.ParamValues(am.Params)
-		if err != nil {
-			return nil, false, serr.Wrap(serr.Elaborate, err)
-		}
-		nd = nd.PinParams(vals)
-		V.pinVals, V.pinned = vals, true
+	// Re-pin the edited design at the session's parameter point so the
+	// diff compares — and the relaxation runs on — the same constant-delay
+	// view as the retained state.
+	if nd, err = V.pin(nd); err != nil {
+		return nil, false, err
 	}
 	ch, ok := netlist.Diff(V.d, nd)
 	if !ok || V.perCase == nil {
@@ -456,8 +468,8 @@ func (V *Verifier) UpdateContext(ctx context.Context, nd *netlist.Design) (res *
 	// structures match, so the edited design adopts it — its warm memo
 	// tables included.  Stale numeric parameters are caught by Refresh on
 	// the next full run; the memo keys carry every live parameter, so no
-	// entry needs invalidating, and evaluation reads each primitive's
-	// current kind (tape.Eval), so a same-shape gate swap is safe too.
+	// entry needs invalidating, and evaluation (eval.PrimA) dispatches on
+	// each primitive's current kind, so a same-shape gate swap is safe too.
 	nd.StoreEngineCache(V.perCase[0].prog)
 	res, err = V.ReverifyContext(ctx, ch)
 	return res, err == nil, err
@@ -501,33 +513,13 @@ func (v *verifier) reverifyCase(c netlist.Case, ch netlist.Changes, dirtyPrim []
 		return caseOutcome{err: err}
 	}
 	out := caseOutcome{verifyTime: time.Since(verifyStart), sweeps: v.sweeps}
-
-	checkStart := time.Now()
-	cr := CaseResult{Label: c.Label, Events: v.events, PrimEvals: v.evals}
-	if !conv {
-		cr.Violations = append(cr.Violations, Violation{
-			Kind:   ConvergenceViolation,
-			Case:   c.Label,
-			Detail: fmt.Sprintf("fixed point not reached within %d primitive evaluations", v.passCap()),
-		})
-	}
-	cr.Violations = append(cr.Violations, v.recheck(c.Label, dirtyPrim)...)
-	if v.opts.Margins {
-		out.margins = v.margins
-		v.margins = nil
-	}
-	if v.opts.KeepWaves {
-		cr.Waves = make([]values.Waveform, len(v.sigs))
-		for i, s := range v.sigs {
-			cr.Waves[i] = s.Wave
-		}
-	}
 	for _, moved := range v.changed {
 		if !moved {
 			out.reused++
 		}
 	}
-	out.checkTime = time.Since(checkStart)
-	out.cr = cr
+	v.closeCase(&out, c.Label, conv, func(label string) []Violation {
+		return v.recheck(label, dirtyPrim)
+	})
 	return out
 }

@@ -111,11 +111,11 @@ func (V *Verifier) Snapshot() (*Snapshot, error) {
 // Restore rebuilds a live Verifier session from a snapshot of the given
 // design.  The restored session is equivalent to the one that took the
 // snapshot: its Result carries the same violations, margins, undefined
-// listing and kept waveforms (so reports are byte-identical), and
-// subsequent Reverify/Update calls resume incrementally from the
-// restored fixed point.  Interner handles and the evaluation memo are
-// process-local, so they are rebuilt from scratch — every waveform is
-// re-interned as it is installed.
+// listing, kept waveforms and delay-model sections (so reports are
+// byte-identical), and subsequent Reverify/Update calls resume
+// incrementally from the restored fixed point.  Interner handles and the
+// evaluation memo are process-local, so they are rebuilt from scratch —
+// every waveform is re-interned as it is installed.
 //
 // Violations, margins and the constraint-site memos are recomputed by
 // re-running the (cheap, relaxation-free) checking phase over the
@@ -126,21 +126,24 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 	if snap == nil {
 		return nil, fmt.Errorf("verify: Restore with nil snapshot")
 	}
+	// Set up as a live run does.  An analytic session snapshots its
+	// pinned design, so the pin comes before the fingerprint check.
+	V := NewVerifier(d, opts)
+	if err := V.setup(); err != nil {
+		return nil, err
+	}
+	d = V.d
 	if got := netlist.Fingerprint(d); got != snap.DesignFP {
 		return nil, fmt.Errorf("verify: snapshot is of a different design (fingerprint %016x, want %016x)", snap.DesignFP, got)
 	}
 	if err := d.Check(); err != nil {
 		return nil, err
 	}
-	cases := d.Cases
-	if len(cases) == 0 {
-		cases = []netlist.Case{{Label: ""}}
-	}
+	cases := caseList(d)
 	if len(cases) != len(snap.Cases) {
 		return nil, fmt.Errorf("verify: snapshot has %d cases, design has %d", len(snap.Cases), len(cases))
 	}
 
-	V := NewVerifier(d, opts)
 	buildStart := time.Now()
 	prog, err := tape.For(d)
 	if err != nil {
@@ -149,7 +152,7 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 	if err := prog.Refresh(d); err != nil {
 		return nil, err
 	}
-	v0, res, err := initVerifier(d, opts, prog)
+	v0, res, err := initVerifier(d, V.opts, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -159,6 +162,8 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 		slotNet[slot] = netlist.NetID(key[0])
 	}
 	perCase := make([]*verifier, len(cases))
+	outs := make([]caseOutcome, len(cases))
+	wallStart := time.Now()
 	for ci := range cases {
 		cs := &snap.Cases[ci]
 		if cs.Label != cases[ci].Label {
@@ -200,35 +205,17 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 		}
 
 		// Re-run the checking phase to rebuild the per-site memo and the
-		// result's violations and margins in check's canonical order.
+		// case's violations and margins in check's canonical order.  The
+		// work counters are those of the run that converged.
 		rc.sites = make([]siteChecks, len(d.Prims))
-		viols := rc.check(cs.Label)
-		cr := CaseResult{
-			Label:      cs.Label,
-			Events:     cs.Events,
-			PrimEvals:  cs.PrimEvals,
-			Violations: viols,
-		}
-		if opts.KeepWaves {
-			cr.Waves = make([]values.Waveform, len(rc.sigs))
-			for i, s := range rc.sigs {
-				cr.Waves[i] = s.Wave
-			}
-		}
-		res.Cases = append(res.Cases, cr)
-		res.Violations = append(res.Violations, viols...)
-		if opts.Margins {
-			res.Margins = append(res.Margins, rc.margins...)
-		}
-		rc.margins = nil
-		res.Stats.Events += cs.Events
-		res.Stats.PrimEvals += cs.PrimEvals
+		rc.events, rc.evals = cs.Events, cs.PrimEvals
+		rc.closeCase(&outs[ci], cs.Label, true, rc.check)
 		perCase[ci] = rc
 	}
 
-	res.Stats.Cases = len(cases)
-	res.Stats.Workers = opts.workers(len(cases))
-	progStats(prog, &res.Stats)
+	if err := V.finish(res, outs, V.opts.workers(len(cases)), wallStart, prog); err != nil {
+		return nil, err
+	}
 	res.Stats.BuildTime = time.Since(buildStart)
 	res.Stats.Cached = true
 	V.cases, V.perCase, V.res = cases, perCase, res
@@ -238,7 +225,8 @@ func Restore(d *netlist.Design, opts Options, snap *Snapshot) (*Verifier, error)
 // Fingerprint returns the content address of a verification outcome: the
 // design fingerprint mixed with every option that can influence the
 // report — the resolved pass cap (runs with different caps can disagree
-// on convergence) and the forced waveforms (they replace initial seeds).
+// on convergence), the forced waveforms (they replace initial seeds), and
+// the explore flag and delay model (MixModes).
 // Workers, KeepWaves and Margins are deliberately excluded: the JSON
 // report is bit-identical across all of them (locked by
 // TestJSONReportByteDeterminism), so runs differing only there share one
@@ -266,15 +254,20 @@ func Fingerprint(d *netlist.Design, opts Options) uint64 {
 		mix(uint64(id))
 		mix(opts.Force[id].Fingerprint())
 	}
-	// Result-affecting modes beyond the relaxation parameters: explore
-	// rewrites the case list, statistical mode adds SiteProbs, analytic
-	// mode pins the delays at a parameter point and adds MarginSurface.
-	// Snapshots cannot carry any of those sections, so their results
-	// must never collide with plain runs in the store (the scaldtv
-	// driver additionally skips the store entirely for those modes).
-	// The model contributes its canonical key string — "" for worst
-	// case, "statistical" for the default grid — preserving the
-	// fingerprint bytes of the former string-typed field.
+	MixModes(opts, mix)
+	return h
+}
+
+// MixModes feeds mix the result-affecting modes beyond the relaxation
+// parameters, each of which renders a different report of the same
+// design: explore rewrites the case list, statistical mode adds
+// SiteProbs, and analytic mode pins the delays at a parameter point and
+// adds MarginSurface.  The model contributes its canonical key string —
+// "" for worst case, "statistical" for the default grid — preserving the
+// fingerprint bytes of the former string-typed field.  Fingerprint and
+// store.SourceKey both mix the modes through here, so a stored report of
+// one mode never answers a request for another.
+func MixModes(opts Options, mix func(uint64)) {
 	if opts.Explore {
 		mix(1)
 	} else {
@@ -285,7 +278,6 @@ func Fingerprint(d *netlist.Design, opts Options) uint64 {
 		mix(uint64(b))
 	}
 	mix(uint64(len(key)))
-	return h
 }
 
 // encBuf appends the snapshot wire format: varint-coded integers and

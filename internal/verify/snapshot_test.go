@@ -22,14 +22,17 @@ import (
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	type cfgCase struct {
-		name string
-		cfg  gen.Config
-		ref  bool // compare against Reference instead of Run
+		name   string
+		cfg    gen.Config
+		ref    bool       // compare against Reference instead of Run
+		delays DelayModel // nil for the worst-case model
 	}
 	cfgs := []cfgCase{
-		{"plain", gen.Config{Chips: 34, Cases: 2, Inject: 1}, false},
-		{"varcycle", gen.Config{Chips: 51, VariableCycle: true, Cases: 2}, false},
-		{"intra", gen.Config{Chips: 34, Cases: 2, Inject: 1}, true},
+		{"plain", gen.Config{Chips: 34, Cases: 2, Inject: 1}, false, nil},
+		{"varcycle", gen.Config{Chips: 51, VariableCycle: true, Cases: 2}, false, nil},
+		{"intra", gen.Config{Chips: 34, Cases: 2, Inject: 1}, true, nil},
+		{"statistical", gen.Config{Chips: 34, Cases: 2, Inject: 1}, false, StatisticalDelays{}},
+		{"analytic", gen.Config{Chips: 34, Cases: 2, Inject: 1}, false, AnalyticDelays{}},
 	}
 	const steps = 3
 	for _, workers := range []int{1, 2, 8} {
@@ -45,7 +48,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := Options{Workers: workers, KeepWaves: true, Margins: true}
+				// The delay-model rows leave Margins off, so their post-pass
+				// collects its own margins, as a server session's does.
+				opts := Options{Workers: workers, KeepWaves: true, Margins: c.delays == nil, Delays: c.delays}
 				scratchRun := Run
 				if c.ref {
 					scratchRun = Reference
@@ -54,6 +59,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				res1, err := V1.Verify()
 				if err != nil {
 					t.Fatal(err)
+				}
+				if c.delays != nil && len(res1.SiteProbs) == 0 && (res1.MarginSurface == nil || len(res1.MarginSurface.Sites) == 0) {
+					t.Fatal("the delay-model run reports no site probabilities and no surface sites")
 				}
 
 				snap, err := V1.Snapshot()
@@ -77,14 +85,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 				sameReports(t, "restore", res1, V2.Result())
 
-				// Identically seeded edit sequences on the two design
-				// instances produce identical edits; both sessions must
-				// reverify to identical reports, and match scratch.
+				// Identically seeded edit sequences on the two sessions'
+				// designs (the pinned clones under the analytic model)
+				// produce identical edits; both sessions must reverify to
+				// identical reports, and match scratch.
 				rng1 := rand.New(rand.NewSource(int64(100*ci + workers)))
 				rng2 := rand.New(rand.NewSource(int64(100*ci + workers)))
 				for step := 0; step < steps; step++ {
-					ch1, desc := randomEdit(t, d1, rng1)
-					ch2, _ := randomEdit(t, d2, rng2)
+					ch1, desc := randomEdit(t, V1.Design(), rng1)
+					ch2, _ := randomEdit(t, V2.Design(), rng2)
 					r1, err := V1.Reverify(ch1)
 					if err != nil {
 						t.Fatalf("step %d (%s): live: %v", step, desc, err)
@@ -97,7 +106,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 						t.Fatalf("step %d (%s): restored session fell back to a full run", step, desc)
 					}
 					sameReports(t, fmt.Sprintf("step %d (%s) live vs restored", step, desc), r1, r2)
-					scratch, err := scratchRun(d2, opts)
+					scratch, err := scratchRun(V2.Design(), opts)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -132,7 +132,7 @@ type Stats struct {
 	// forward cone of the edit (the upper bound on revisited work);
 	// ReusedWaves counts converged waveforms carried over unchanged,
 	// summed over all cases.  ReverifyTime is the wall-clock time of the
-	// whole incremental pass, seeding included.
+	// whole incremental pass, from seeding to the delay-model post-pass.
 	Incremental  bool
 	DirtyPrims   int
 	DirtyNets    int
@@ -643,17 +643,27 @@ func (v *verifier) runCase(c netlist.Case, first bool) caseOutcome {
 		return caseOutcome{err: err}
 	}
 	out := caseOutcome{verifyTime: time.Since(verifyStart), sweeps: v.sweeps}
+	v.closeCase(&out, c.Label, conv, v.check)
+	return out
+}
 
+// closeCase completes one case's outcome after its relaxation: the
+// convergence violation when the relaxation stopped at its pass cap, the
+// violations of the checking phase check (a full check, or the memoized
+// recheck of a resumed run), and the margins and kept waveforms the
+// options ask for.  Full runs, resumed runs and restored sessions all end
+// a case here.
+func (v *verifier) closeCase(out *caseOutcome, label string, conv bool, check func(string) []Violation) {
 	checkStart := time.Now()
-	cr := CaseResult{Label: c.Label, Events: v.events, PrimEvals: v.evals}
+	cr := CaseResult{Label: label, Events: v.events, PrimEvals: v.evals}
 	if !conv {
 		cr.Violations = append(cr.Violations, Violation{
 			Kind:   ConvergenceViolation,
-			Case:   c.Label,
+			Case:   label,
 			Detail: fmt.Sprintf("fixed point not reached within %d primitive evaluations", v.passCap()),
 		})
 	}
-	cr.Violations = append(cr.Violations, v.check(c.Label)...)
+	cr.Violations = append(cr.Violations, check(label)...)
 	if v.opts.Margins {
 		out.margins = v.margins
 		v.margins = nil
@@ -666,7 +676,6 @@ func (v *verifier) runCase(c netlist.Case, first bool) caseOutcome {
 	}
 	out.checkTime = time.Since(checkStart)
 	out.cr = cr
-	return out
 }
 
 // applyCase installs the case mapping (§2.7.1) and seeds the worklist: the
@@ -897,7 +906,7 @@ func (v *verifier) evalPrim(pid netlist.PrimID, dst []netlist.NetID) []netlist.N
 		sc.keyBuf = eval.AppendKey(sc.keyBuf[:0], v.d, p, sc.get, sc.wid)
 		var ok bool
 		if outs, ids, ok = v.prog.Evals.Get(sc.keyBuf); !ok {
-			outs, err = tape.Eval(v.d, p, sc.get, sc.arena)
+			outs, err = eval.PrimA(v.d, p, sc.get, sc.arena)
 			if err == nil && outs != nil {
 				ids = make([]uint64, len(outs))
 				for i := range outs {
