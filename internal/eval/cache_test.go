@@ -1,144 +1,37 @@
 package eval
 
 import (
-	"bytes"
 	"testing"
 
-	"scaldtv/internal/netlist"
 	"scaldtv/internal/tick"
 	"scaldtv/internal/values"
 )
 
-// cacheFixture builds a design with two structurally identical AND gates on
-// disjoint nets plus one gate with a different delay, and a signal state
-// where the twin gates see semantically equal inputs.
-func cacheFixture(t *testing.T) (*netlist.Design, Getter, WaveID, *values.Interner) {
-	t.Helper()
-	b := netlist.NewBuilder("cache-fixture")
-	b.SetPeriod(50 * tick.NS)
-	b.SetDefaultWire(tick.R(0, 2))
-	a1, b1 := b.Net("A1 .S0-10"), b.Net("B1 .S5-20")
-	a2, b2 := b.Net("A2 .S0-10"), b.Net("B2 .S5-20")
-	o1, o2, o3 := b.Net("O1"), b.Net("O2"), b.Net("O3")
-	b.Gate(netlist.KAnd, "G1", tick.R(1, 2), []netlist.NetID{o1}, netlist.Conns(a1), netlist.Conns(b1))
-	b.Gate(netlist.KAnd, "G2", tick.R(1, 2), []netlist.NetID{o2}, netlist.Conns(a2), netlist.Conns(b2))
-	b.Gate(netlist.KAnd, "G3", tick.R(1, 3), []netlist.NetID{o3}, netlist.Conns(a1), netlist.Conns(b1))
-	d := b.MustBuild()
-
-	in := values.NewInterner()
-	sigs := make([]Signal, len(d.Nets))
-	ids := make([]uint64, len(d.Nets))
-	env := d.Env()
-	for i := range d.Nets {
-		w := values.Const(d.Period, values.VU)
-		if d.Nets[i].Assert != nil {
-			var err error
-			w, err = d.Nets[i].Assert.Waveform(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		sigs[i].Wave, ids[i] = in.Intern(w)
-	}
-	get := func(n netlist.NetID) Signal { return sigs[n] }
-	id := func(n netlist.NetID) uint64 { return ids[n] }
-	return d, get, id, in
-}
-
-// TestAppendKeyStructuralSharing: identical instances with semantically
-// equal inputs on different nets produce identical keys; a parameter
-// change produces a different key.
-func TestAppendKeyStructuralSharing(t *testing.T) {
-	d, get, id, _ := cacheFixture(t)
-	k1 := AppendKey(nil, d, &d.Prims[0], get, id)
-	k2 := AppendKey(nil, d, &d.Prims[1], get, id)
-	k3 := AppendKey(nil, d, &d.Prims[2], get, id)
-	if !bytes.Equal(k1, k2) {
-		t.Errorf("structurally identical gates key differently:\n%x\n%x", k1, k2)
-	}
-	if bytes.Equal(k1, k3) {
-		t.Error("gates with different delays share a key")
-	}
-}
-
-// TestAppendKeyInputSensitivity: changing one input waveform changes the
-// key; restoring it restores the key.
-func TestAppendKeyInputSensitivity(t *testing.T) {
-	d, _, _, in := cacheFixture(t)
-	sigs := make([]Signal, len(d.Nets))
-	ids := make([]uint64, len(d.Nets))
-	for i := range d.Nets {
-		sigs[i].Wave, ids[i] = in.Intern(values.Const(d.Period, values.VS))
-	}
-	get := func(n netlist.NetID) Signal { return sigs[n] }
-	id := func(n netlist.NetID) uint64 { return ids[n] }
-	p := &d.Prims[0]
-	base := AppendKey(nil, d, p, get, id)
-
-	a1 := p.In[0].Bits[0].Net
-	saveW, saveID := sigs[a1].Wave, ids[a1]
-	sigs[a1].Wave, ids[a1] = in.Intern(values.Const(d.Period, values.VC))
-	changed := AppendKey(nil, d, p, get, id)
-	if bytes.Equal(base, changed) {
-		t.Error("changing an input waveform did not change the key")
-	}
-	sigs[a1].Wave, ids[a1] = saveW, saveID
-	if restored := AppendKey(nil, d, p, get, id); !bytes.Equal(base, restored) {
-		t.Error("restoring the input did not restore the key")
-	}
-}
-
-// TestCacheRoundTrip: a stored evaluation is returned on hit, and the
-// counters track hits and misses.
+// TestCacheRoundTrip: a stored evaluation is returned on hit, under any
+// byte slice holding the same key, and the counters track hits and
+// misses.
 func TestCacheRoundTrip(t *testing.T) {
-	d, get, id, _ := cacheFixture(t)
 	c := NewCache()
-	key := AppendKey(nil, d, &d.Prims[0], get, id)
+	key := []byte{byte(0x11), 2, 0xA5, 0, 7}
 	if _, _, ok := c.Get(key); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	outs, err := Prim(d, &d.Prims[0], get)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put(key, outs, nil)
-	cached, _, ok := c.Get(key)
+	w := values.Const(50*tick.NS, values.VS).Paint(10*tick.NS, 20*tick.NS, values.VC)
+	outs, ids := []Signal{{Wave: w, Dirs: "A"}}, []uint64{42}
+	c.Put(key, outs, ids)
+	cached, cachedIDs, ok := c.Get(key)
 	if !ok {
 		t.Fatal("stored entry not found")
 	}
-	if len(cached) != len(outs) || !cached[0].Wave.Equal(outs[0].Wave) {
-		t.Error("cached outputs differ from stored outputs")
+	if len(cached) != 1 || !cached[0].Wave.Equal(w) || cached[0].Dirs != "A" || len(cachedIDs) != 1 || cachedIDs[0] != 42 {
+		t.Errorf("cached entry %v %v differs from the stored one", cached, cachedIDs)
 	}
-	// The structurally identical twin hits the same entry.
-	twinKey := AppendKey(nil, d, &d.Prims[1], get, id)
-	if _, _, ok := c.Get(twinKey); !ok {
-		t.Error("structurally identical primitive missed the shared entry")
+	// A reused scratch buffer holding the same bytes hits the same entry.
+	buf := append(make([]byte, 0, 16), key...)
+	if _, _, ok := c.Get(buf); !ok {
+		t.Error("an equal key in another buffer missed the entry")
 	}
 	if hits, misses, entries := c.Stats(); hits != 2 || misses != 1 || entries != 1 {
 		t.Errorf("stats = (%d hits, %d misses, %d entries), want (2, 1, 1)", hits, misses, entries)
-	}
-}
-
-// TestCacheHitMatchesEvaluation: for every driving primitive in the
-// fixture, the cached result equals a fresh evaluation.
-func TestCacheHitMatchesEvaluation(t *testing.T) {
-	d, get, id, _ := cacheFixture(t)
-	c := NewCache()
-	for pi := range d.Prims {
-		p := &d.Prims[pi]
-		key := AppendKey(nil, d, p, get, id)
-		fresh, err := Prim(d, p, get)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached, _, ok := c.Get(key); ok {
-			for i := range fresh {
-				if !cached[i].Wave.Equal(fresh[i].Wave) || cached[i].Dirs != fresh[i].Dirs {
-					t.Errorf("prim %d: cached output %d differs from evaluation", pi, i)
-				}
-			}
-			continue
-		}
-		c.Put(key, fresh, nil)
 	}
 }

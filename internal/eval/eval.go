@@ -39,7 +39,7 @@ type procIn struct {
 // processConn fetches, complements and wire-delays one input connection.
 // A directive written on the pin starts a fresh evaluation string; otherwise
 // the string carried by the incoming signal continues.
-func processConn(d *netlist.Design, c netlist.Conn, get Getter, a *values.Arena) procIn {
+func processConn(d *netlist.Design, c netlist.Conn, get Getter) procIn {
 	sig := get(c.Net)
 	dirs := sig.Dirs
 	if !c.Directives.Empty() {
@@ -48,10 +48,10 @@ func processConn(d *netlist.Design, c netlist.Conn, get Getter, a *values.Arena)
 	head, rest := dirs.Head()
 	w := sig.Wave
 	if c.Invert {
-		w = w.MapUnaryA(values.Not, a)
+		w = w.MapUnary(values.Not)
 	}
 	if wd := d.WireDelay(c.Net, head); !wd.IsZero() {
-		w = w.DelayA(wd, a)
+		w = w.Delay(wd)
 	}
 	return procIn{wave: w, dir: head, rest: rest}
 }
@@ -61,7 +61,7 @@ func processConn(d *netlist.Design, c netlist.Conn, get Getter, a *values.Arena)
 // would see it.  The checkers use it so that constraint checking and
 // primitive evaluation observe identical signals.
 func ConnWave(d *netlist.Design, c netlist.Conn, get Getter) values.Waveform {
-	return processConn(d, c, get, nil).wave
+	return processConn(d, c, get).wave
 }
 
 // ConnDirective returns the evaluation directive governing an input pin:
@@ -79,25 +79,17 @@ func ConnDirective(c netlist.Conn, get Getter) assertion.Directive {
 // Prim evaluates a driving primitive, returning one output signal per bit
 // of its (single) output port.  Checker primitives return nil.
 func Prim(d *netlist.Design, p *netlist.Prim, get Getter) ([]Signal, error) {
-	return PrimA(d, p, get, nil)
-}
-
-// PrimA is Prim with the evaluation's scratch waveforms allocated from a
-// (nil a → heap).  The returned signals may reference arena memory: a
-// caller that retains them beyond the arena owner's lifetime must intern
-// or copy them first (the verifier interns every stored output).
-func PrimA(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) ([]Signal, error) {
 	switch {
 	case p.Kind.IsChecker():
 		return nil, nil
 	case p.Kind.IsGate():
-		return evalGate(d, p, get, a)
+		return evalGate(d, p, get)
 	case p.Kind.NumSelects() > 0:
-		return evalMux(d, p, get, a)
+		return evalMux(d, p, get)
 	case p.Kind == netlist.KReg || p.Kind == netlist.KRegRS:
-		return evalRegister(d, p, get, a)
+		return evalRegister(d, p, get)
 	case p.Kind == netlist.KLatch || p.Kind == netlist.KLatchRS:
-		return evalLatch(d, p, get, a)
+		return evalLatch(d, p, get)
 	}
 	return nil, fmt.Errorf("eval: primitive %q has unknown kind %v", p.Name, p.Kind)
 }
@@ -173,7 +165,7 @@ func gateFold(k netlist.Kind) (func(values.Value, values.Value) values.Value, bo
 	return nil, false
 }
 
-func evalGate(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) ([]Signal, error) {
+func evalGate(d *netlist.Design, p *netlist.Prim, get Getter) ([]Signal, error) {
 	out := make([]Signal, p.Width)
 	allPorts := make([]int, len(p.In))
 	for i := range allPorts {
@@ -186,7 +178,7 @@ func evalGate(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) (
 		}
 		ins := make([]procIn, len(p.In))
 		for i, port := range p.In {
-			ins[i] = processConn(d, port.Bits[bit], get, a)
+			ins[i] = processConn(d, port.Bits[bit], get)
 		}
 
 		// Directive effects: any Z/H zeroes the gate delay; any A/H marks
@@ -211,7 +203,7 @@ func evalGate(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) (
 		case netlist.KBuf, netlist.KNot:
 			w = ins[0].wave
 			if p.Kind == netlist.KNot {
-				w = w.MapUnaryA(values.Not, a)
+				w = w.MapUnary(values.Not)
 			}
 			rest = ins[0].rest
 		case netlist.KChg:
@@ -222,9 +214,9 @@ func evalGate(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) (
 			for i, in := range ins {
 				waves[i] = in.wave.Activity()
 			}
-			w = values.CombineAllA(func(vs []values.Value) values.Value {
+			w = values.CombineAll(func(vs []values.Value) values.Value {
 				return values.Chg(vs...)
-			}, waves, a)
+			}, waves...)
 			rest = firstRest(ins, false)
 		default:
 			fold, inv := gateFold(p.Kind)
@@ -234,14 +226,14 @@ func evalGate(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) (
 			waves := make([]values.Waveform, 0, len(ins))
 			for _, in := range ins {
 				if anyClock && !in.dir.ChecksStability() {
-					waves = append(waves, values.ConstA(d.Period, identity(p.Kind), a))
+					waves = append(waves, values.Const(d.Period, identity(p.Kind)))
 					continue
 				}
 				waves = append(waves, in.wave)
 			}
-			w = values.CombineNA(fold, waves, a)
+			w = values.CombineN(fold, waves...)
 			if inv {
-				w = w.MapUnaryA(values.Not, a)
+				w = w.MapUnary(values.Not)
 			}
 			rest = firstRest(ins, anyClock)
 		}
@@ -250,9 +242,9 @@ func evalGate(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) (
 		case p.RF != nil && !zeroed:
 			// Direction-dependent delays (§4.2.2): exact for value-known
 			// outputs, the conservative envelope otherwise.
-			w = w.DelayRFA(p.RF.Rise, p.RF.Fall, a)
+			w = w.DelayRF(p.RF.Rise, p.RF.Fall)
 		case !delay.IsZero():
-			w = w.DelayA(delay, a)
+			w = w.Delay(delay)
 		}
 		out[bit] = Signal{Wave: w, Dirs: rest}
 	}
@@ -278,17 +270,17 @@ func firstRest(ins []procIn, preferClock bool) assertion.Directives {
 	return ""
 }
 
-func evalMux(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) ([]Signal, error) {
+func evalMux(d *netlist.Design, p *netlist.Prim, get Getter) ([]Signal, error) {
 	ns, nd := p.Kind.NumSelects(), p.Kind.NumMuxData()
 	// Select inputs are shared across bits: process once, adding the extra
 	// select-path delay (Fig 3-6).
 	sels := make([]values.Waveform, ns)
 	allConst := true
 	for i := 0; i < ns; i++ {
-		in := processConn(d, p.In[i].Bits[0], get, a)
+		in := processConn(d, p.In[i].Bits[0], get)
 		w := in.wave
 		if !p.SelectDelay.IsZero() {
-			w = w.DelayA(p.SelectDelay, a)
+			w = w.Delay(p.SelectDelay)
 		}
 		sels[i] = w
 		if v, ok := w.ConstantValue(); !ok || !v.Const() {
@@ -308,7 +300,7 @@ func evalMux(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) ([
 		}
 		data := make([]values.Waveform, nd)
 		for i := 0; i < nd; i++ {
-			data[i] = processConn(d, p.In[ns+i].Bits[bit], get, a).wave
+			data[i] = processConn(d, p.In[ns+i].Bits[bit], get).wave
 		}
 
 		var w values.Waveform
@@ -330,9 +322,9 @@ func evalMux(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) ([
 			// the worst case across consistent candidates; where it is
 			// changing the output may change.
 			all := append(append([]values.Waveform{}, sels...), data...)
-			w = values.CombineAllA(func(vs []values.Value) values.Value {
+			w = values.CombineAll(func(vs []values.Value) values.Value {
 				return muxValue(vs[:ns], vs[ns:])
-			}, all, a)
+			}, all...)
 			// A crisp select flip switches the output instantaneously
 			// between data inputs: mark it unless every candidate pair is
 			// the same constant (wider select uncertainty already shows
@@ -351,13 +343,13 @@ func evalMux(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) ([
 						}
 					}
 					if !(same && v0.Const()) {
-						w = w.PaintA(tr.At, tr.At+1, values.VC, a)
+						w = w.Paint(tr.At, tr.At+1, values.VC)
 					}
 				}
 			}
 		}
 		if !p.Delay.IsZero() {
-			w = w.DelayA(p.Delay, a)
+			w = w.Delay(p.Delay)
 		}
 		out[bit] = Signal{Wave: w}
 	}
@@ -432,16 +424,16 @@ func muxValue(sels, data []values.Value) values.Value {
 // changes only within the window [edge.Start+Min, edge.End+Max) after each
 // rising clock edge; elsewhere it holds STABLE, or the data input's value
 // when that value is a logic constant at the clocking instant.
-func evalRegister(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) ([]Signal, error) {
-	ck := processConn(d, p.In[0].Bits[0], get, a)
+func evalRegister(d *netlist.Design, p *netlist.Prim, get Getter) ([]Signal, error) {
+	ck := processConn(d, p.In[0].Bits[0], get)
 	edges := ck.wave.RisingEdges()
 
 	var overlay values.Waveform
 	hasRS := p.Kind == netlist.KRegRS
 	if hasRS {
-		set := processConn(d, p.In[2].Bits[0], get, a)
-		reset := processConn(d, p.In[3].Bits[0], get, a)
-		overlay = values.CombineA(set.wave, reset.wave, setResetOverlay, a).DelayA(p.Delay, a)
+		set := processConn(d, p.In[2].Bits[0], get)
+		reset := processConn(d, p.In[3].Bits[0], get)
+		overlay = values.Combine(set.wave, reset.wave, setResetOverlay).Delay(p.Delay)
 	}
 
 	out := make([]Signal, p.Width)
@@ -450,10 +442,10 @@ func evalRegister(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Aren
 			out[bit] = out[bit-1]
 			continue
 		}
-		data := processConn(d, p.In[1].Bits[bit], get, a)
-		w := clockedOutput(d.Period, edges, data.wave, p.Delay, ck.wave, a)
+		data := processConn(d, p.In[1].Bits[bit], get)
+		w := clockedOutput(d.Period, edges, data.wave, p.Delay, ck.wave)
 		if hasRS {
-			w = values.CombineA(w, overlay, applyOverlay, a)
+			w = values.Combine(w, overlay, applyOverlay)
 		}
 		out[bit] = Signal{Wave: w}
 	}
@@ -462,16 +454,16 @@ func evalRegister(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Aren
 
 // clockedOutput builds a register-style output: STABLE (or a captured
 // constant) between clocking windows, CHANGE within them.
-func clockedOutput(period tick.Time, edges []values.Edge, data values.Waveform, delay tick.Range, ck values.Waveform, a *values.Arena) values.Waveform {
+func clockedOutput(period tick.Time, edges []values.Edge, data values.Waveform, delay tick.Range, ck values.Waveform) values.Waveform {
 	if v, ok := ck.ConstantValue(); ok && v == values.VU {
-		return values.ConstA(period, values.VU, a)
+		return values.Const(period, values.VU)
 	}
 	if len(edges) == 0 {
 		// Never clocked: the output holds its (unknowable) state.
-		return values.ConstA(period, values.VS, a)
+		return values.Const(period, values.VS)
 	}
-	dataInc := data.IncorporateSkewA(a)
-	out := values.ConstA(period, values.VS, a)
+	dataInc := data.IncorporateSkew()
+	out := values.Const(period, values.VS)
 	// Captured value after each window: the data value at the clocking
 	// instant when it is a logic constant throughout the edge window.
 	for i, e := range edges {
@@ -492,11 +484,11 @@ func clockedOutput(period tick.Time, edges []values.Edge, data values.Waveform, 
 			nextStart = edges[0].Start + delay.Min + period
 		}
 		if nextStart > winEnd {
-			out = out.PaintA(winEnd, nextStart, capV, a)
+			out = out.Paint(winEnd, nextStart, capV)
 		}
 	}
 	for _, e := range edges {
-		out = out.PaintA(e.Start+delay.Min, e.End+delay.Max, values.VC, a)
+		out = out.Paint(e.Start+delay.Min, e.End+delay.Max, values.VC)
 	}
 	return out
 }
@@ -531,16 +523,16 @@ func applyOverlay(normal, overlay values.Value) values.Value {
 // evalLatch implements the two latch models of Fig 2-2: transparent while
 // the enable is high, holding while low, with a change window as the latch
 // opens.
-func evalLatch(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) ([]Signal, error) {
-	en := processConn(d, p.In[0].Bits[0], get, a)
-	enD := en.wave.DelayA(p.Delay, a)
+func evalLatch(d *netlist.Design, p *netlist.Prim, get Getter) ([]Signal, error) {
+	en := processConn(d, p.In[0].Bits[0], get)
+	enD := en.wave.Delay(p.Delay)
 
 	var overlay values.Waveform
 	hasRS := p.Kind == netlist.KLatchRS
 	if hasRS {
-		set := processConn(d, p.In[2].Bits[0], get, a)
-		reset := processConn(d, p.In[3].Bits[0], get, a)
-		overlay = values.CombineA(set.wave, reset.wave, setResetOverlay, a).DelayA(p.Delay, a)
+		set := processConn(d, p.In[2].Bits[0], get)
+		reset := processConn(d, p.In[3].Bits[0], get)
+		overlay = values.Combine(set.wave, reset.wave, setResetOverlay).Delay(p.Delay)
 	}
 
 	out := make([]Signal, p.Width)
@@ -549,24 +541,24 @@ func evalLatch(d *netlist.Design, p *netlist.Prim, get Getter, a *values.Arena) 
 			out[bit] = out[bit-1]
 			continue
 		}
-		data := processConn(d, p.In[1].Bits[bit], get, a)
+		data := processConn(d, p.In[1].Bits[bit], get)
 		var w values.Waveform
 		if c, ok := data.wave.ConstantValue(); ok && c.Const() {
 			// Constant data: in periodic steady state the held value
 			// equals the flowing value, so the output is that constant
 			// wherever the enable is defined.
-			w = enD.MapUnaryA(func(e values.Value) values.Value {
+			w = enD.MapUnary(func(e values.Value) values.Value {
 				if e == values.VU {
 					return values.VU
 				}
 				return c
-			}, a)
+			})
 		} else {
-			datD := data.wave.DelayA(p.Delay, a)
-			w = values.CombineA(enD, datD, latchValue, a)
+			datD := data.wave.Delay(p.Delay)
+			w = values.Combine(enD, datD, latchValue)
 		}
 		if hasRS {
-			w = values.CombineA(w, overlay, applyOverlay, a)
+			w = values.Combine(w, overlay, applyOverlay)
 		}
 		out[bit] = Signal{Wave: w}
 	}

@@ -3,7 +3,6 @@ package tape
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"scaldtv/internal/assertion"
 	"scaldtv/internal/eval"
@@ -42,14 +41,15 @@ func Compile(d *netlist.Design) (*Program, error) {
 	}
 
 	// Flatten every primitive's input connections into the SoA table the
-	// warm-slot match scans: source net and pin directive override, in
-	// evaluation-key order, with per-primitive spans.
+	// key builder scans: source net, complement rail and pin directive
+	// override, in port order, with per-primitive spans.
 	p.ConnSpan = make([][2]int32, len(d.Prims))
 	for pi := range d.Prims {
 		start := int32(len(p.ConnNet))
 		for _, port := range d.Prims[pi].In {
 			for _, c := range port.Bits {
 				p.ConnNet = append(p.ConnNet, c.Net)
+				p.ConnInvert = append(p.ConnInvert, c.Invert)
 				p.ConnDirs = append(p.ConnDirs, c.Directives)
 			}
 		}
@@ -61,7 +61,6 @@ func Compile(d *netlist.Design) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.slots.Store(&SlotTable{s: make([]atomic.Pointer[Slot], len(d.Prims))})
 	p.seeds.Store(seeds)
 	return p, nil
 }
@@ -75,13 +74,11 @@ func gatePlan(pr *netlist.Prim) CheckPlan {
 	return PlanNone
 }
 
-// Refresh re-validates the design's numeric parameters and, iff the
-// environment signature changed since the current image was built,
-// rebuilds the seed image and discards the warm slot table (whose entries
-// were computed under the old parameters).  The evaluation memo and site
-// cache need no invalidation even then: their keys carry every live
-// parameter, so entries from a previous environment are simply never hit
-// again.
+// Refresh re-validates the design's numeric parameters and, iff the seed
+// signature changed since the current image was built, rebuilds the seed
+// image.  The evaluation memo and site cache need no invalidation even
+// then: their keys carry every live parameter, so entries from a previous
+// environment are simply never hit again.
 func (p *Program) Refresh(d *netlist.Design) error {
 	if err := d.CheckParams(); err != nil {
 		return serr.Wrap(serr.Elaborate, err)
@@ -99,10 +96,6 @@ func (p *Program) Refresh(d *netlist.Design) error {
 	if err != nil {
 		return err
 	}
-	// Swap the slot table before publishing the seeds: a racing reader can
-	// only pair fresh (empty) slots with old seeds, which is merely slow,
-	// never wrong.
-	p.slots.Store(&SlotTable{s: make([]atomic.Pointer[Slot], len(d.Prims))})
 	p.seeds.Store(seeds)
 	return nil
 }
@@ -149,32 +142,23 @@ func buildSeeds(d *netlist.Design, intern *values.Interner) (*Seeds, error) {
 	return s, nil
 }
 
-// envSig fingerprints everything evaluation and checking read besides the
-// runtime signal state: the design environment, each net's wire override,
-// assertion content and driver presence (plus the base names of undriven
-// unasserted nets, which form the cross-reference listing), and each
-// primitive's kind, width, delay and constraint parameters and connection
-// structure.  It is the generation guard of both the seed image and the
-// warm slot table: while the signature is unchanged, a slot whose input
-// handles and directives match is guaranteed to reproduce evaluation.
+// envSig fingerprints everything buildSeeds reads: the assertion
+// environment (period, clock unit and the two skews) and, per net, its
+// driver presence, its assertion content and — for an undriven, unasserted
+// net — its base name, which the cross-reference lists.  It is the
+// generation guard of the seed image.  Primitive parameters and wire
+// delays are not seed inputs (the memo and site keys read them live), so
+// editing them keeps the image.
 func envSig(d *netlist.Design) uint64 {
 	h := newFNV()
 	h.time(d.Period)
 	h.time(d.ClockUnit)
-	h.rng(d.DefaultWire)
 	h.rng(d.PrecisionSkew)
 	h.rng(d.ClockSkew)
-	h.bit(d.WiredOr)
 	for i := range d.Nets {
 		n := &d.Nets[i]
 		driven := n.Driver != netlist.NoDriver
 		h.bit(driven)
-		if n.Wire != nil {
-			h.b(1)
-			h.rng(*n.Wire)
-		} else {
-			h.b(0)
-		}
 		if n.Assert == nil {
 			h.b(0)
 			if !driven {
@@ -198,56 +182,6 @@ func envSig(d *netlist.Design) uint64 {
 			h.u64(math.Float64bits(r.End))
 			h.time(r.WidthNS)
 			h.bit(r.IsWidth)
-		}
-	}
-	for i := range d.Prims {
-		pr := &d.Prims[i]
-		h.b(byte(pr.Kind))
-		h.u64(uint64(pr.Width))
-		h.rng(pr.Delay)
-		h.rng(pr.SelectDelay)
-		if pr.RF != nil {
-			h.b(1)
-			h.rng(pr.RF.Rise)
-			h.rng(pr.RF.Fall)
-		} else {
-			h.b(0)
-		}
-		h.time(pr.Setup)
-		h.time(pr.Hold)
-		h.time(pr.MinHigh)
-		h.time(pr.MinLow)
-		h.u64(uint64(pr.Fn))
-		for pi := range pr.In {
-			port := &pr.In[pi]
-			h.u64(uint64(len(port.Bits)))
-			for _, c := range port.Bits {
-				h.u64(uint64(c.Net))
-				h.bit(c.Invert)
-				h.str(string(c.Directives))
-			}
-		}
-	}
-	// The analytic tables: Prim.Delay already pins every fn-bound delay at
-	// the run's parameter point — so two pinnings of one design differ
-	// above — but the tables themselves travel with the design and feed
-	// the symbolic post-pass, so a table edit must invalidate too.
-	h.u64(uint64(len(d.Params)))
-	for _, p := range d.Params {
-		h.str(p.Name)
-		h.u64(math.Float64bits(p.Default))
-		h.u64(math.Float64bits(p.Lo))
-		h.u64(math.Float64bits(p.Hi))
-	}
-	h.u64(uint64(len(d.DelayFns)))
-	for i := range d.DelayFns {
-		for _, a := range [2]netlist.Affine{d.DelayFns[i].Min, d.DelayFns[i].Max} {
-			h.time(a.Base)
-			h.u64(uint64(len(a.Coeffs)))
-			for _, c := range a.Coeffs {
-				h.u64(uint64(c.Param))
-				h.u64(math.Float64bits(c.PS))
-			}
 		}
 	}
 	return h.sum
@@ -276,7 +210,7 @@ func (h *fnv) bit(x bool) {
 
 // u64 mixes a whole word in one step (word-wise FNV-1a variant): envSig
 // runs on every Refresh — once per verification — so the walk over ~10^5
-// nets and primitives must stay well under a millisecond.
+// nets must stay well under a millisecond.
 func (h *fnv) u64(x uint64) {
 	h.sum = (h.sum ^ x) * fnvPrime64
 }

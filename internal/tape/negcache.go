@@ -1,6 +1,7 @@
 package tape
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -15,9 +16,11 @@ const negShards = 32
 // memoizing across runs, because an empty outcome is independent of the
 // instance and net names and the case label that appear in violation
 // messages.  Keys are exact (the evaluation-memo key plus the checker
-// intervals), so membership implies the full check would return nothing.
+// intervals, built by Program.AppendKey), so membership implies the full
+// check would return nothing.
 type NegCache struct {
 	shards [negShards]negShard
+	seed   maphash.Seed
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -29,21 +32,16 @@ type negShard struct {
 
 // NewNegCache returns an empty site cache.
 func NewNegCache() *NegCache {
-	c := &NegCache{}
+	c := &NegCache{seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]struct{})
 	}
 	return c
 }
 
-// shard routes a key to its stripe by FNV-1a over the key bytes.
+// shard routes a key to its stripe.
 func (c *NegCache) shard(key []byte) *negShard {
-	h := uint64(fnvOffset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return &c.shards[h&(negShards-1)]
+	return &c.shards[maphash.Bytes(c.seed, key)&(negShards-1)]
 }
 
 // Known reports whether the site key is recorded as clean.

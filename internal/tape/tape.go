@@ -8,19 +8,20 @@
 // initial waveform slot (the §2.9 step-1 seed, already interned) so a run
 // seeds by copying handles instead of re-rendering assertions and
 // re-hashing 80 000 waveforms.  Every primitive is evaluated by
-// eval.PrimA, the evaluator the memo-free reference engine uses, so the
+// eval.Prim, the evaluator the memo-free reference engine uses, so the
 // two engines share one set of §2.4.2 truth tables.
 //
 // A Program also owns the run-to-run persistent state: the waveform
 // interner, the evaluation memo and the negative cache of clean constraint
-// sites.  All three are keyed on exact live content (parameters, resolved
-// directives, wire delays, interned input handles), so a parameter edit
-// never needs an invalidation walk — stale entries are simply never hit —
-// and a warm re-run of an unchanged design is served almost entirely from
-// the tables.  Reports are bit-identical to the memo-free reference
-// engine: evaluation is the same function, the sweep order is the
-// confluent wavefront schedule, and the caches only ever return what
-// evaluation would recompute.
+// sites.  One key builder (AppendKey) feeds both caches from exact live
+// content (parameters, resolved directives, wire delays, interned input
+// handles) and no instance identity, so structurally identical instances
+// share entries, a parameter edit never needs an invalidation walk —
+// stale entries are simply never hit — and a warm re-run of an unchanged
+// design is served almost entirely from the tables.  Reports are
+// bit-identical to the memo-free reference engine: evaluation is the same
+// function, the sweep order is the confluent wavefront schedule, and the
+// caches only ever return what evaluation would recompute.
 //
 // The Program hangs off the design's engine-cache slot
 // (netlist.Design.EngineCache); structural edits clear it via
@@ -28,12 +29,14 @@
 package tape
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"scaldtv/internal/assertion"
 	"scaldtv/internal/eval"
 	"scaldtv/internal/netlist"
+	"scaldtv/internal/tick"
 	"scaldtv/internal/values"
 )
 
@@ -91,16 +94,17 @@ type Program struct {
 	// Plans holds one checking plan per primitive, indexed by PrimID.
 	Plans []CheckPlan
 
-	// ConnNet and ConnDirs flatten every primitive's input connections in
-	// evaluation-key order (ports outer, bits inner): the source net and
-	// the pin's own directive override (empty when the incoming signal's
-	// directives govern).  ConnSpan[pid] is the primitive's [start, end)
-	// range.  The warm-slot match walks this struct-of-arrays table — a
-	// tight scan over two parallel slices — instead of the netlist's
-	// nested port structure.
-	ConnNet  []netlist.NetID
-	ConnDirs []assertion.Directives
-	ConnSpan [][2]int32
+	// ConnNet, ConnInvert and ConnDirs flatten every primitive's input
+	// connections in port order (ports outer, bits inner): the source net,
+	// the complement rail and the pin's own directive override (empty when
+	// the incoming signal's directives govern).  ConnSpan[pid] is the
+	// primitive's [start, end) range.  AppendKey walks this
+	// struct-of-arrays table — a tight scan over parallel slices — instead
+	// of the netlist's nested port structure.
+	ConnNet    []netlist.NetID
+	ConnInvert []bool
+	ConnDirs   []assertion.Directives
+	ConnSpan   [][2]int32
 
 	// Wired-OR driver tables (netlist.Design.WiredDrivers): drivers of
 	// each multiply-driven net in driver order, and the deterministic slot
@@ -111,8 +115,8 @@ type Program struct {
 	// Persistent evaluation state.  Intern and Evals are the verifier's
 	// usual interner and memo, owned here so they survive across runs;
 	// Sites is the negative cache of constraint sites whose full check
-	// produced no violations and no margins, keyed like the evaluation
-	// memo plus the checker intervals.
+	// produced no violations and no margins.  AppendKey builds both
+	// caches' keys.
 	Intern *values.Interner
 	Evals  *eval.Cache
 	Sites  *NegCache
@@ -126,65 +130,81 @@ type Program struct {
 
 	mu    sync.Mutex // serializes Refresh rebuilds
 	seeds atomic.Pointer[Seeds]
-	slots atomic.Pointer[SlotTable]
 }
 
-// SlotInput identifies one input bit of a memoized evaluation as the
-// evaluator sees it: the interned handle of the incoming waveform and the
-// directive string governing the bit (the pin directives if present, else
-// the signal's own).
-type SlotInput struct {
-	ID   uint64
-	Dirs assertion.Directives
+// AppendKey appends the memo key of evaluating primitive pid in the given
+// signal state (sigs, with ids[n] the interned handle of net n's
+// waveform) to buf and returns the extended slice.  The key covers
+// everything eval.Prim reads:
+//
+//   - the primitive's kind, width and delay parameters, and the period;
+//   - its connection count, which with kind and width fixes the port
+//     shape (Design.Check);
+//   - per input connection, in ConnSpan order: the complement rail, the
+//     resolved directive head and remainder (a pin directive starts a
+//     fresh string, otherwise the incoming signal's continues), the
+//     interconnection delay as resolved under that head, and the interned
+//     handle of the input waveform.
+//
+// No primitive or net identity enters the key, so structurally identical
+// instances fed equal signals share one entry — nearly every memo hit of
+// a cold run is an entry another instance stored.  Parameters and wire
+// delays are read live from d, so an in-place edit needs no invalidation.
+//
+// With site true it builds the negative site cache's key instead: the
+// memo key extended with the checker intervals, which evaluation does not
+// read.  That covers everything the checkers read through eval.ConnWave
+// and eval.ConnDirective; names and the case label only appear in
+// non-empty outcomes, which are never cached.
+func (p *Program) AppendKey(buf []byte, d *netlist.Design, pid netlist.PrimID, sigs []eval.Signal, ids []uint64, site bool) []byte {
+	pr := &d.Prims[pid]
+	buf = append(buf, byte(pr.Kind))
+	buf = binary.AppendUvarint(buf, uint64(pr.Width))
+	buf = appendTime(buf, d.Period)
+	buf = appendRange(buf, pr.Delay)
+	buf = appendRange(buf, pr.SelectDelay)
+	if pr.RF != nil {
+		buf = append(buf, 1)
+		buf = appendRange(buf, pr.RF.Rise)
+		buf = appendRange(buf, pr.RF.Fall)
+	} else {
+		buf = append(buf, 0)
+	}
+	span := p.ConnSpan[pid]
+	buf = binary.AppendUvarint(buf, uint64(span[1]-span[0]))
+	for k := span[0]; k < span[1]; k++ {
+		n := p.ConnNet[k]
+		dirs := p.ConnDirs[k]
+		if dirs.Empty() {
+			dirs = sigs[n].Dirs
+		}
+		head, rest := dirs.Head()
+		flags := byte(0)
+		if p.ConnInvert[k] {
+			flags = 1
+		}
+		buf = append(buf, flags, byte(head))
+		buf = binary.AppendUvarint(buf, uint64(len(rest)))
+		buf = append(buf, string(rest)...)
+		buf = appendRange(buf, d.WireDelay(n, head))
+		buf = binary.AppendUvarint(buf, ids[n])
+	}
+	if site {
+		buf = appendTime(buf, pr.Setup)
+		buf = appendTime(buf, pr.Hold)
+		buf = appendTime(buf, pr.MinHigh)
+		buf = appendTime(buf, pr.MinLow)
+	}
+	return buf
 }
 
-// SlotVar is one memoized evaluation: outputs keyed by the inputs they
-// were computed from.  While the program's environment signature is
-// unchanged (Refresh swaps the table otherwise), matching inputs imply a
-// bit-identical evaluation.  For a checker primitive, Outs is nil and the
-// variant records that the full constraint check of those inputs produced
-// no violations.
-type SlotVar struct {
-	In   []SlotInput
-	Outs []eval.Signal // interned outputs; nil for a clean checker site
-	IDs  []uint64      // IDs[i] is the interned handle of Outs[i].Wave
+func appendTime(buf []byte, t tick.Time) []byte {
+	return binary.AppendVarint(buf, int64(t))
 }
 
-// Slot is a primitive's warm slot: its last few distinct evaluations.
-// Relaxation visits a primitive once per wavefront sweep with a short
-// deterministic cycle of input states (seed-fed, then successively
-// converged), so holding the last MaxSlotVars states makes a warm rerun
-// hit on every sweep — no key building, hashing or locking — after a
-// single warm-up run repopulates the cycle.  A Slot is immutable once
-// published; publishing copies the surviving variants.
-type Slot struct {
-	Vars []SlotVar
+func appendRange(buf []byte, r tick.Range) []byte {
+	return appendTime(appendTime(buf, r.Min), r.Max)
 }
-
-// MaxSlotVars bounds the variants kept per slot; the oldest is evicted
-// beyond it.  Relaxations needing more states per primitive fall back to
-// the keyed memo, which has no horizon.
-const MaxSlotVars = 4
-
-// SlotTable holds one warm slot per primitive, indexed by PrimID.  Loads
-// and stores are lock-free; a whole table is discarded when the design's
-// environment signature changes, so in-flight runs holding the old table
-// never see slots from a different parameter generation.
-type SlotTable struct{ s []atomic.Pointer[Slot] }
-
-// NewSlotTable returns an empty warm-slot table for n primitives.
-func NewSlotTable(n int) *SlotTable { return &SlotTable{s: make([]atomic.Pointer[Slot], n)} }
-
-// Load returns the primitive's current slot, or nil.
-func (t *SlotTable) Load(pid netlist.PrimID) *Slot { return t.s[pid].Load() }
-
-// Store publishes the primitive's slot (last writer wins).
-func (t *SlotTable) Store(pid netlist.PrimID, sl *Slot) { t.s[pid].Store(sl) }
-
-// Slots returns the current warm-slot table.  Callers capture it once per
-// run: Refresh swaps in a fresh table when the environment changes, and a
-// run must keep reading (and writing) the generation it validated.
-func (p *Program) Slots() *SlotTable { return p.slots.Load() }
 
 // For returns the design's compiled program, compiling and publishing it
 // on first use.  The warm path is two atomic loads and a type assertion —

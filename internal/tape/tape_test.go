@@ -1,10 +1,13 @@
 package tape
 
 import (
+	"slices"
 	"testing"
 
+	"scaldtv/internal/assertion"
 	"scaldtv/internal/gen"
 	"scaldtv/internal/netlist"
+	"scaldtv/internal/tick"
 )
 
 func testDesign(t testing.TB, chips int) *netlist.Design {
@@ -55,14 +58,21 @@ func TestCompileClassification(t *testing.T) {
 	}
 
 	// The flat connection table must mirror every primitive's input bits
-	// in evaluation-key order.
+	// in port order: net, complement rail and pin directives.
+	if len(p.ConnInvert) != len(p.ConnNet) || len(p.ConnDirs) != len(p.ConnNet) {
+		t.Fatalf("conn columns sized %d/%d/%d", len(p.ConnNet), len(p.ConnInvert), len(p.ConnDirs))
+	}
+	inverted := 0
 	for pi := range d.Prims {
 		span := p.ConnSpan[pi]
 		k := int(span[0])
 		for _, port := range d.Prims[pi].In {
 			for _, c := range port.Bits {
-				if k >= int(span[1]) || p.ConnNet[k] != c.Net || p.ConnDirs[k] != c.Directives {
+				if k >= int(span[1]) || p.ConnNet[k] != c.Net || p.ConnInvert[k] != c.Invert || p.ConnDirs[k] != c.Directives {
 					t.Fatalf("prim %d: flat conn table diverges at index %d", pi, k)
+				}
+				if c.Invert {
+					inverted++
 				}
 				k++
 			}
@@ -70,6 +80,9 @@ func TestCompileClassification(t *testing.T) {
 		if k != int(span[1]) {
 			t.Fatalf("prim %d: span [%d,%d) but %d conns", pi, span[0], span[1], k-int(span[0]))
 		}
+	}
+	if inverted == 0 {
+		t.Errorf("degenerate fixture: no connection uses the complement rail")
 	}
 }
 
@@ -123,50 +136,111 @@ func TestForWarmPathNoAlloc(t *testing.T) {
 	}
 }
 
-// TestRefreshGeneration checks the environment-generation guard: an
-// unchanged design keeps the seed image and warm-slot table, an in-place
-// numeric edit swaps in fresh ones (the old slots were computed under the
-// old parameters), and the edit is reflected in the reseeded image.
+// TestRefreshGeneration checks the seed image's generation guard.  An
+// in-place edit to any field buildSeeds reads rebuilds the image, and the
+// rebuilt image survives a no-op refresh.  An edit it does not read — a
+// primitive delay, a net's wire override, both read live by the memo and
+// site keys — keeps the image.  Either way the image equals a fresh
+// compile's of the edited design.
 func TestRefreshGeneration(t *testing.T) {
-	d := testDesign(t, 101)
-	p, err := For(d)
-	if err != nil {
-		t.Fatalf("for: %v", err)
+	// clockAssert returns the assertion of the design's first clock net.
+	clockAssert := func(t *testing.T, d *netlist.Design) *assertion.Assertion {
+		for i := range d.Nets {
+			if a := d.Nets[i].Assert; a != nil && len(a.Ranges) > 0 &&
+				(a.Kind == assertion.Clock || a.Kind == assertion.PrecisionClock) {
+				return a
+			}
+		}
+		t.Fatal("no clock-asserted net")
+		return nil
 	}
-	seeds0, slots0 := p.Seeds(), p.Slots()
-	if err := p.Refresh(d); err != nil {
-		t.Fatalf("refresh: %v", err)
+	for _, tc := range []struct {
+		name    string
+		edit    func(t *testing.T, d *netlist.Design)
+		rebuild bool
+	}{
+		{"period", func(t *testing.T, d *netlist.Design) { d.Period += d.ClockUnit }, true},
+		{"clock unit", func(t *testing.T, d *netlist.Design) { d.ClockUnit /= 2 }, true},
+		{"precision skew", func(t *testing.T, d *netlist.Design) { d.PrecisionSkew.Max += tick.NS }, true},
+		{"clock skew", func(t *testing.T, d *netlist.Design) { d.ClockSkew.Max += tick.NS }, true},
+		{"assertion ranges", func(t *testing.T, d *netlist.Design) { clockAssert(t, d).Ranges[0].End++ }, true},
+		{"assertion skew", func(t *testing.T, d *netlist.Design) {
+			clockAssert(t, d).Skew = &tick.Range{Min: -tick.NS, Max: 2 * tick.NS}
+		}, true},
+		{"assertion polarity", func(t *testing.T, d *netlist.Design) {
+			a := clockAssert(t, d)
+			a.LowAsserted = !a.LowAsserted
+		}, true},
+		{"primitive delay", func(t *testing.T, d *netlist.Design) {
+			for pi := range d.Prims {
+				if !d.Prims[pi].Kind.IsChecker() {
+					d.Prims[pi].Delay.Min++
+					d.Prims[pi].Delay.Max++
+					return
+				}
+			}
+		}, false},
+		{"net wire", func(t *testing.T, d *netlist.Design) {
+			for i := range d.Nets {
+				if d.Nets[i].Driver != netlist.NoDriver {
+					d.Nets[i].Wire = &tick.Range{Min: tick.NS, Max: 3 * tick.NS}
+					return
+				}
+			}
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := testDesign(t, 101)
+			p, err := For(d)
+			if err != nil {
+				t.Fatalf("for: %v", err)
+			}
+			seeds0 := p.Seeds()
+			if err := p.Refresh(d); err != nil {
+				t.Fatalf("refresh: %v", err)
+			}
+			if p.Seeds() != seeds0 {
+				t.Fatalf("refresh of an unchanged design rebuilt the seed image")
+			}
+			tc.edit(t, d)
+			if err := p.Refresh(d); err != nil {
+				t.Fatalf("refresh after edit: %v", err)
+			}
+			seeds1 := p.Seeds()
+			if rebuilt := seeds1 != seeds0; rebuilt != tc.rebuild {
+				t.Fatalf("edit rebuilt the seed image: %v, want %v", rebuilt, tc.rebuild)
+			}
+			if err := p.Refresh(d); err != nil {
+				t.Fatalf("second refresh: %v", err)
+			}
+			if p.Seeds() != seeds1 {
+				t.Errorf("refresh after a no-op rebuilt the image again")
+			}
+			fresh, err := Compile(d)
+			if err != nil {
+				t.Fatalf("compile edited design: %v", err)
+			}
+			sameSeeds(t, seeds1, fresh.Seeds())
+		})
 	}
-	if p.Seeds() != seeds0 || p.Slots() != slots0 {
-		t.Fatalf("refresh of an unchanged design swapped the seed image or slot table")
-	}
+}
 
-	// An in-place numeric edit on any evaluated primitive.
-	edited := -1
-	for pi := range d.Prims {
-		if !d.Prims[pi].Kind.IsChecker() {
-			edited = pi
-			break
+// sameSeeds asserts two seed images agree on every waveform, pin flag,
+// assertion net and cross-reference entry.  Handles are interner-local,
+// so waveforms compare by content.
+func sameSeeds(t *testing.T, got, want *Seeds) {
+	t.Helper()
+	if len(got.Initial) != len(want.Initial) {
+		t.Fatalf("seed image covers %d nets, want %d", len(got.Initial), len(want.Initial))
+	}
+	for i := range want.Initial {
+		if !got.Initial[i].Equal(want.Initial[i]) || got.Pinned[i] != want.Pinned[i] {
+			t.Fatalf("net %d: seed %v pinned=%v, fresh compile %v pinned=%v",
+				i, got.Initial[i], got.Pinned[i], want.Initial[i], want.Pinned[i])
 		}
 	}
-	d.Prims[edited].Delay.Min++
-	d.Prims[edited].Delay.Max++
-	if err := p.Refresh(d); err != nil {
-		t.Fatalf("refresh after edit: %v", err)
-	}
-	if p.Seeds() == seeds0 {
-		t.Errorf("numeric edit did not rebuild the seed image")
-	}
-	if p.Slots() == slots0 {
-		t.Errorf("numeric edit did not discard the warm slot table")
-	}
-
-	seeds1, slots1 := p.Seeds(), p.Slots()
-	if err := p.Refresh(d); err != nil {
-		t.Fatalf("second refresh: %v", err)
-	}
-	if p.Seeds() != seeds1 || p.Slots() != slots1 {
-		t.Errorf("refresh after a no-op swapped the rebuilt image again")
+	if !slices.Equal(got.AssertNets, want.AssertNets) || !slices.Equal(got.Undefined, want.Undefined) {
+		t.Errorf("assertion nets or cross-reference differ from a fresh compile")
 	}
 }
 

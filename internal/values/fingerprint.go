@@ -143,9 +143,8 @@ func (in *Interner) Intern(w Waveform) (Waveform, uint64) {
 			return e.w, e.id
 		}
 	}
-	// The canonical copy owns its segment storage: the incoming slice may
-	// live in a caller's scratch arena, and the table must not pin (or
-	// alias) that memory.
+	// The canonical copy owns its segment storage: the caller keeps its
+	// slice, and the table must not alias memory it may later overwrite.
 	if len(w.Segs) > 0 {
 		w.Segs = append([]Segment(nil), w.Segs...)
 	}

@@ -34,15 +34,10 @@ type Waveform struct {
 
 // Const returns a waveform holding v for the entire period.
 func Const(period tick.Time, v Value) Waveform {
-	return ConstA(period, v, nil)
-}
-
-// ConstA is Const allocating the segment list from a (nil a → heap).
-func ConstA(period tick.Time, v Value, a *Arena) Waveform {
 	if period <= 0 {
 		panic("values: non-positive period")
 	}
-	return Waveform{Period: period, Segs: append(a.newSegs(1), Segment{V: v, W: period})}
+	return Waveform{Period: period, Segs: []Segment{{V: v, W: period}}}
 }
 
 // Span paints value V over [Start, End) when building a waveform.  A span
@@ -96,11 +91,7 @@ func (w Waveform) Check() error {
 // segments may legitimately hold the same value (a run crossing the cycle
 // boundary).
 func (w Waveform) normalize() Waveform {
-	return w.normalizeA(nil)
-}
-
-func (w Waveform) normalizeA(a *Arena) Waveform {
-	out := a.newSegs(len(w.Segs))
+	out := make([]Segment, 0, len(w.Segs))
 	for _, s := range w.Segs {
 		if s.W == 0 {
 			continue
@@ -168,13 +159,8 @@ func (w Waveform) At(t tick.Time) Value {
 // exactly at the cycle boundary expressed as end == 0, ...) has zero
 // effective width and paints nothing.
 func (w Waveform) Paint(start, end tick.Time, v Value) Waveform {
-	return w.PaintA(start, end, v, nil)
-}
-
-// PaintA is Paint allocating scratch from a (nil a → heap).
-func (w Waveform) PaintA(start, end tick.Time, v Value, a *Arena) Waveform {
 	if end-start >= w.Period {
-		out := ConstA(w.Period, v, a)
+		out := Const(w.Period, v)
 		out.Skew = w.Skew
 		return out
 	}
@@ -184,15 +170,15 @@ func (w Waveform) PaintA(start, end tick.Time, v Value, a *Arena) Waveform {
 		return w
 	}
 	if s < e {
-		return w.paintLinear(s, e, v, a)
+		return w.paintLinear(s, e, v)
 	}
 	// Wrapping span: paint the tail and the head separately.
-	return w.paintLinear(s, w.Period, v, a).paintLinear(0, e, v, a)
+	return w.paintLinear(s, w.Period, v).paintLinear(0, e, v)
 }
 
-func (w Waveform) paintLinear(s, e tick.Time, v Value, a *Arena) Waveform {
+func (w Waveform) paintLinear(s, e tick.Time, v Value) Waveform {
 	out := Waveform{Period: w.Period, Skew: w.Skew}
-	out.Segs = a.newSegs(len(w.Segs) + 2)
+	out.Segs = make([]Segment, 0, len(w.Segs)+2)
 	var pos tick.Time
 	for _, seg := range w.Segs {
 		segStart, segEnd := pos, pos+seg.W
@@ -213,23 +199,16 @@ func (w Waveform) paintLinear(s, e tick.Time, v Value, a *Arena) Waveform {
 // Rotate shifts the waveform later in time by d: out(t) = in(t-d).
 // d may be negative or exceed the period.
 func (w Waveform) Rotate(d tick.Time) Waveform {
-	return w.RotateA(d, nil)
-}
-
-// RotateA is Rotate allocating scratch from a (nil a → heap).
-func (w Waveform) RotateA(d tick.Time, a *Arena) Waveform {
 	d = tick.Mod(d, w.Period)
 	if d == 0 {
-		out := w
-		out.Segs = append(a.newSegs(len(w.Segs)), w.Segs...)
-		return out.normalizeOwned()
+		return w.normalize()
 	}
 	// The original point at time P-d becomes the new time 0.
 	cut := w.Period - d
 	out := Waveform{Period: w.Period, Skew: w.Skew}
-	out.Segs = a.newSegs(len(w.Segs) + 1)
+	out.Segs = make([]Segment, 0, len(w.Segs)+1)
 	var pos tick.Time
-	tail := a.newSegs(len(w.Segs))
+	tail := make([]Segment, 0, len(w.Segs))
 	for _, seg := range w.Segs {
 		segStart, segEnd := pos, pos+seg.W
 		pos = segEnd
@@ -251,15 +230,10 @@ func (w Waveform) RotateA(d tick.Time, a *Arena) Waveform {
 // shifted by the minimum delay, and the delay uncertainty accumulates into
 // the out-of-band skew.
 func (w Waveform) Delay(r tick.Range) Waveform {
-	return w.DelayA(r, nil)
-}
-
-// DelayA is Delay allocating scratch from a (nil a → heap).
-func (w Waveform) DelayA(r tick.Range, a *Arena) Waveform {
 	if !r.Valid() {
 		panic(fmt.Sprintf("values: invalid delay range %v", r))
 	}
-	out := w.RotateA(r.Min, a)
+	out := w.Rotate(r.Min)
 	out.Skew += r.Width()
 	return out
 }
@@ -277,31 +251,26 @@ func (w Waveform) DelayA(r tick.Range, a *Arena) Waveform {
 // For value-unknown waveforms the paper's conservative rule applies: the
 // envelope of the two delays (their combined min/max).
 func (w Waveform) DelayRF(rise, fall tick.Range) Waveform {
-	return w.DelayRFA(rise, fall, nil)
-}
-
-// DelayRFA is DelayRF allocating scratch from a (nil a → heap).
-func (w Waveform) DelayRFA(rise, fall tick.Range, a *Arena) Waveform {
 	if !rise.Valid() || !fall.Valid() {
 		panic(fmt.Sprintf("values: invalid rise/fall delay %v %v", rise, fall))
 	}
 	if rise == fall {
-		return w.DelayA(rise, a)
+		return w.Delay(rise)
 	}
 	env := tick.Range{Min: min(rise.Min, fall.Min), Max: max(rise.Max, fall.Max)}
 	for _, s := range w.Segs {
 		if s.V != V0 && s.V != V1 {
-			return w.DelayA(env, a)
+			return w.Delay(env)
 		}
 	}
 	if v, ok := w.ConstantValue(); ok {
-		return ConstA(w.Period, v, a).WithSkew(w.Skew)
+		return Const(w.Period, v).WithSkew(w.Skew)
 	}
 	// The carried skew shifts both edge kinds alike; fold it into the
 	// per-edge uncertainty.
 	rise = tick.Range{Min: rise.Min, Max: rise.Max + w.Skew}
 	fall = tick.Range{Min: fall.Min, Max: fall.Max + w.Skew}
-	out := ConstA(w.Period, V0, a)
+	out := Const(w.Period, V0)
 	for _, r := range w.Runs() {
 		if r.V != V1 {
 			continue
@@ -311,12 +280,12 @@ func (w Waveform) DelayRFA(rise, fall tick.Range, a *Arena) Waveform {
 		if riseEnd >= fallStart {
 			// The delayed edges may cross: the pulse may be arbitrarily
 			// narrow or absent.
-			out = out.PaintA(s+rise.Min, e+fall.Max, VC, a)
+			out = out.Paint(s+rise.Min, e+fall.Max, VC)
 			continue
 		}
-		out = out.PaintA(s+rise.Min, riseEnd, VR, a)
-		out = out.PaintA(riseEnd, fallStart, V1, a)
-		out = out.PaintA(fallStart, e+fall.Max, VF, a)
+		out = out.Paint(s+rise.Min, riseEnd, VR)
+		out = out.Paint(riseEnd, fallStart, V1)
+		out = out.Paint(fallStart, e+fall.Max, VF)
 	}
 	return out
 }
@@ -333,12 +302,7 @@ func (w Waveform) WithSkew(s tick.Time) Waveform {
 // MapUnary applies f pointwise.  Skew is preserved: a pointwise function of
 // a single signal commutes with the uniform time shift skew represents.
 func (w Waveform) MapUnary(f func(Value) Value) Waveform {
-	return w.MapUnaryA(f, nil)
-}
-
-// MapUnaryA is MapUnary allocating scratch from a (nil a → heap).
-func (w Waveform) MapUnaryA(f func(Value) Value, a *Arena) Waveform {
-	out := Waveform{Period: w.Period, Skew: w.Skew, Segs: a.makeSegs(len(w.Segs))}
+	out := Waveform{Period: w.Period, Skew: w.Skew, Segs: make([]Segment, len(w.Segs))}
 	for i, s := range w.Segs {
 		out.Segs[i] = Segment{V: f(s.V), W: s.W}
 	}
@@ -349,17 +313,11 @@ func (w Waveform) MapUnaryA(f func(Value) Value, a *Arena) Waveform {
 // every transition a→b widens into a band of Mix(a, b) of the skew's
 // duration, because the transition may occur anywhere within it.
 func (w Waveform) IncorporateSkew() Waveform {
-	return w.IncorporateSkewA(nil)
-}
-
-// IncorporateSkewA is IncorporateSkew allocating scratch from a (nil a →
-// heap).
-func (w Waveform) IncorporateSkewA(a *Arena) Waveform {
 	if w.Skew == 0 {
-		return w.normalizeA(a)
+		return w.normalize()
 	}
 	if v, ok := w.ConstantValue(); ok {
-		return ConstA(w.Period, v, a)
+		return Const(w.Period, v)
 	}
 	runs := w.Runs()
 	if w.Skew >= w.Period {
@@ -371,7 +329,7 @@ func (w Waveform) IncorporateSkewA(a *Arena) Waveform {
 				acc = Mix(acc, r.V)
 			}
 		}
-		return ConstA(w.Period, acc, a)
+		return Const(w.Period, acc)
 	}
 	// Work in linear (unrolled) time over [0, 2P): each run appears twice.
 	type linRun struct {
@@ -387,7 +345,7 @@ func (w Waveform) IncorporateSkewA(a *Arena) Waveform {
 	sort.Slice(lin, func(i, j int) bool { return lin[i].start < lin[j].start })
 
 	// Elementary boundaries: run starts and run starts shifted by skew.
-	bounds := a.newTimes(2*len(runs) + 1)
+	bounds := make([]tick.Time, 0, 2*len(runs)+1)
 	bounds = append(bounds, 0)
 	for _, r := range runs {
 		bounds = append(bounds, tick.Mod(r.Start, w.Period))
@@ -396,7 +354,7 @@ func (w Waveform) IncorporateSkewA(a *Arena) Waveform {
 	bounds = sortDedup(bounds)
 
 	out := Waveform{Period: w.Period}
-	out.Segs = a.newSegs(len(bounds))
+	out.Segs = make([]Segment, 0, len(bounds))
 	for i, b := range bounds {
 		next := w.Period
 		if i+1 < len(bounds) {
@@ -448,25 +406,20 @@ func sortDedup(ts []tick.Time) []tick.Time {
 // Otherwise both skews are incorporated first, as the paper requires when
 // two changing signals meet (§2.8).
 func Combine(a, b Waveform, f func(Value, Value) Value) Waveform {
-	return CombineA(a, b, f, nil)
-}
-
-// CombineA is Combine allocating scratch from ar (nil ar → heap).
-func CombineA(a, b Waveform, f func(Value, Value) Value, ar *Arena) Waveform {
 	if a.Period != b.Period {
 		panic(fmt.Sprintf("values: combining waveforms with different periods %v and %v", a.Period, b.Period))
 	}
 	if v, ok := a.ConstantValue(); ok {
-		return b.MapUnaryA(func(x Value) Value { return f(v, x) }, ar)
+		return b.MapUnary(func(x Value) Value { return f(v, x) })
 	}
 	if v, ok := b.ConstantValue(); ok {
-		return a.MapUnaryA(func(x Value) Value { return f(x, v) }, ar)
+		return a.MapUnary(func(x Value) Value { return f(x, v) })
 	}
-	ai := a.IncorporateSkewA(ar)
-	bi := b.IncorporateSkewA(ar)
-	bounds := mergedBoundariesA(ai, bi, ar)
+	ai := a.IncorporateSkew()
+	bi := b.IncorporateSkew()
+	bounds := mergedBoundaries(ai, bi)
 	out := Waveform{Period: a.Period}
-	out.Segs = ar.newSegs(len(bounds))
+	out.Segs = make([]Segment, 0, len(bounds))
 	for i, t := range bounds {
 		next := a.Period
 		if i+1 < len(bounds) {
@@ -482,17 +435,12 @@ func CombineA(a, b Waveform, f func(Value, Value) Value, ar *Arena) Waveform {
 
 // CombineN folds waveforms left to right with f.
 func CombineN(f func(Value, Value) Value, ws ...Waveform) Waveform {
-	return CombineNA(f, ws, nil)
-}
-
-// CombineNA is CombineN allocating scratch from ar (nil ar → heap).
-func CombineNA(f func(Value, Value) Value, ws []Waveform, ar *Arena) Waveform {
 	if len(ws) == 0 {
 		panic("values: CombineN of nothing")
 	}
 	out := ws[0]
 	for _, w := range ws[1:] {
-		out = CombineA(out, w, f, ar)
+		out = Combine(out, w, f)
 	}
 	return out
 }
@@ -503,11 +451,6 @@ func CombineNA(f func(Value, Value) Value, ws []Waveform, ar *Arena) Waveform {
 // non-constant its skew is preserved; otherwise every skew is incorporated
 // first.
 func CombineAll(f func([]Value) Value, ws ...Waveform) Waveform {
-	return CombineAllA(f, ws, nil)
-}
-
-// CombineAllA is CombineAll allocating scratch from ar (nil ar → heap).
-func CombineAllA(f func([]Value) Value, ws []Waveform, ar *Arena) Waveform {
 	if len(ws) == 0 {
 		panic("values: CombineAll of nothing")
 	}
@@ -530,21 +473,21 @@ func CombineAllA(f func([]Value) Value, ws []Waveform, ar *Arena) Waveform {
 	switch nVarying {
 	case 0:
 		copy(vs, consts)
-		return ConstA(period, f(vs), ar)
+		return Const(period, f(vs))
 	case 1:
-		return ws[varying].MapUnaryA(func(x Value) Value {
+		return ws[varying].MapUnary(func(x Value) Value {
 			copy(vs, consts)
 			vs[varying] = x
 			return f(vs)
-		}, ar)
+		})
 	}
 	inc := make([]Waveform, len(ws))
 	nb := 1
 	for i, w := range ws {
-		inc[i] = w.IncorporateSkewA(ar)
+		inc[i] = w.IncorporateSkew()
 		nb += len(inc[i].Segs)
 	}
-	bounds := append(ar.newTimes(nb), 0)
+	bounds := append(make([]tick.Time, 0, nb), 0)
 	for i := range inc {
 		var pos tick.Time
 		for _, s := range inc[i].Segs {
@@ -554,7 +497,7 @@ func CombineAllA(f func([]Value) Value, ws []Waveform, ar *Arena) Waveform {
 	}
 	bounds = sortDedup(bounds)
 	out := Waveform{Period: period}
-	out.Segs = ar.newSegs(len(bounds))
+	out.Segs = make([]Segment, 0, len(bounds))
 	for i, t := range bounds {
 		next := period
 		if i+1 < len(bounds) {
@@ -571,12 +514,12 @@ func CombineAllA(f func([]Value) Value, ws []Waveform, ar *Arena) Waveform {
 	return out.normalizeOwned()
 }
 
-// mergedBoundariesA merges the segment boundaries of two waveforms into
+// mergedBoundaries merges the segment boundaries of two waveforms into
 // one sorted, deduplicated list.  Both boundary sequences are already
 // ascending (cumulative sums of positive widths), so this is a two-pointer
 // merge with no map and no sort.
-func mergedBoundariesA(a, b Waveform, ar *Arena) []tick.Time {
-	out := ar.newTimes(len(a.Segs) + len(b.Segs))
+func mergedBoundaries(a, b Waveform) []tick.Time {
+	out := make([]tick.Time, 0, len(a.Segs)+len(b.Segs))
 	var pa, pb tick.Time
 	ia, ib := 0, 0
 	for ia < len(a.Segs) || ib < len(b.Segs) {
@@ -608,7 +551,7 @@ func (w Waveform) Equal(o Waveform) bool {
 	if w.Period != o.Period || w.Skew != o.Skew {
 		return false
 	}
-	for _, t := range mergedBoundariesA(w, o, nil) {
+	for _, t := range mergedBoundaries(w, o) {
 		if w.At(t) != o.At(t) {
 			return false
 		}

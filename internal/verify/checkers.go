@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"scaldtv/internal/assertion"
@@ -46,10 +45,10 @@ func (v *verifier) checkSite(pi netlist.PrimID, caseLabel string) []Violation {
 // outright; PlanDirective sites first scan the resolved directive heads —
 // a gate none of whose inputs carries &A/&H has nothing to check, exactly
 // the case checkSiteFull's window loop degenerates to.  Every remaining
-// site consults its warm slot, then the negative cache: a site key — the
-// evaluation-memo key of everything the check reads, plus the checker
+// site consults the negative cache: a site key (tape.Program.AppendKey) —
+// the evaluation-memo key of everything the check reads, plus the checker
 // intervals — recorded as clean means the full check returned no
-// violations and no margins, so it is skipped.  Margins runs bypass both
+// violations and no margins, so it is skipped.  Margins runs bypass it
 // entirely (margins are recorded even for passing constraints, so no
 // outcome is empty).
 func (v *verifier) tapeCheckSite(pi netlist.PrimID, caseLabel string) []Violation {
@@ -75,43 +74,17 @@ func (v *verifier) tapeCheckSite(pi netlist.PrimID, caseLabel string) []Violatio
 	if v.opts.Margins {
 		return v.checkSiteFull(pi, caseLabel)
 	}
-	// Warm slot first: a clean-site variant (Outs == nil) records that the
-	// full check of these exact inputs was clean under the current
-	// environment generation — skipped with a handle walk, no key build,
-	// no lock.
-	if v.slotLookup(pi, true) != nil {
-		return nil
-	}
 	sc := v.sc()
-	sc.keyBuf = appendSiteKey(sc.keyBuf[:0], v.d, p, sc.get, sc.wid)
+	sc.keyBuf = v.prog.AppendKey(sc.keyBuf[:0], v.d, pi, v.sigs, v.sigID, true)
 	if v.prog.Sites.Known(sc.keyBuf) {
-		v.publishSlot(pi, nil, nil)
 		return nil
 	}
 	mark := len(v.margins)
 	out := v.checkSiteFull(pi, caseLabel)
 	if out == nil && len(v.margins) == mark {
 		v.prog.Sites.Add(sc.keyBuf)
-		v.publishSlot(pi, nil, nil)
 	}
 	return out
-}
-
-// appendSiteKey builds a constraint site's negative-cache key: the
-// evaluation-memo key (kind, width, period, delay parameters, and per
-// input connection the complement rail, resolved directives, wire delay
-// and interned waveform handle — everything the checking functions read
-// through ConnWave and ConnDirective) extended with the checker
-// intervals, which the evaluator does not read.  Names and the case label
-// are deliberately absent: they only appear in non-empty outcomes, which
-// are never cached.
-func appendSiteKey(buf []byte, d *netlist.Design, p *netlist.Prim, get eval.Getter, wid eval.WaveID) []byte {
-	buf = eval.AppendKey(buf, d, p, get, wid)
-	buf = binary.AppendVarint(buf, int64(p.Setup))
-	buf = binary.AppendVarint(buf, int64(p.Hold))
-	buf = binary.AppendVarint(buf, int64(p.MinHigh))
-	buf = binary.AppendVarint(buf, int64(p.MinLow))
-	return buf
 }
 
 // checkSiteFull evaluates the constraint rules anchored at one primitive:

@@ -37,7 +37,7 @@ type Verifier struct {
 	d    *netlist.Design
 	opts Options
 	// ref selects the Reference engine for a one-shot run: FIFO
-	// relaxation over eval.PrimA with no compiled program.
+	// relaxation over eval.Prim with no compiled program.
 	ref bool
 
 	cases   []netlist.Case
@@ -329,18 +329,11 @@ func (V *Verifier) ReverifyContext(ctx context.Context, ch netlist.Changes) (*Re
 	if err := d.CheckSites(ch); err != nil {
 		return nil, serr.Wrap(serr.Elaborate, err)
 	}
-	// The edit invalidates the warm slot table — its variants were
-	// captured under the old parameters — but re-hashing the whole
-	// environment (Refresh) is O(design) and would dwarf a small-edit
-	// reverification, so the retained case verifiers simply adopt a fresh
-	// empty table and relearn from the keyed memo, whose exact keys carry
-	// every live parameter and need no invalidation.  The program's own
-	// generation state is left stale on purpose: the next full run's
-	// Refresh re-validates it against the live design.
-	slots := tape.NewSlotTable(len(d.Prims))
-	for _, rc := range V.perCase {
-		rc.slots = slots
-	}
+	// The memo and site keys carry every live parameter, so the edit needs
+	// no invalidation.  The program's seed image is left stale on purpose
+	// (re-hashing it is O(design) and would dwarf a small-edit
+	// reverification): the retained verifiers re-seed dirtied nets below,
+	// and the next full run's Refresh re-validates the image.
 
 	buildStart := time.Now()
 	// Recompute the seed waveforms of dirtied nets — validating first,
@@ -468,7 +461,7 @@ func (V *Verifier) UpdateContext(ctx context.Context, nd *netlist.Design) (res *
 	// structures match, so the edited design adopts it — its warm memo
 	// tables included.  Stale numeric parameters are caught by Refresh on
 	// the next full run; the memo keys carry every live parameter, so no
-	// entry needs invalidating, and evaluation (eval.PrimA) dispatches on
+	// entry needs invalidating, and evaluation (eval.Prim) dispatches on
 	// each primitive's current kind, so a same-shape gate swap is safe too.
 	nd.StoreEngineCache(V.perCase[0].prog)
 	res, err = V.ReverifyContext(ctx, ch)

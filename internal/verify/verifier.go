@@ -219,14 +219,13 @@ type verifier struct {
 	margins []Margin
 
 	// prog is the compiled evaluation tape; nil only on Reference runs.
-	// Its persistent interner, evaluation memo, warm slots and negative
-	// site cache serve every evaluation and check, initial/pinned may
-	// alias its precompiled seed image (initialShared; copy-on-write
-	// before mutation), and relaxation sweeps its levelization.  fresh
+	// Its persistent interner, evaluation memo and negative site cache
+	// serve every evaluation and check, initial/pinned may alias its
+	// precompiled seed image (initialShared; copy-on-write before
+	// mutation), and relaxation sweeps its levelization.  fresh
 	// marks a verifier whose sigs still equal its seeds, so the first case
 	// can skip re-seeding unmapped nets.
 	prog          *tape.Program
-	slots         *tape.SlotTable
 	initialShared bool
 	fresh         bool
 
@@ -252,8 +251,8 @@ type verifier struct {
 	// the dependency.
 	sigID []uint64
 
-	// scratch is the evaluation scratch (key buffers, segment arena,
-	// getter closures, changed-net list), created lazily by sc.
+	// scratch is the evaluation scratch (key buffer, getter closure,
+	// changed-net list), created lazily by sc.
 	scratch *evalScratch
 
 	// The worklist is a queue with an explicit head index — a pop
@@ -301,11 +300,11 @@ func RunContext(ctx context.Context, d *netlist.Design, opts Options) (*Result, 
 
 // Reference verifies the design the way §2.9 states it, with none of the
 // production engine's machinery: one FIFO worklist per case, every
-// primitive evaluated by eval.PrimA, no interning, memo, warm slots or
-// negative site cache, and every constraint site checked in full.  It
-// shares Run's case schedule, checkers, merge and delay-model post-passes,
-// so its report must equal Run's byte for byte; the test suites hold the
-// compiled tape to it.
+// primitive evaluated by eval.Prim, no interning, memo or negative site
+// cache, and every constraint site checked in full.  It shares Run's case
+// schedule, checkers, merge and delay-model post-passes, so its report
+// must equal Run's byte for byte; the test suites hold the compiled tape
+// to it.
 func Reference(d *netlist.Design, opts Options) (*Result, error) {
 	return (&Verifier{d: d, opts: opts, ref: true}).run(context.Background(), false)
 }
@@ -436,7 +435,6 @@ func initVerifier(d *netlist.Design, opts Options, prog *tape.Program) (*verifie
 		caseMap: make(map[netlist.NetID]values.Value),
 	}
 	if prog != nil {
-		v.slots = prog.Slots()
 		v.wired, v.wiredSlot = prog.Wired, prog.WiredSlot
 		if rs, ok := prog.Scratch.Get().(*runState); ok && rs.fits(d) {
 			v.adoptRunState(rs)
@@ -529,7 +527,6 @@ func (v *verifier) clone() *verifier {
 		opts:          v.opts,
 		ctx:           v.ctx,
 		prog:          v.prog,
-		slots:         v.slots,
 		initialShared: v.initialShared,
 		fresh:         v.fresh,
 		initial:       v.initial,
@@ -614,8 +611,8 @@ func (v *verifier) storeSig(id netlist.NetID, sig eval.Signal) bool {
 }
 
 // storeSigID is storeSig for a signal whose interned handle is already
-// known (from a cache entry or warm slot): the comparison and the store
-// are pure handle bookkeeping — no interning, no waveform hash.
+// known (from a cache entry): the comparison and the store are pure
+// handle bookkeeping — no interning, no waveform hash.
 func (v *verifier) storeSigID(id netlist.NetID, sig eval.Signal, wid uint64) bool {
 	if wid == v.sigID[id] && sig.Dirs == v.sigs[id].Dirs {
 		return false
@@ -780,10 +777,6 @@ func (v *verifier) mapped(id netlist.NetID, w values.Waveform) values.Waveform {
 	})
 }
 
-// waveID reports the interned handle of a net's current waveform, for
-// cache-key building.  Valid only when the cache is enabled.
-func (v *verifier) waveID(n netlist.NetID) uint64 { return v.sigID[n] }
-
 func (v *verifier) enqueue(p netlist.PrimID) {
 	if v.inQueue[p] || v.d.Prims[p].Kind.IsChecker() {
 		return
@@ -856,23 +849,19 @@ func (o Options) passCap(nPrims int) int {
 }
 
 // evalScratch is the verifier's evaluation scratch: the memo and site key
-// buffer, the waveform segment arena, the getter closures built once
-// instead of per evaluation, and the nets changed by the current
-// evaluation or component.
+// buffer, the getter closure built once instead of per evaluation, and
+// the nets changed by the current evaluation or component.
 type evalScratch struct {
 	keyBuf  []byte
-	arena   *values.Arena
 	get     eval.Getter
-	wid     eval.WaveID
 	changed []netlist.NetID
 }
 
 // sc returns the verifier's scratch, creating it on first use.
 func (v *verifier) sc() *evalScratch {
 	if v.scratch == nil {
-		v.scratch = &evalScratch{arena: &values.Arena{}}
+		v.scratch = &evalScratch{}
 		v.scratch.get = func(n netlist.NetID) eval.Signal { return v.sigs[n] }
-		v.scratch.wid = func(n netlist.NetID) uint64 { return v.sigID[n] }
 	}
 	return v.scratch
 }
@@ -888,25 +877,16 @@ func (v *verifier) evalPrim(pid netlist.PrimID, dst []netlist.NetID) []netlist.N
 	var ids []uint64
 	var err error
 	if v.prog == nil {
-		outs, err = eval.PrimA(v.d, p, sc.get, sc.arena)
-	} else if sv := v.slotLookup(pid, false); sv != nil {
-		// Warm-slot fast path: one of the primitive's recent evaluations
-		// was computed from these exact inputs (interned handles +
-		// governing directives) under the current environment generation,
-		// so reuse it without key building, hashing or locking.
-		outs, ids = sv.Outs, sv.IDs
-		v.prog.Evals.NoteHit()
+		outs, err = eval.Prim(v.d, p, sc.get)
 	} else {
 		// Memoized evaluation: the key covers everything evaluation reads,
 		// with input waveforms as interned handles, so a hit returns
 		// exactly what evaluation would produce.  Outputs are interned
-		// before storing so every consumer shares one copy (and no cache
-		// entry references the arena).  Either way the result becomes a
-		// fresh warm-slot variant.
-		sc.keyBuf = eval.AppendKey(sc.keyBuf[:0], v.d, p, sc.get, sc.wid)
+		// before storing so every consumer shares one copy.
+		sc.keyBuf = v.prog.AppendKey(sc.keyBuf[:0], v.d, pid, v.sigs, v.sigID, false)
 		var ok bool
 		if outs, ids, ok = v.prog.Evals.Get(sc.keyBuf); !ok {
-			outs, err = eval.PrimA(v.d, p, sc.get, sc.arena)
+			outs, err = eval.Prim(v.d, p, sc.get)
 			if err == nil && outs != nil {
 				ids = make([]uint64, len(outs))
 				for i := range outs {
@@ -914,9 +894,6 @@ func (v *verifier) evalPrim(pid netlist.PrimID, dst []netlist.NetID) []netlist.N
 				}
 				v.prog.Evals.Put(sc.keyBuf, outs, ids)
 			}
-		}
-		if err == nil && outs != nil {
-			v.publishSlot(pid, outs, ids)
 		}
 	}
 	if err != nil || outs == nil {
@@ -931,14 +908,14 @@ func (v *verifier) evalPrim(pid netlist.PrimID, dst []netlist.NetID) []netlist.N
 			slot := v.wiredSlot[[2]int32{int32(id), int32(pid)}]
 			v.wiredOutW[slot] = sig.Wave
 			v.wiredOutSet[slot] = true
-			folded := values.ConstA(v.d.Period, values.V0, sc.arena)
+			folded := values.Const(v.d.Period, values.V0)
 			for _, dp := range drivers {
 				ds := v.wiredSlot[[2]int32{int32(id), int32(dp)}]
-				w := values.ConstA(v.d.Period, values.VU, sc.arena)
+				w := values.Const(v.d.Period, values.VU)
 				if v.wiredOutSet[ds] {
 					w = v.wiredOutW[ds]
 				}
-				folded = values.CombineA(folded, w, values.Or, sc.arena)
+				folded = values.Combine(folded, w, values.Or)
 			}
 			sig = eval.Signal{Wave: folded, Dirs: sig.Dirs}
 		} else if ids != nil && !v.pinned[id] {
@@ -966,81 +943,6 @@ func (v *verifier) evalPrim(pid netlist.PrimID, dst []netlist.NetID) []netlist.N
 		}
 	}
 	return dst
-}
-
-// slotLookup scans a primitive's warm slot for a variant whose recorded
-// inputs equal the current ones: per input bit (in AppendKey's connection
-// order), the interned handle of the incoming waveform and the governing
-// directive string.  Everything else evaluation reads is pinned by the
-// program's environment generation, so a match implies the variant's
-// outputs are exactly what evaluation would produce.  With site true it
-// matches clean checker-site variants (Outs == nil) instead.
-func (v *verifier) slotLookup(pid netlist.PrimID, site bool) *tape.SlotVar {
-	s := v.slots.Load(pid)
-	if s == nil {
-		return nil
-	}
-	for i := range s.Vars {
-		sv := &s.Vars[i]
-		if (sv.Outs == nil) == site && v.slotMatch(pid, sv) {
-			return sv
-		}
-	}
-	return nil
-}
-
-// slotMatch reports whether one variant's recorded inputs equal the
-// primitive's current inputs, scanning the program's flat connection
-// table instead of the netlist's nested port structure.
-func (v *verifier) slotMatch(pid netlist.PrimID, sv *tape.SlotVar) bool {
-	span := v.prog.ConnSpan[pid]
-	nets := v.prog.ConnNet[span[0]:span[1]]
-	if len(nets) != len(sv.In) {
-		return false
-	}
-	cdirs := v.prog.ConnDirs[span[0]:span[1]]
-	for k, n := range nets {
-		dirs := cdirs[k]
-		if dirs.Empty() {
-			dirs = v.sigs[n].Dirs
-		}
-		if in := &sv.In[k]; in.ID != v.sigID[n] || in.Dirs != dirs {
-			return false
-		}
-	}
-	return true
-}
-
-// publishSlot appends the primitive's current inputs and interned outputs
-// to its warm slot as a fresh variant, evicting the oldest beyond
-// tape.MaxSlotVars.  Slots are immutable once published, so the surviving
-// variants are copied into a new Slot; publishes happen only while a
-// cycle of states is being (re)learned, never in the warm steady state.
-// With nil outs it records a clean checker site.  Concurrent case workers
-// can lose each other's variant — last writer wins — which costs a
-// relearn, never correctness.
-func (v *verifier) publishSlot(pid netlist.PrimID, outs []eval.Signal, ids []uint64) {
-	span := v.prog.ConnSpan[pid]
-	nets := v.prog.ConnNet[span[0]:span[1]]
-	cdirs := v.prog.ConnDirs[span[0]:span[1]]
-	sv := tape.SlotVar{Outs: outs, IDs: ids, In: make([]tape.SlotInput, len(nets))}
-	for k, n := range nets {
-		dirs := cdirs[k]
-		if dirs.Empty() {
-			dirs = v.sigs[n].Dirs
-		}
-		sv.In[k] = tape.SlotInput{ID: v.sigID[n], Dirs: dirs}
-	}
-	var old []tape.SlotVar
-	if s := v.slots.Load(pid); s != nil {
-		old = s.Vars
-		if len(old) >= tape.MaxSlotVars {
-			old = old[len(old)-tape.MaxSlotVars+1:]
-		}
-	}
-	ns := &tape.Slot{Vars: make([]tape.SlotVar, 0, len(old)+1)}
-	ns.Vars = append(append(ns.Vars, old...), sv)
-	v.slots.Store(pid, ns)
 }
 
 // relax runs the event-driven evaluation to a fixed point (§2.9 step 2).

@@ -11,12 +11,12 @@ import (
 
 // FuzzTapeDifferential fuzzes the engine-vs-oracle equivalence over the
 // generated design family: for any design shape and worker count, the
-// compiled evaluation tape (with its warm slots, persistent memos and
-// pooled run state) must render a JSON report byte-identical to the
-// Reference engine's.  The fuzzer steers the generator's structural knobs
-// — pipeline size, datapath width, decode depth, injected failures, case
+// compiled evaluation tape (with its persistent memos and pooled run
+// state) must render a JSON report byte-identical to the Reference
+// engine's.  The fuzzer steers the generator's structural knobs —
+// pipeline size, datapath width, decode depth, injected failures, case
 // analysis, variable-length cycles, feedback fraction — plus the case
-// parallelism, so a wrong gate table, a stale slot hit or a pool reuse
+// parallelism, so a wrong gate table, a stale memo hit or a pool reuse
 // bug shows up as a report diff.
 func FuzzTapeDifferential(f *testing.F) {
 	f.Add(uint8(3), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(1))
