@@ -15,11 +15,11 @@ import (
 // that counts the nets and primitives Pass 2 will create, so the Builder
 // grows each table at most once.  A macro's count is memoized per parameter
 // values.  Names are classified by scope, as Pass 2 resolves them: a
-// global vector counts the distinct bits its references cover under its
-// Builder stem, so every spelling of one vector shares one count, and
-// never its highest index; a macro local counts its declared width per
-// expansion only when the body references it; a scalar counts once per
-// distinct name.  For a design Pass 2 elaborates, the count exceeds what
+// global vector counts the distinct bits its references cover under the
+// stem table Builder.Symbol resolves it to, so every spelling of one
+// vector shares one count, and never its highest index; a macro local
+// counts its declared width per expansion only when the body references
+// it; a scalar counts once per distinct name.  For a design Pass 2 elaborates, the count exceeds what
 // Pass 2 creates only where names counted apart meet in one net name,
 // such as a quoted scalar that spells a vector bit.  The census mirrors
 // none of Pass 2's checks: a design that fails part way may have
@@ -33,8 +33,6 @@ func count(f *hdl.File, b *netlist.Builder) (nets, prims int, ok bool) {
 		b:      b,
 		macros: make(map[string]*hdl.Macro, len(f.Macros)),
 		memo:   map[memoKey]cost{},
-		stems:  map[netlist.Stem]int32{},
-		syms:   map[netlist.Sym]int32{},
 		names:  map[string]bool{},
 	}
 	for _, m := range f.Macros {
@@ -63,12 +61,10 @@ type census struct {
 	b      *netlist.Builder
 	macros map[string]*hdl.Macro
 	memo   map[memoKey]cost
-	stems  map[netlist.Stem]int32 // global vector stem → index
-	syms   map[netlist.Sym]int32  // resolved spelling → its stem's index
-	names  map[string]bool        // global names referenced without a range
-	spans  []span                 // global vector references
-	vals   []int                  // reused parameter-value buffer
-	key    []byte                 // reused memo-key buffer
+	names  map[string]bool // global names referenced without a range
+	spans  []span          // global vector references
+	vals   []int           // reused parameter-value buffer
+	key    []byte          // reused memo-key buffer
 }
 
 // memoKey is one macro at one vector of parameter values, each value
@@ -85,7 +81,7 @@ type cost struct{ prims, nets int }
 
 // span is one global vector reference: bits lo..hi of a stem.
 type span struct {
-	stem   int32
+	stem   netlist.Sym
 	lo, hi int
 }
 
@@ -219,16 +215,7 @@ func (c *census) ref(se *hdl.SigExpr, fr *cframe) error {
 	if err != nil {
 		return err
 	}
-	id, ok := c.syms[s]
-	if !ok {
-		stem := c.b.Stem(s)
-		if id, ok = c.stems[stem]; !ok {
-			id = int32(len(c.stems))
-			c.stems[stem] = id
-		}
-		c.syms[s] = id
-	}
-	c.spans = append(c.spans, span{id, lo, hi})
+	c.spans = append(c.spans, span{s, lo, hi})
 	return nil
 }
 

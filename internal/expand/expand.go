@@ -94,6 +94,29 @@ type expander struct {
 
 	paramIdx map[string]int32 // declared parameter name → Design.Params index
 	fnIDs    map[string]int32 // canonical delay-function key → AddDelayFn handle
+
+	// conns, nets, ins and outs are stacks of transient connections:
+	// resolve pushes a reference's connections onto conns, and outNets an
+	// output's nets onto nets; a primitive pushes its input and output
+	// lists onto ins and outs, and a use its port bindings onto ins.  An
+	// instance pops what it pushed when it returns.  The Builder copies
+	// what a primitive keeps, so no transient list outlives its instance.
+	conns []netlist.Conn
+	nets  []netlist.NetID
+	ins   [][]netlist.Conn
+	outs  [][]netlist.NetID
+}
+
+// height is the height of the expander's stacks.
+type height struct{ conns, nets, ins, outs int }
+
+func (e *expander) height() height {
+	return height{len(e.conns), len(e.nets), len(e.ins), len(e.outs)}
+}
+
+// pop drops what was pushed onto the stacks since they stood at h.
+func (e *expander) pop(h height) {
+	e.conns, e.nets, e.ins, e.outs = e.conns[:h.conns], e.nets[:h.nets], e.ins[:h.ins], e.outs[:h.outs]
 }
 
 // frame is one level of macro expansion context.
@@ -224,9 +247,10 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 				return nil, nil, fmt.Errorf("expand: signal %q: %v", sd.Name, err)
 			}
 		}
-		if _, err := e.globalBits(sd.Name, sd.HasRange, lo, hi); err != nil {
+		if err := e.global(sd.Name, sd.HasRange, lo, hi); err != nil {
 			return nil, nil, err
 		}
+		e.conns = e.conns[:0]
 	}
 
 	// Pass 2: expand the body.
@@ -294,24 +318,27 @@ func evalRange(lo, hi hdl.Expr, params map[string]int) (int, int, error) {
 	return l, h, nil
 }
 
-// globalBits resolves a global signal reference to its nets, creating them
-// on first use with the Builder's vector naming.  The returned slice may
-// alias the Builder's tables and must not be modified.
-func (e *expander) globalBits(name string, hasRange bool, lo, hi int) ([]netlist.NetID, error) {
+// global pushes the connections of a global signal reference, creating
+// its nets on first use with the Builder's vector naming.
+func (e *expander) global(name string, hasRange bool, lo, hi int) error {
 	if !hasRange {
-		return []netlist.NetID{e.b.Net(name)}, nil
+		e.conns = append(e.conns, netlist.Conn{Net: e.b.Net(name)})
+		return nil
 	}
 	s, err := e.b.Symbol(name)
 	if err != nil {
-		return nil, fmt.Errorf("expand: %v", err)
+		return fmt.Errorf("expand: %v", err)
 	}
-	return e.b.Bits(s, lo, hi), nil
+	for _, id := range e.b.Bits(s, lo, hi) {
+		e.conns = append(e.conns, netlist.Conn{Net: id})
+	}
+	return nil
 }
 
-// resolve turns a signal expression into connections within a frame.
+// resolve pushes the connections of a signal expression within a frame
+// onto the connection stack, and returns them.
 func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
-	var conns []netlist.Conn
-
+	start := len(e.conns)
 	switch kind, i := scope(fr.m, se.Name); kind {
 	case refPort:
 		// Macro port: the actual connection, optionally sub-sliced.
@@ -324,12 +351,12 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 			if hi >= len(bound) {
 				return nil, fmt.Errorf("expand: line %d: port %q bit %d exceeds bound width %d", se.Line, se.Name, hi, len(bound))
 			}
-			conns = append(conns, bound[lo:hi+1]...)
-		} else {
-			conns = append(conns, bound...)
+			bound = bound[lo : hi+1]
 		}
+		e.conns = append(e.conns, bound...)
 	case refLocal:
 		// Macro local: a uniquified global per expansion (the /M markers).
+		// Its first reference creates every declared bit.
 		decl := fr.m.Locals[i]
 		uname := fr.path + se.Name
 		dlo, dhi := 0, 0
@@ -340,8 +367,7 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 				return nil, fmt.Errorf("expand: line %d: local %q: %v", se.Line, se.Name, err)
 			}
 		}
-		all, err := e.globalBits(uname, decl.HasRange, dlo, dhi)
-		if err != nil {
+		if err := e.global(uname, decl.HasRange, dlo, dhi); err != nil {
 			return nil, err
 		}
 		if se.HasRange {
@@ -352,9 +378,8 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 			if lo < dlo || hi > dhi {
 				return nil, fmt.Errorf("expand: line %d: local %q<%d:%d> outside declared <%d:%d>", se.Line, se.Name, lo, hi, dlo, dhi)
 			}
-			all = all[lo-dlo : hi-dlo+1]
+			e.conns = append(e.conns[:start], e.conns[start+lo-dlo:start+hi-dlo+1]...)
 		}
-		conns = netlist.ConnsOf(all)
 	default:
 		lo, hi := 0, 0
 		var err error
@@ -364,15 +389,16 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 				return nil, fmt.Errorf("expand: line %d: %v", se.Line, err)
 			}
 		}
-		nets, err := e.globalBits(se.Name, se.HasRange, lo, hi)
-		if err != nil {
+		if err := e.global(se.Name, se.HasRange, lo, hi); err != nil {
 			return nil, err
 		}
-		conns = netlist.ConnsOf(nets)
 	}
 
+	conns := e.conns[start:len(e.conns):len(e.conns)]
 	if se.Invert {
-		conns = netlist.Invert(conns)
+		for i := range conns {
+			conns[i].Invert = !conns[i].Invert
+		}
 	}
 	if se.Dirs != "" {
 		conns = e.b.Directive(strings.Clone(se.Dirs), conns)
@@ -380,8 +406,9 @@ func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
 	return conns, nil
 }
 
-// outNets resolves an output signal expression: outputs must be plain net
-// references (no complement rail, no directives).
+// outNets resolves an output signal expression onto the net stack:
+// outputs must be plain net references (no complement rail, no
+// directives).
 func (e *expander) outNets(se *hdl.SigExpr, fr *frame) ([]netlist.NetID, error) {
 	if se.Invert || se.Dirs != "" {
 		return nil, fmt.Errorf("expand: line %d: output %q cannot carry - or & decorations", se.Line, se.Name)
@@ -390,14 +417,14 @@ func (e *expander) outNets(se *hdl.SigExpr, fr *frame) ([]netlist.NetID, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]netlist.NetID, len(conns))
-	for i, c := range conns {
+	start := len(e.nets)
+	for _, c := range conns {
 		if c.Invert || !c.Directives.Empty() {
 			return nil, fmt.Errorf("expand: line %d: output %q is bound through a decorated connection", se.Line, se.Name)
 		}
-		out[i] = c.Net
+		e.nets = append(e.nets, c.Net)
 	}
-	return out, nil
+	return e.nets[start:len(e.nets):len(e.nets)], nil
 }
 
 // affine lowers one side of a parsed delay expression to the netlist's
@@ -489,35 +516,47 @@ func (e *expander) tally(fr *frame, k netlist.Kind, width int) {
 	e.report.PrimsByMacro[fr.macro()]++
 }
 
+// instance expands one primitive or macro use, and then pops whatever it
+// pushed onto the expander's stacks.
 func (e *expander) instance(inst *hdl.Instance, fr *frame, depth int) error {
 	if depth > maxDepth {
 		return fmt.Errorf("expand: line %d: macro nesting deeper than %d (recursive macro?)", inst.Line, maxDepth)
 	}
+	defer e.pop(e.height())
 	if inst.Kind == "use" {
 		return e.expandUse(inst, fr, depth)
 	}
+	return e.primitive(inst, fr)
+}
+
+// selectWhat names each mux select input in messages.
+var selectWhat = [...]string{"select 0", "select 1", "select 2"}
+
+func (e *expander) primitive(inst *hdl.Instance, fr *frame) error {
 	k, ok := kindByName[inst.Kind]
 	if !ok {
 		return fmt.Errorf("expand: line %d: unknown primitive %q", inst.Line, inst.Kind)
 	}
 	label := e.label(inst, fr, "")
 
-	ins := make([][]netlist.Conn, len(inst.Ins))
-	for i, se := range inst.Ins {
+	base := len(e.ins)
+	for _, se := range inst.Ins {
 		c, err := e.resolve(se, fr)
 		if err != nil {
 			return err
 		}
-		ins[i] = c
+		e.ins = append(e.ins, c)
 	}
-	var outs [][]netlist.NetID
+	ins := e.ins[base:]
+	base = len(e.outs)
 	for _, se := range inst.Outs {
 		o, err := e.outNets(se, fr)
 		if err != nil {
 			return err
 		}
-		outs = append(outs, o)
+		e.outs = append(e.outs, o)
 	}
+	outs := e.outs[base:]
 
 	// A delay expression lowers to a shared analytic function; the
 	// primitive is built with a placeholder delay and bound to the
@@ -565,14 +604,15 @@ func (e *expander) instance(inst *hdl.Instance, fr *frame, depth int) error {
 		if err := need(ns+k.NumMuxData(), 1); err != nil {
 			return err
 		}
-		sel := make([]netlist.Conn, ns)
+		base := len(e.conns)
 		for i := 0; i < ns; i++ {
-			s, err := scalar(ins[i], fmt.Sprintf("select %d", i))
+			s, err := scalar(ins[i], selectWhat[i])
 			if err != nil {
 				return err
 			}
-			sel[i] = s
+			e.conns = append(e.conns, s)
 		}
+		sel := e.conns[base:]
 		e.tally(fr, k, len(outs[0]))
 		bind(e.b.Mux(k, label, inst.Delay, inst.SelDelay, outs[0], sel, ins[ns:]...))
 	case k == netlist.KReg, k == netlist.KLatch:
@@ -669,14 +709,15 @@ func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
 		}
 	}
 
-	// Port bindings (the Pass-1 synonym resolution).
+	// Port bindings (the Pass-1 synonym resolution), on the stacks until
+	// the use returns.
 	sub := &frame{
-		path:     e.label(inst, fr, "/"),
-		m:        m,
-		params:   params,
-		bindings: make([][]netlist.Conn, len(m.Ports)),
+		path:   e.label(inst, fr, "/"),
+		m:      m,
+		params: params,
 	}
-	for i, pd := range m.Ports {
+	base := len(e.ins)
+	for _, pd := range m.Ports {
 		se := inst.Conn(pd.Name)
 		if se == nil {
 			return fmt.Errorf("expand: line %d: macro %q port %s not connected", inst.Line, m.Name, pd.Name)
@@ -696,19 +737,20 @@ func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
 		if len(conns) == 1 && want > 1 {
 			// Scalar broadcast across a vector port, as with primitive
 			// data ports.
-			bc := make([]netlist.Conn, want)
-			for i := range bc {
-				bc[i] = conns[0]
+			c, start := conns[0], len(e.conns)
+			for range want {
+				e.conns = append(e.conns, c)
 			}
-			conns = bc
+			conns = e.conns[start:]
 		}
 		if len(conns) != want {
 			return fmt.Errorf("expand: line %d: macro %q port %s is %d bits, connection %q is %d",
 				inst.Line, m.Name, pd.Name, want, se.Name, len(conns))
 		}
-		sub.bindings[i] = conns
+		e.ins = append(e.ins, conns)
 		e.report.Synonyms += len(conns)
 	}
+	sub.bindings = e.ins[base:len(e.ins):len(e.ins)]
 	for _, pc := range inst.Conns {
 		if kind, _ := scope(m, pc.Port); kind != refPort {
 			return fmt.Errorf("expand: line %d: macro %q has no port %s", inst.Line, m.Name, pc.Port)

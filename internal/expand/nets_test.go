@@ -1,8 +1,10 @@
 package expand_test
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -231,6 +233,118 @@ case WRITE = 1
 		}
 		for _, p := range d.Params {
 			check("parameter name", p.Name)
+		}
+	}
+}
+
+// Sources whose quoted scalars spell vector bits the way Builder.Net
+// routes them.  Each is also a FuzzExpand seed.
+const (
+	// spillQuotedSource names bit 1000 of X by a quoted scalar while X's
+	// table spans bits 0..3 only, then widens the table past it.
+	spillQuotedSource = "design SPILL\nperiod 50ns\n" +
+		"buf V delay=(1,2) (A) -> (X<0:3>)\n" +
+		"buf S1 delay=(1,2) (\"X<1000>\") -> (P)\n" +
+		"or W delay=(1,2) (X<0:1999>) -> (Q)\n" +
+		"buf S2 delay=(1,2) (\"X<1000>\") -> (R)\n"
+	// spillVectorSource reaches the same far-off bit by a range first.
+	spillVectorSource = "design SPILL\nperiod 50ns\n" +
+		"buf V delay=(1,2) (A) -> (X<0:3>)\n" +
+		"buf S1 delay=(1,2) (X<1000>) -> (P)\n" +
+		"buf S2 delay=(1,2) (\"X<1000>\") -> (R)\n" +
+		"or W delay=(1,2) (X<0:1999>) -> (Q)\n"
+	// ownNetsSource spells names that only resemble bit names.
+	ownNetsSource = "design OWN\nperiod 50ns\n" +
+		"buf V delay=(1,2) (A) -> (\"X .S0-4\"<0:3>)\n" +
+		"buf S1 delay=(1,2) (\"X<3>  .S0-4\") -> (P)\n" +
+		"buf S2 delay=(1,2) (\"X<3> .S0-4\") -> (R)\n" +
+		"buf S3 delay=(1,2) (A) -> (Y<0:3>)\n" +
+		"buf S4 delay=(1,2) (\"Y<03>\") -> (W)\n" +
+		"buf S5 delay=(1,2) (\"Y<3>\") -> (Z)\n"
+)
+
+// TestExpandRoutedNetIdentity pins the identities a quoted scalar keeps.
+// One that spells a vector bit exactly is that bit, even a far-off one
+// no table covered when it was first named, before and after a later
+// reference widens the table to cover it.  One whose spelling differs
+// ("X<03>", "X<3>  .S0-4") is a net of its own.
+func TestExpandRoutedNetIdentity(t *testing.T) {
+	type pin struct {
+		prim      string
+		port, bit int    // In[port].Bits[bit], or Out[0].Bits[bit] when port < 0
+		net       string // the full name of the net the pin must be on
+	}
+	spilled := []pin{
+		{"V", -1, 3, "X<3>"}, {"S1", 0, 0, "X<1000>"}, {"S2", 0, 0, "X<1000>"},
+		{"W", 3, 0, "X<3>"}, {"W", 1000, 0, "X<1000>"}, {"W", 1999, 0, "X<1999>"},
+	}
+	for _, c := range []struct {
+		name, src string
+		nets      int
+		pins      []pin
+	}{
+		{"spill-quoted-first", spillQuotedSource, 2004, spilled},
+		{"spill-vector-first", spillVectorSource, 2004, spilled},
+		{"own-nets", ownNetsSource, 15, []pin{
+			{"V", -1, 3, "X<3> .S0-4"}, {"S1", 0, 0, "X<3>  .S0-4"}, {"S2", 0, 0, "X<3> .S0-4"},
+			{"S3", -1, 3, "Y<3>"}, {"S4", 0, 0, "Y<03>"}, {"S5", 0, 0, "Y<3>"},
+		}},
+	} {
+		d := expandSource(t, c.src)
+		if len(d.Nets) != c.nets {
+			t.Errorf("%s: %d nets, want %d", c.name, len(d.Nets), c.nets)
+		}
+		prims := map[string]*netlist.Prim{}
+		for i := range d.Prims {
+			prims[d.Prims[i].Name] = &d.Prims[i]
+		}
+		for _, p := range c.pins {
+			var got netlist.NetID
+			if pr := prims[p.prim]; p.port < 0 {
+				got = pr.Out[0].Bits[p.bit]
+			} else {
+				got = pr.In[p.port].Bits[p.bit].Net
+			}
+			if id, ok := d.NetByName(p.net); !ok || got != id {
+				t.Errorf("%s: %s pin %d.%d is net %d %q, want %q", c.name, p.prim, p.port, p.bit, got, d.Nets[got].Name, p.net)
+			}
+		}
+	}
+}
+
+// TestExpandConnectionsDisjoint requires every primitive's connection
+// slices to be full (len == cap) and to share no memory with another's:
+// internal/autocorr rewires a sink's connections in place, and an append
+// to one slice must never write into the next.
+func TestExpandConnectionsDisjoint(t *testing.T) {
+	type span struct{ lo, hi uintptr }
+	for _, pd := range pinDesigns(t) {
+		d := expandSource(t, pd.src)
+		var spans []span
+		add := func(p *netlist.Prim, what string, data unsafe.Pointer, n, c int, size uintptr) {
+			if n != c {
+				t.Errorf("%s: primitive %q %s: len %d, cap %d", pd.name, p.Name, what, n, c)
+			}
+			if n > 0 {
+				lo := uintptr(data)
+				spans = append(spans, span{lo, lo + uintptr(n)*size})
+			}
+		}
+		for i := range d.Prims {
+			p := &d.Prims[i]
+			for _, port := range p.In {
+				add(p, "input "+port.Name, unsafe.Pointer(unsafe.SliceData(port.Bits)), len(port.Bits), cap(port.Bits), unsafe.Sizeof(netlist.Conn{}))
+			}
+			for _, port := range p.Out {
+				add(p, "output "+port.Name, unsafe.Pointer(unsafe.SliceData(port.Bits)), len(port.Bits), cap(port.Bits), unsafe.Sizeof(netlist.NetID(0)))
+			}
+		}
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].lo < spans[i-1].hi {
+				t.Errorf("%s: connection slices [%#x, %#x) and [%#x, %#x) overlap", pd.name, spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+				break
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package netlist
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,55 +13,66 @@ import (
 
 // Builder constructs a Design programmatically.  Errors stick: the first
 // failure is remembered and reported by Build, so construction code reads
-// linearly without per-call error handling.
+// linearly without per-call error handling.  The primitive constructors
+// copy the connections and output nets they keep, so a caller may reuse
+// its slices.
 type Builder struct {
 	d   *Design
 	err error
 
-	// names maps every net's full name to its ID while the design is
-	// built.  It is read when a net is about to be created, so every
-	// spelling of one name is one net, and for scalar references; never
-	// for a bit a symbol's table already holds.  Build drops it.
+	// names maps full names to nets while the design is built, for the
+	// nets no stem table holds: scalars, and the far-off bits a table
+	// would have had to grow too far to cover.  Build drops it.
 	names map[string]NetID
 
-	syms   []symbol       // vector spellings resolved by Symbol
-	symIdx map[string]Sym // spelling → index into syms
-	buf    []byte         // reused bit-name buffer
+	stems   []stemTable    // one bit table per stem, indexed by Sym
+	stemIdx map[stem]Sym   // stem → its table
+	symIdx  map[string]Sym // vector spelling → its stem's table
+	buf     []byte         // reused bit-name buffer
+	ends    []int          // reused name offsets of one Bits call
+
+	// conns, nets, ports and outs are the slabs a primitive's connections
+	// are copied into (see carve).
+	conns []Conn
+	nets  []NetID
+	ports []Port
+	outs  []OutPort
 
 	// wantNets and wantPrims are the counts Reserve was given; a full
 	// table grows to them in one step (see regrow).
 	wantNets, wantPrims int
 }
 
-// Sym identifies a vector spelling resolved by Builder.Symbol.
+// Sym identifies the bit table of a vector stem.  Builder.Symbol resolves
+// every spelling of one stem ("X .S0-4", "X  .S0-4") to the same Sym, so
+// Syms count stems, densely from 0.
 type Sym int32
 
-// Stem is what the bit names of a vector spelling share: bit i is named
-// Base<i>Suffix.  Spellings with one stem ("X .S0-4", "X  .S0-4") name
-// the same nets.
-type Stem struct {
-	Base   string // the spelling with its assertion stripped
-	Suffix string // " ‹assertion›" after each bit's subscript, or ""
+// stem is what the bit names of a vector spelling share: bit i is named
+// base<i>suffix.
+type stem struct {
+	base   string // the spelling with its assertion stripped
+	suffix string // " ‹assertion›" after each bit's subscript, or ""
 }
 
-// symbol is one vector spelling ("STG2 Q", "FN .S0-8") with the nets of
-// the bits resolved through it.  Its table spans bits lo, lo+1, ...; it
-// grows to cover a request only while it stays at most about twice the
-// bits it holds, so a far-off bit index costs a name lookup, never a
-// table that long.
-type symbol struct {
-	stem   Stem
-	assert *assertion.Assertion // shared by every bit; nil for none
-	lo     int                  // bit index of bits[0]
-	bits   []NetID              // noNet where the bit's net is not yet known
-	known  int                  // entries of bits that are not noNet
+// stemTable holds the nets of one stem's bits.  Its table spans bits lo,
+// lo+1, ...; it grows to cover a request only while it stays at most about
+// twice the bits it holds, so a far-off bit index costs a name-map entry,
+// never a table that long.
+type stemTable struct {
+	stem
+	assert  *assertion.Assertion // shared by every bit; nil for none
+	lo      int                  // bit index of bits[0]
+	bits    []NetID              // noNet where the bit's net is not in the table
+	known   int                  // entries of bits that are not noNet
+	spilled bool                 // some bit of the stem is in the name map
 }
 
-// noNet marks a symbol table entry whose net is not yet known.
+// noNet marks a stem table entry whose net is not yet known.
 const noNet NetID = -1
 
-// minTable is the table span a symbol may always reach, however few
-// bits it holds.
+// minTable is the table span a stem may always reach, however few bits
+// it holds.
 const minTable = 64
 
 // NewBuilder starts a design with the paper's customary defaults: the
@@ -76,7 +86,7 @@ func NewBuilder(name string) *Builder {
 		DefaultWire:   tick.R(0, 2),
 		PrecisionSkew: tick.R(-1, 1),
 		ClockSkew:     tick.R(-5, 5),
-	}, names: make(map[string]NetID), symIdx: make(map[string]Sym)}
+	}, names: make(map[string]NetID), stemIdx: make(map[stem]Sym), symIdx: make(map[string]Sym)}
 }
 
 // firstStage is the most entries a table holds room for before the
@@ -90,12 +100,12 @@ const firstStage = 1 << 10
 // cost no more than that.
 const maxAhead = 1 << 17
 
-// Reserve sizes the net and primitive tables, and the build-time name
-// map, for the given counts, so none of them regrows more than once
-// while the design fills: each starts with room for at most firstStage
-// entries, and when it is full it grows to its count in one step (see
-// regrow).  Tables grow past the counts as usual if they must.  It is
-// for a new Builder: once a net or primitive exists, it does nothing.
+// Reserve sizes the net and primitive tables for the given counts, so
+// neither regrows more than once while the design fills: each starts with
+// room for at most firstStage entries, and when it is full it grows to its
+// count in one step (see regrow).  Tables grow past the counts as usual if
+// they must.  It is for a new Builder: once a net or primitive exists, it
+// does nothing.
 func (b *Builder) Reserve(nets, prims int) {
 	if len(b.d.Nets) > 0 || len(b.d.Prims) > 0 {
 		return
@@ -103,7 +113,6 @@ func (b *Builder) Reserve(nets, prims int) {
 	b.wantNets, b.wantPrims = nets, prims
 	b.d.Nets = make([]Net, 0, min(nets, firstStage))
 	b.d.Prims = make([]Prim, 0, min(prims, firstStage))
-	b.names = make(map[string]NetID, cap(b.d.Nets))
 }
 
 // regrow copies a full table into one with room for want entries, but
@@ -164,9 +173,12 @@ func (b *Builder) SetWiredOr(on bool) *Builder {
 }
 
 // Net returns the net with the given full signal name, creating it on
-// first use.  The name may embed an assertion ("W DATA .S0-6").  A new
-// net keeps a copy of the name, so the caller's string may point into a
-// larger buffer the design must not retain.
+// first use.  The name may embed an assertion ("W DATA .S0-6").  A name
+// that is exactly a vector bit's name, "BASE<i>" followed by the rendered
+// assertion if any, is that bit of its stem ("X<3>" is bit 3 of the X
+// that Vector("X", 4) names).  A new net keeps a copy of the name, so the
+// caller's string may point into a larger buffer the design must not
+// retain.
 func (b *Builder) Net(name string) NetID {
 	if id, ok := b.names[name]; ok {
 		return id
@@ -176,16 +188,41 @@ func (b *Builder) Net(name string) NetID {
 	if err != nil {
 		b.fail("%v", err)
 		sig = assertion.Signal{Base: name, Raw: name}
+	} else if s, i, ok := b.bitName(name, sig); ok {
+		b.stems[s].cover(i, i)
+		return b.bit(s, i)
 	}
-	return b.newNet(name, sig.Base, sig.Assert)
+	id := b.newNet(name, sig.Base, sig.Assert)
+	b.names[name] = id
+	return id
 }
 
+// bitName reports whether a parsed name is exactly the name of bit i of
+// some stem, and returns that stem's table, adding it on first use.  The
+// subscript must be spelled as Bits spells it: "X<03>" and "X<3>  .S0-4"
+// are names of their own.
+func (b *Builder) bitName(name string, sig assertion.Signal) (Sym, int, bool) {
+	base := sig.Base
+	lt := strings.LastIndexByte(base, '<')
+	if lt < 0 || base[len(base)-1] != '>' {
+		return 0, 0, false
+	}
+	digits := base[lt+1 : len(base)-1]
+	i, err := strconv.Atoi(digits)
+	if err != nil || i < 0 || strconv.Itoa(i) != digits {
+		return 0, 0, false
+	}
+	k := stemKey(base[:lt], sig.Assert)
+	if len(name) != len(base)+len(k.suffix) || !strings.HasPrefix(name, base) || !strings.HasSuffix(name, k.suffix) {
+		return 0, 0, false
+	}
+	return b.stemOf(k, sig.Assert), i, true
+}
+
+// newNet appends a net to the design; the caller records where to find it.
 func (b *Builder) newNet(name, base string, a *assertion.Assertion) NetID {
 	if n := len(b.d.Nets); n == cap(b.d.Nets) && n < b.wantNets {
 		b.d.Nets = regrow(b.d.Nets, b.wantNets)
-		names := make(map[string]NetID, cap(b.d.Nets))
-		maps.Copy(names, b.names)
-		b.names = names
 	}
 	id := NetID(len(b.d.Nets))
 	b.d.Nets = append(b.d.Nets, Net{
@@ -194,7 +231,6 @@ func (b *Builder) newNet(name, base string, a *assertion.Assertion) NetID {
 		Assert: a,
 		Driver: NoDriver,
 	})
-	b.names[name] = id
 	return id
 }
 
@@ -213,8 +249,8 @@ func (b *Builder) Vector(name string, width int) []NetID {
 	return slices.Clone(b.Bits(s, 0, width-1))
 }
 
-// Symbol resolves a vector spelling, parsing its base name and assertion
-// on first use.
+// Symbol resolves a vector spelling to its stem's bit table, parsing its
+// base name and assertion on first use.
 func (b *Builder) Symbol(name string) (Sym, error) {
 	if s, ok := b.symIdx[name]; ok {
 		return s, nil
@@ -223,71 +259,149 @@ func (b *Builder) Symbol(name string) (Sym, error) {
 	if err != nil {
 		return 0, err
 	}
-	sy := symbol{stem: Stem{Base: sig.Base}, assert: sig.Assert}
-	if sig.Assert != nil {
-		sy.stem.Suffix = " " + sig.Assert.String()
-	}
-	s := Sym(len(b.syms))
-	b.syms = append(b.syms, sy)
+	s := b.stemOf(stemKey(sig.Base, sig.Assert), sig.Assert)
 	b.symIdx[name] = s
 	return s, nil
 }
 
-// Stem returns the stem of a symbol's bit names.
-func (b *Builder) Stem(s Sym) Stem { return b.syms[s].stem }
+// stemKey returns the stem of bits with the given base and assertion.
+func stemKey(base string, a *assertion.Assertion) stem {
+	if a == nil {
+		return stem{base: base}
+	}
+	return stem{base, " " + a.String()}
+}
 
-// Bits returns the nets of bits lo..hi of a vector symbol, creating them
-// on first use.  Bit i is named "BASE<i>", followed by " ‹assertion›"
-// when the spelling has one; its Base is "BASE<i>" and every bit shares
-// the symbol's *Assertion, which must not be mutated afterwards.  A bit
-// the symbol's table holds costs an index; any other is looked up by its
-// full name before it is created, so two spellings of one bit, or a
-// quoted scalar naming it, share its net.  The returned slice may alias
-// the table and must not be modified.
+// stemOf returns the table of a stem, adding it on first use with the
+// assertion its bits will share.
+func (b *Builder) stemOf(k stem, a *assertion.Assertion) Sym {
+	if s, ok := b.stemIdx[k]; ok {
+		return s
+	}
+	s := Sym(len(b.stems))
+	b.stems = append(b.stems, stemTable{stem: k, assert: a})
+	b.stemIdx[k] = s
+	return s
+}
+
+// Bits returns the nets of bits lo..hi of a vector stem, creating them on
+// first use.  Bit i is named "BASE<i>", followed by " ‹assertion›" when
+// the stem has one; its Base is "BASE<i>" and every bit shares the stem's
+// *Assertion, which must not be mutated afterwards.  A bit the stem's
+// table holds costs an index, and the names of the bits one call creates
+// share one string.  A bit the table cannot cover is looked up in, or
+// added to, the name map; only a stem with such bits looks its empty
+// table entries up by name.  The returned slice may alias the table and
+// must not be modified.
 func (b *Builder) Bits(s Sym, lo, hi int) []NetID {
-	sy := &b.syms[s]
-	if !sy.cover(lo, hi) {
+	st := &b.stems[s]
+	if !st.cover(lo, hi) {
 		out := make([]NetID, hi-lo+1)
 		for i := range out {
-			out[i] = b.bitNet(sy, lo+i)
+			out[i] = b.bit(s, lo+i)
 		}
 		return out
 	}
-	tab := sy.bits[lo-sy.lo : hi-sy.lo+1 : hi-sy.lo+1]
+	tab := st.bits[lo-st.lo : hi-st.lo+1 : hi-st.lo+1]
+	// Format every missing bit's name, and record where its base and
+	// name end; then create the nets in bit order.
+	buf, ends := b.buf[:0], b.ends[:0]
 	for i, id := range tab {
-		if id == noNet {
-			tab[i] = b.bitNet(sy, lo+i)
-			sy.known++
+		if id != noNet {
+			continue
+		}
+		start := len(buf)
+		var baseEnd int
+		buf, baseEnd = st.appendName(buf, lo+i)
+		if st.spilled {
+			if id, ok := b.names[string(buf[start:])]; ok {
+				tab[i] = id
+				st.known++
+				buf = buf[:start]
+				continue
+			}
+		}
+		ends = append(ends, baseEnd, len(buf))
+	}
+	b.buf, b.ends = buf, ends
+	if len(ends) == 0 {
+		return tab
+	}
+	names, start := string(buf), 0
+	for i := range tab {
+		if tab[i] == noNet {
+			tab[i] = b.newNet(names[start:ends[1]], names[start:ends[0]], st.assert)
+			st.known++
+			start, ends = ends[1], ends[2:]
 		}
 	}
 	return tab
+}
+
+// bit returns the net of bit i of a stem, creating it on first use: in
+// the stem's table when the table spans i, otherwise in the name map.
+func (b *Builder) bit(s Sym, i int) NetID {
+	st := &b.stems[s]
+	j := i - st.lo
+	inTable := j >= 0 && j < len(st.bits)
+	if inTable && st.bits[j] != noNet {
+		return st.bits[j]
+	}
+	buf, baseEnd := st.appendName(b.buf[:0], i)
+	b.buf = buf
+	id, ok := NetID(0), false
+	if st.spilled {
+		id, ok = b.names[string(buf)]
+	}
+	if !ok {
+		name := string(buf)
+		id = b.newNet(name, name[:baseEnd], st.assert)
+		if !inTable {
+			b.names[name] = id
+			st.spilled = true
+		}
+	}
+	if inTable {
+		st.bits[j] = id
+		st.known++
+	}
+	return id
+}
+
+// appendName appends the name of bit i to buf, and returns it with the
+// offset at which the bit's base name ends.
+func (st *stemTable) appendName(buf []byte, i int) ([]byte, int) {
+	buf = append(append(buf, st.base...), '<')
+	buf = append(strconv.AppendInt(buf, int64(i), 10), '>')
+	end := len(buf)
+	return append(buf, st.suffix...), end
 }
 
 // cover widens the table to span bits lo..hi, unless that would leave
 // it more than about twice as long as the bits it would then hold.
 // Bounds are inclusive, so a bit index at the top of the int range
 // cannot overflow.
-func (sy *symbol) cover(lo, hi int) bool {
-	if len(sy.bits) == 0 {
-		sy.lo = lo
+func (st *stemTable) cover(lo, hi int) bool {
+	if len(st.bits) == 0 {
+		st.lo = lo
 	}
-	last := sy.lo + (len(sy.bits) - 1)
-	nlo, nlast := min(sy.lo, lo), max(last, hi)
-	if nlo == sy.lo && nlast == last {
+	last := st.lo + (len(st.bits) - 1)
+	nlo, nlast := min(st.lo, lo), max(last, hi)
+	if nlo == st.lo && nlast == last {
 		return true
 	}
-	if nlast-nlo >= 2*(sy.known+hi-lo+1)+minTable {
+	if nlast-nlo >= 2*(st.known+hi-lo+1)+minTable {
 		return false
 	}
-	if nlo < sy.lo {
+	if nlo < st.lo {
 		grown := make([]NetID, last-nlo+1, 2*(nlast-nlo+1))
-		fill(grown[:sy.lo-nlo])
-		copy(grown[sy.lo-nlo:], sy.bits)
-		sy.lo, sy.bits = nlo, grown
+		fill(grown[:st.lo-nlo])
+		copy(grown[st.lo-nlo:], st.bits)
+		st.lo, st.bits = nlo, grown
 	}
-	n := len(sy.bits)
-	sy.bits = append(sy.bits, make([]NetID, nlast-nlo+1-n)...)
-	fill(sy.bits[n:])
+	n := len(st.bits)
+	st.bits = append(st.bits, make([]NetID, nlast-nlo+1-n)...)
+	fill(st.bits[n:])
 	return true
 }
 
@@ -295,21 +409,6 @@ func fill(ids []NetID) {
 	for i := range ids {
 		ids[i] = noNet
 	}
-}
-
-// bitNet returns the net of bit i of a symbol, creating it if no net has
-// its full name yet.
-func (b *Builder) bitNet(sy *symbol, i int) NetID {
-	buf := append(append(b.buf[:0], sy.stem.Base...), '<')
-	buf = append(strconv.AppendInt(buf, int64(i), 10), '>')
-	bitBase := len(buf)
-	buf = append(buf, sy.stem.Suffix...)
-	b.buf = buf
-	if id, ok := b.names[string(buf)]; ok {
-		return id
-	}
-	name := string(buf)
-	return b.newNet(name, name[:bitBase], sy.assert)
 }
 
 // SetWire overrides the interconnection delay of every given net (§2.5.3,
@@ -343,9 +442,6 @@ func Conns(nets ...NetID) []Conn {
 	return out
 }
 
-// ConnsOf wraps a net slice as plain input connections.
-func ConnsOf(nets []NetID) []Conn { return Conns(nets...) }
-
 // Invert returns the complement-rail version of the connections (the
 // leading "-" of §3.1).
 func Invert(cs []Conn) []Conn {
@@ -370,20 +466,70 @@ func (b *Builder) Directive(dirs string, cs []Conn) []Conn {
 	return out
 }
 
-// broadcast replicates a scalar connection across a width-bit port.
-func (b *Builder) broadcast(port []Conn, width int, prim, name string) []Conn {
-	if len(port) == width {
-		return port
+// slabChunk is the most entries a slab grows by at once, and largeCarve
+// the size from which a request gets an allocation of its own, so a
+// slab's unused tail stays small.
+const (
+	slabChunk  = 1 << 10
+	largeCarve = slabChunk / 8
+)
+
+// carve returns n zeroed entries of a slab as a slice whose capacity ends
+// at its length, so an append to one primitive's connections copies them
+// rather than writing into the next primitive's.  A full slab is replaced
+// by one twice as large, up to slabChunk entries.
+func carve[T any](slab *[]T, n int) []T {
+	if n >= largeCarve {
+		return make([]T, n)
 	}
-	if len(port) == 1 && width > 1 {
-		out := make([]Conn, width)
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(n, 16, min(2*cap(s), slabChunk)))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
+// keep copies a port's connections into the connection slab, replicating
+// a scalar connection across a width-bit port.  The caller's slice is not
+// retained.
+func (b *Builder) keep(port []Conn, width int, prim, name string) []Conn {
+	out := carve(&b.conns, width)
+	switch {
+	case len(port) == width:
+		copy(out, port)
+	case len(port) == 1 && width > 1:
 		for i := range out {
 			out[i] = port[0]
 		}
-		return out
+	default:
+		b.fail("primitive %q port %s has %d bits, want %d", prim, name, len(port), width)
 	}
-	b.fail("primitive %q port %s has %d bits, want %d", prim, name, len(port), width)
-	return make([]Conn, width)
+	return out
+}
+
+// one keeps a one-bit port's connection.
+func (b *Builder) one(c Conn) []Conn {
+	out := carve(&b.conns, 1)
+	out[0] = c
+	return out
+}
+
+// inPorts keeps a primitive's input ports in the port slab.
+func (b *Builder) inPorts(ports ...Port) []Port {
+	out := carve(&b.ports, len(ports))
+	copy(out, ports)
+	return out
+}
+
+// outPort keeps a primitive's output port, its nets copied into the net
+// slab.
+func (b *Builder) outPort(name string, nets []NetID) []OutPort {
+	bits := carve(&b.nets, len(nets))
+	copy(bits, nets)
+	out := carve(&b.outs, 1)
+	out[0] = OutPort{Name: name, Bits: bits}
+	return out
 }
 
 func (b *Builder) addPrim(p Prim) PrimID {
@@ -406,27 +552,27 @@ func (b *Builder) Gate(k Kind, name string, delay tick.Range, out []NetID, ins .
 		return -1
 	}
 	w := len(out)
+	p := Prim{Kind: k, Name: name, Width: w, Delay: delay, Out: b.outPort("O", out)}
 	if w == 1 && k != KBuf && k != KNot {
-		// One backing array holds every split input bit.
+		// One run of the connection slab holds every split input bit.
 		n := 0
 		for _, in := range ins {
 			n += len(in)
 		}
-		bits := make([]Conn, 0, n)
+		bits := carve(&b.conns, n)[:0]
 		for _, in := range ins {
 			bits = append(bits, in...)
 		}
-		ins = make([][]Conn, n)
-		for i := range ins {
-			ins[i] = bits[i : i+1 : i+1]
+		p.In = carve(&b.ports, n)
+		for i := range p.In {
+			p.In[i] = Port{Name: gateInName(i), Bits: bits[i : i+1 : i+1]}
 		}
+		return b.addPrim(p)
 	}
-	p := Prim{Kind: k, Name: name, Width: w, Delay: delay,
-		In:  make([]Port, len(ins)),
-		Out: []OutPort{{Name: "O", Bits: out}}}
+	p.In = carve(&b.ports, len(ins))
 	for i, in := range ins {
 		pn := gateInName(i)
-		p.In[i] = Port{Name: pn, Bits: b.broadcast(in, w, name, pn)}
+		p.In[i] = Port{Name: pn, Bits: b.keep(in, w, name, pn)}
 	}
 	return b.addPrim(p)
 }
@@ -491,14 +637,14 @@ func (b *Builder) Mux(k Kind, name string, delay, selDelay tick.Range, out []Net
 	}
 	w := len(out)
 	p := Prim{Kind: k, Name: name, Width: w, Delay: delay, SelectDelay: selDelay,
-		Out: []OutPort{{Name: "O", Bits: out}}}
-	p.In = make([]Port, 0, ns+nd)
-	sel = append([]Conn(nil), sel...)
-	for i := range sel {
-		p.In = append(p.In, Port{Name: muxSelNames[i], Bits: sel[i : i+1 : i+1]})
+		Out: b.outPort("O", out), In: carve(&b.ports, ns+nd)}
+	sels := carve(&b.conns, ns)
+	copy(sels, sel)
+	for i := range sels {
+		p.In[i] = Port{Name: muxSelNames[i], Bits: sels[i : i+1 : i+1]}
 	}
 	for i, d := range data {
-		p.In = append(p.In, Port{Name: muxDataNames[i], Bits: b.broadcast(d, w, name, muxDataNames[i])})
+		p.In[ns+i] = Port{Name: muxDataNames[i], Bits: b.keep(d, w, name, muxDataNames[i])}
 	}
 	return b.addPrim(p)
 }
@@ -507,11 +653,11 @@ func (b *Builder) Mux(k Kind, name string, delay, selDelay tick.Range, out []Net
 func (b *Builder) Register(name string, delay tick.Range, q []NetID, ck Conn, d []Conn) PrimID {
 	w := len(q)
 	return b.addPrim(Prim{Kind: KReg, Name: name, Width: w, Delay: delay,
-		In: []Port{
-			{Name: "CK", Bits: []Conn{ck}},
-			{Name: "D", Bits: b.broadcast(d, w, name, "D")},
-		},
-		Out: []OutPort{{Name: "Q", Bits: q}}})
+		In: b.inPorts(
+			Port{Name: "CK", Bits: b.one(ck)},
+			Port{Name: "D", Bits: b.keep(d, w, name, "D")},
+		),
+		Out: b.outPort("Q", q)})
 }
 
 // RegisterRS adds a register with asynchronous SET and RESET (Fig 2-1,
@@ -519,24 +665,24 @@ func (b *Builder) Register(name string, delay tick.Range, q []NetID, ck Conn, d 
 func (b *Builder) RegisterRS(name string, delay tick.Range, q []NetID, ck Conn, d []Conn, set, reset Conn) PrimID {
 	w := len(q)
 	return b.addPrim(Prim{Kind: KRegRS, Name: name, Width: w, Delay: delay,
-		In: []Port{
-			{Name: "CK", Bits: []Conn{ck}},
-			{Name: "D", Bits: b.broadcast(d, w, name, "D")},
-			{Name: "S", Bits: []Conn{set}},
-			{Name: "R", Bits: []Conn{reset}},
-		},
-		Out: []OutPort{{Name: "Q", Bits: q}}})
+		In: b.inPorts(
+			Port{Name: "CK", Bits: b.one(ck)},
+			Port{Name: "D", Bits: b.keep(d, w, name, "D")},
+			Port{Name: "S", Bits: b.one(set)},
+			Port{Name: "R", Bits: b.one(reset)},
+		),
+		Out: b.outPort("Q", q)})
 }
 
 // Latch adds a transparent latch (Fig 2-2, first model).
 func (b *Builder) Latch(name string, delay tick.Range, q []NetID, enable Conn, d []Conn) PrimID {
 	w := len(q)
 	return b.addPrim(Prim{Kind: KLatch, Name: name, Width: w, Delay: delay,
-		In: []Port{
-			{Name: "E", Bits: []Conn{enable}},
-			{Name: "D", Bits: b.broadcast(d, w, name, "D")},
-		},
-		Out: []OutPort{{Name: "Q", Bits: q}}})
+		In: b.inPorts(
+			Port{Name: "E", Bits: b.one(enable)},
+			Port{Name: "D", Bits: b.keep(d, w, name, "D")},
+		),
+		Out: b.outPort("Q", q)})
 }
 
 // LatchRS adds a latch with asynchronous SET and RESET (Fig 2-2, second
@@ -544,13 +690,13 @@ func (b *Builder) Latch(name string, delay tick.Range, q []NetID, enable Conn, d
 func (b *Builder) LatchRS(name string, delay tick.Range, q []NetID, enable Conn, d []Conn, set, reset Conn) PrimID {
 	w := len(q)
 	return b.addPrim(Prim{Kind: KLatchRS, Name: name, Width: w, Delay: delay,
-		In: []Port{
-			{Name: "E", Bits: []Conn{enable}},
-			{Name: "D", Bits: b.broadcast(d, w, name, "D")},
-			{Name: "S", Bits: []Conn{set}},
-			{Name: "R", Bits: []Conn{reset}},
-		},
-		Out: []OutPort{{Name: "Q", Bits: q}}})
+		In: b.inPorts(
+			Port{Name: "E", Bits: b.one(enable)},
+			Port{Name: "D", Bits: b.keep(d, w, name, "D")},
+			Port{Name: "S", Bits: b.one(set)},
+			Port{Name: "R", Bits: b.one(reset)},
+		),
+		Out: b.outPort("Q", q)})
 }
 
 // SetupHold adds a SETUP HOLD CHK primitive (Fig 2-3): the input must be
@@ -558,10 +704,10 @@ func (b *Builder) LatchRS(name string, delay tick.Range, q []NetID, enable Conn,
 func (b *Builder) SetupHold(name string, setup, hold tick.Time, in []Conn, ck Conn) PrimID {
 	return b.addPrim(Prim{Kind: KSetupHold, Name: name, Width: len(in),
 		Setup: setup, Hold: hold,
-		In: []Port{
-			{Name: "I", Bits: in},
-			{Name: "CK", Bits: []Conn{ck}},
-		}})
+		In: b.inPorts(
+			Port{Name: "I", Bits: b.keep(in, len(in), name, "I")},
+			Port{Name: "CK", Bits: b.one(ck)},
+		)})
 }
 
 // SetupRiseHoldFall adds a SETUP RISE HOLD FALL CHK primitive (Fig 2-3):
@@ -570,17 +716,17 @@ func (b *Builder) SetupHold(name string, setup, hold tick.Time, in []Conn, ck Co
 func (b *Builder) SetupRiseHoldFall(name string, setup, hold tick.Time, in []Conn, ck Conn) PrimID {
 	return b.addPrim(Prim{Kind: KSetupRiseHoldFall, Name: name, Width: len(in),
 		Setup: setup, Hold: hold,
-		In: []Port{
-			{Name: "I", Bits: in},
-			{Name: "CK", Bits: []Conn{ck}},
-		}})
+		In: b.inPorts(
+			Port{Name: "I", Bits: b.keep(in, len(in), name, "I")},
+			Port{Name: "CK", Bits: b.one(ck)},
+		)})
 }
 
 // MinPulse adds a MIN PULSE WIDTH checker (Fig 2-4).
 func (b *Builder) MinPulse(name string, minHigh, minLow tick.Time, in Conn) PrimID {
 	return b.addPrim(Prim{Kind: KMinPulse, Name: name, Width: 1,
 		MinHigh: minHigh, MinLow: minLow,
-		In: []Port{{Name: "I", Bits: []Conn{in}}}})
+		In: b.inPorts(Port{Name: "I", Bits: b.one(in)})})
 }
 
 // Param declares a named design parameter with its default value and
@@ -636,13 +782,14 @@ func Assign(base string, v values.Value) CaseAssign {
 func (b *Builder) Err() error { return b.err }
 
 // Build validates the design, computes fanout lists, and returns it.
-// It drops the Builder's name and symbol tables, so the Builder must not
-// be used afterwards.
+// It drops the Builder's name map, stem tables and slabs, so the Builder
+// must not be used afterwards.
 func (b *Builder) Build() (*Design, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	b.names, b.syms, b.symIdx = nil, nil, nil
+	b.names, b.stems, b.stemIdx, b.symIdx = nil, nil, nil, nil
+	b.conns, b.nets, b.ports, b.outs = nil, nil, nil, nil
 	b.d.RebuildFanout()
 	if err := b.d.Check(); err != nil {
 		return nil, err

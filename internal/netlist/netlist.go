@@ -517,12 +517,24 @@ func (d *Design) Check() error {
 	}
 	// Assertion consistency per logical signal (§2.5.1: the assertion is
 	// part of the name, so one base name must not carry two different
-	// assertion spellings).  A base's first net is only recorded; the
-	// spellings are rendered when a later net of that base carries a
-	// different *Assertion.
-	byBase := make(map[string]*assertion.Assertion, len(d.Nets))
+	// assertion spellings).  Two nets without an assertion always agree,
+	// so only a base some net asserts can conflict: those bases are
+	// collected first, and then only their nets are checked, in net
+	// order.  A base's first net is only recorded; the spellings are
+	// rendered when a later net of that base carries a different
+	// *Assertion.
+	asserted := map[string]bool{}
 	for i := range d.Nets {
+		if d.Nets[i].Assert != nil {
+			asserted[d.Nets[i].Base] = true
+		}
+	}
+	byBase := make(map[string]*assertion.Assertion, len(asserted))
+	for i := 0; i < len(d.Nets) && len(asserted) > 0; i++ {
 		n := &d.Nets[i]
+		if !asserted[n.Base] {
+			continue
+		}
 		prev, ok := byBase[n.Base]
 		if !ok {
 			byBase[n.Base] = n.Assert

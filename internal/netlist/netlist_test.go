@@ -421,9 +421,9 @@ func TestStorageBuilders(t *testing.T) {
 	set, rst := b.Net("SET .S0-50"), b.Net("RST .S0-50")
 	d := b.Vector("D .S0-30", 4)
 	q1, q2, q3 := b.Vector("Q1", 4), b.Vector("Q2", 4), b.Vector("Q3", 4)
-	b.RegisterRS("rrs", tick.R(1, 2), q1, Conn{Net: ck}, ConnsOf(d), Conn{Net: set}, Conn{Net: rst})
-	b.Latch("lat", tick.R(1, 2), q2, Conn{Net: ck}, ConnsOf(d))
-	b.LatchRS("lrs", tick.R(1, 2), q3, Conn{Net: ck}, ConnsOf(d), Conn{Net: set}, Conn{Net: rst})
+	b.RegisterRS("rrs", tick.R(1, 2), q1, Conn{Net: ck}, Conns(d...), Conn{Net: set}, Conn{Net: rst})
+	b.Latch("lat", tick.R(1, 2), q2, Conn{Net: ck}, Conns(d...))
+	b.LatchRS("lrs", tick.R(1, 2), q3, Conn{Net: ck}, Conns(d...), Conn{Net: set}, Conn{Net: rst})
 	if b.Err() != nil {
 		t.Fatal(b.Err())
 	}
@@ -454,5 +454,86 @@ func TestBaseMatchesAndNetsByBase(t *testing.T) {
 	}
 	if ids := b.NetsByBase("BUS"); len(ids) != 4 {
 		t.Errorf("builder NetsByBase = %v", ids)
+	}
+}
+
+// TestCheckAssertionConsistency pins Check's answer on a base name that
+// carries an assertion: bits of one vector may differ in assertion only
+// where their bit names differ, an unasserted and an asserted net of one
+// base conflict whichever comes first, and the conflict reported is the
+// first in net order.
+func TestCheckAssertionConsistency(t *testing.T) {
+	bits := func(b *Builder, name string, lo, hi int) {
+		s, err := b.Symbol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Bits(s, lo, hi)
+	}
+	for _, c := range []struct {
+		name  string
+		build func(b *Builder)
+		err   string
+	}{
+		{"disjoint bits", func(b *Builder) {
+			bits(b, "X .S0-4", 0, 3)
+			bits(b, "X .S0-6", 4, 7)
+		}, ""},
+		{"overlapping bits", func(b *Builder) {
+			bits(b, "X .S0-4", 0, 3)
+			bits(b, "X .S0-6", 3, 7)
+		}, `netlist: signal "X<3>" carries conflicting assertions ".S0-4" and ".S0-6"`},
+		{"unasserted first", func(b *Builder) {
+			b.Net("X")
+			b.Net("X .S0-4")
+		}, `netlist: signal "X" carries conflicting assertions "" and ".S0-4"`},
+		{"asserted first", func(b *Builder) {
+			b.Net("X .S0-4")
+			b.Net("Y")
+			b.Net("X")
+		}, `netlist: signal "X" carries conflicting assertions ".S0-4" and ""`},
+		{"first conflict in net order", func(b *Builder) {
+			b.Net("A .S0-4")
+			b.Net("B .P2-3")
+			b.Net("B .S0-6")
+			b.Net("A")
+		}, `netlist: signal "B" carries conflicting assertions ".P2-3" and ".S0-6"`},
+		{"no asserted net", func(b *Builder) {
+			b.Net("X")
+			b.Vector("X", 4)
+			b.Net("Y")
+		}, ""},
+	} {
+		b := NewBuilder(c.name)
+		b.SetPeriod(50 * tick.NS)
+		c.build(b)
+		_, err := b.Build()
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != c.err {
+			t.Errorf("%s: Build error %q, want %q", c.name, got, c.err)
+		}
+	}
+}
+
+// TestBuilderNetRoutesBits requires a scalar name that spells a vector
+// bit exactly to be that bit, whichever the Builder saw first.
+func TestBuilderNetRoutesBits(t *testing.T) {
+	b := NewBuilder("routed")
+	b.SetPeriod(50 * tick.NS)
+	v := b.Vector("X", 4)
+	if id := b.Net("X<3>"); id != v[3] {
+		t.Errorf(`Net("X<3>") after Vector("X", 4) = %d, want bit 3, net %d`, id, v[3])
+	}
+	for _, name := range []string{"X<03>", "X<+3>", "X <3>", "X<3> "} {
+		if id := b.Net(name); id == v[3] {
+			t.Errorf("Net(%q) = bit 3 of X, want a net of its own", name)
+		}
+	}
+	y := b.Net("Y<2> .S0-4")
+	if w := b.Vector("Y .S0-4", 4); w[2] != y {
+		t.Errorf(`Vector("Y .S0-4", 4) bit 2 = %d, want net %d of Net("Y<2> .S0-4")`, w[2], y)
 	}
 }

@@ -232,7 +232,7 @@ func TestModuleDelayVectorBits(t *testing.T) {
 	b.SetDefaultWire(tick.Range{})
 	in := b.Vector("IN .S0-25", 4)
 	out := b.Vector("OUT", 4)
-	b.Gate(netlist.KBuf, "B", tick.R(2, 7), out, netlist.ConnsOf(in))
+	b.Gate(netlist.KBuf, "B", tick.R(2, 7), out, netlist.Conns(in...))
 	lat, err := ModuleDelay(b.MustBuild(), []string{"IN"}, []string{"OUT"})
 	if err != nil {
 		t.Fatal(err)
