@@ -7,6 +7,8 @@ package scaldtv
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"scaldtv/internal/expand"
@@ -390,9 +392,16 @@ func BenchmarkClaim_PathSearch(b *testing.B) {
 // BenchmarkPathSearch runs each instance of the path algebra over a
 // 340-chip generated design: the worst-case path search, the quadrature
 // behind the statistical delay model, and the term sets behind the
-// analytic one's margin surface.
+// analytic one's margin surface.  That design has no analytic delays,
+// so analysis=analytic prices every start with the worst-case instance;
+// analysis=analytic-params adds a parametric path per stage, where the
+// term sets do the work.
 func BenchmarkPathSearch(b *testing.B) {
 	d, _, err := gen.Generate(gen.Config{Chips: 340, Inject: 1, Cases: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pd, err := Compile(parametricTail(340))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -418,14 +427,42 @@ func BenchmarkPathSearch(b *testing.B) {
 		}
 		b.ReportMetric(float64(sites), "sites")
 	})
-	b.Run("analysis=analytic", func(b *testing.B) {
-		var sites int
-		for i := 0; i < b.N; i++ {
-			s, _ := pathsearch.AnalyzeAnalytic(d, 0)
-			sites = len(s)
-		}
-		b.ReportMetric(float64(sites), "sites")
-	})
+	for _, row := range []struct {
+		name string
+		d    *netlist.Design
+	}{{"analysis=analytic", d}, {"analysis=analytic-params", pd}} {
+		b.Run(row.name, func(b *testing.B) {
+			var sites int
+			for i := 0; i < b.N; i++ {
+				s, _ := pathsearch.AnalyzeAnalytic(row.d, 0)
+				sites = len(s)
+			}
+			b.ReportMetric(float64(sites), "sites")
+		})
+	}
+}
+
+// parametricTail is the delay-model benchmark's design shape: a
+// generated design with an injected slow path and two cases, plus per
+// stage a two-gate path whose delays are affine in the parameters load
+// and temp, from stable inputs into a set-up/hold checker against a
+// mid-cycle precision clock.  The coefficients come from a fixed seed.
+func parametricTail(chips int) string {
+	rng := rand.New(rand.NewSource(1_000_000))
+	src := gen.Source(gen.Config{Chips: chips, Inject: 1, Cases: 2})
+	src = strings.Replace(src, "skew clock -5ns 5ns\n",
+		"skew clock -5ns 5ns\nparam load = 1.0 range 0.5 3.5\nparam temp = 1.0 range 0.8 1.2\n", 1)
+	var sb strings.Builder
+	sb.WriteString(src)
+	sb.WriteString("\n; ---- parametric paths ----\n")
+	for s := 0; s < gen.Stages(chips); s++ {
+		fmt.Fprintf(&sb, "and \"S%d PG\" delay=(1.0+%.3f*load, 3.0+%.3f*load+%.3f*temp) (\"PEN .S0-7\", \"S%d PD .S0-7\") -> (\"S%d PA\")\n",
+			s, 0.25+0.5*rng.Float64(), 1.5+rng.Float64(), 0.5+rng.Float64(), s, s)
+		fmt.Fprintf(&sb, "buf \"S%d PB\" delay=(0.5+%.3f*temp, 2.0+%.3f*temp) (\"S%d PA\") -> (\"S%d PQ\")\n",
+			s, 0.1+0.3*rng.Float64(), 0.5+rng.Float64(), s, s)
+		fmt.Fprintf(&sb, "setuphold \"S%d PCHK\" setup=4.0 hold=1.0 (\"S%d PQ\", \"PCK .P4-6\")\n", s, s)
+	}
+	return sb.String()
 }
 
 // --- micro-benchmarks of the core value algebra (design-choice ablations

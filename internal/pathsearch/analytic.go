@@ -1,6 +1,7 @@
 package pathsearch
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -127,6 +128,14 @@ type pruner struct {
 	d        *netlist.Design
 	maxTerms int
 	defVals  []float64
+	// The dominance proof's scratch: the summed coefficient of each
+	// parameter, zero between proofs, and the nonzero sums of one proof.
+	coeffs  []float64
+	nonzero []netlist.Coeff
+}
+
+func newPruner(d *netlist.Design, maxTerms int) *pruner {
+	return &pruner{d: d, maxTerms: maxTerms, defVals: d.ParamDefaults(), coeffs: make([]float64, len(d.Params))}
 }
 
 func (pr *pruner) start() termSets {
@@ -151,45 +160,58 @@ const maxPruneParams = 12
 // the parameter box — ≥ everywhere on the late side, ≤ on the early
 // side — including the worst case of per-term rounding.
 func (pr *pruner) dominates(a, b Term, late bool) bool {
-	// Real-valued affine difference diff(θ) = La(θ) − Lb(θ).
+	// Real-valued affine difference diff(θ) = La(θ) − Lb(θ), its
+	// coefficients summed per parameter in pr.coeffs.
 	base := float64(a.Const - b.Const)
-	coeffs := map[int32]float64{}
-	add := func(t Term, sign float64, useMax bool) {
+	fn := func(c FnCount) netlist.Affine {
+		if late {
+			return pr.d.DelayFns[c.Fn-1].Max
+		}
+		return pr.d.DelayFns[c.Fn-1].Min
+	}
+	add := func(t Term, sign float64) {
 		for _, c := range t.Counts {
-			af := pr.d.DelayFns[c.Fn-1].Min
-			if useMax {
-				af = pr.d.DelayFns[c.Fn-1].Max
-			}
+			af := fn(c)
 			base += sign * float64(c.N) * float64(af.Base)
 			for _, co := range af.Coeffs {
-				coeffs[co.Param] += sign * float64(c.N) * co.PS
+				pr.coeffs[co.Param] += sign * float64(c.N) * co.PS
 			}
 		}
 	}
-	add(a, 1, late)
-	add(b, -1, late)
+	// collect moves the nonzero sums into nz and zeroes pr.coeffs: a
+	// parameter's sum is taken at its first visit, later ones read 0.
+	nz := pr.nonzero[:0]
+	collect := func(t Term) {
+		for _, c := range t.Counts {
+			for _, co := range fn(c).Coeffs {
+				if v := pr.coeffs[co.Param]; v != 0 {
+					nz = append(nz, netlist.Coeff{Param: co.Param, PS: v})
+				}
+				pr.coeffs[co.Param] = 0
+			}
+		}
+	}
+	add(a, 1)
+	add(b, -1)
+	collect(a)
+	collect(b)
+	pr.nonzero = nz
 	// Rounding guard: each function traversal may round up to half a
 	// picosecond either way.
 	guard := 0.5 * float64(a.weight()+b.weight())
-	params := make([]int32, 0, len(coeffs))
-	for p, c := range coeffs {
-		if c != 0 {
-			params = append(params, p)
-		}
-	}
-	if len(params) > maxPruneParams {
+	if len(nz) > maxPruneParams {
 		return false
 	}
-	sort.Slice(params, func(i, j int) bool { return params[i] < params[j] })
+	slices.SortFunc(nz, func(x, y netlist.Coeff) int { return cmp.Compare(x.Param, y.Param) })
 	// The affine difference is extremal at box vertices.
-	for bits := 0; bits < 1<<len(params); bits++ {
+	for bits := 0; bits < 1<<len(nz); bits++ {
 		v := base
-		for k, p := range params {
-			x := pr.d.Params[p].Lo
+		for k, c := range nz {
+			x := pr.d.Params[c.Param].Lo
 			if bits&(1<<k) != 0 {
-				x = pr.d.Params[p].Hi
+				x = pr.d.Params[c.Param].Hi
 			}
-			v += coeffs[p] * x
+			v += c.PS * x
 		}
 		if late && v < guard || !late && v > -guard {
 			return false
@@ -298,29 +320,101 @@ func bumpCount(counts []FnCount, fn int32) []FnCount {
 	return out
 }
 
+// joinConst joins one constant term c into ts, owned by the caller, as
+// join would.  A set that is one constant term keeps the extremal
+// constant in place; any other goes through mergeTerms.
+func (pr *pruner) joinConst(ts *termSet, c tick.Time, late bool) {
+	if len(ts.terms) == 1 && len(ts.terms[0].Counts) == 0 {
+		if t := &ts.terms[0]; late && c > t.Const || !late && c < t.Const {
+			t.Const = c
+		}
+		return
+	}
+	*ts = pr.mergeTerms(*ts, termSet{terms: []Term{{Const: c}}, exact: true}, late)
+}
+
+// parametric marks the nets some path from which crosses an analytic
+// delay function, in one reverse-topological pass.  A net on a loop is
+// never extended, so no path goes on from it.
+func (g *graph) parametric() []bool {
+	p := make([]bool, len(g.adj))
+	for i := len(g.order) - 1; i >= 0; i-- {
+		u := g.order[i]
+		for _, h := range g.adj[u] {
+			if h.fn > 0 || slices.ContainsFunc(g.outs[h.lo:h.hi], func(o int32) bool { return p[o] }) {
+				p[u] = true
+				break
+			}
+		}
+	}
+	return p
+}
+
 // AnalyzeAnalytic runs the analytic instance of the path algebra over
 // the same combinational graph as Analyze, producing the late and early
 // term sets for every constraint-site end pin (keyed by "prim:port"
 // label), unioned over every start.  maxTerms ≤ 0 selects
 // DefaultMaxTerms.  Combinational loops are reported as in Analyze;
 // looped nets get no terms.
+//
+// A start whose cone crosses no analytic delay function is priced by
+// the worst-case instance instead.  That is exact: from such a start,
+// every step adds its cnst, which equals its delay when fn == 0, to one
+// constant term per side, and a join of two such sets keeps the
+// extremal constant of their one shared path class.  So at every net
+// the late set is the single term {Max} of the worst-case range and the
+// early set the single term {Min}, and folding them is joinConst.
 func AnalyzeAnalytic(d *netlist.Design, maxTerms int) (map[string]*SiteTerms, []string) {
 	if maxTerms <= 0 {
 		maxTerms = DefaultMaxTerms
 	}
 	g := buildGraph(d)
-	alg := &pruner{d: d, maxTerms: maxTerms, defVals: d.ParamDefaults()}
-	union := make(map[string]termSets)
-	newTraversal[termSets](g, alg).fold(func(_ int32, pin *endPin, v termSets) bool {
-		if cur, ok := union[pin.label]; ok {
-			v = alg.join(cur, v)
+	alg := newPruner(d, maxTerms)
+	param := g.parametric()
+	// Each traversal is built when a start first needs it.
+	var (
+		terms *traversal[termSets]
+		wc    *traversal[tick.Range]
+	)
+	// union[slot] is the pin label's union so far, nil terms before its
+	// first start; it owns its term slices, which joinConst may write.
+	union := make([]termSets, len(g.labels))
+	for _, s := range g.starts {
+		if param[s] {
+			if terms == nil {
+				terms = newTraversal[termSets](g, alg)
+			}
+			terms.sweep(s)
+			terms.pins(func(pin *endPin) {
+				v, u := terms.at(pin), &union[pin.slot]
+				if u.late.terms != nil {
+					v = alg.join(*u, v)
+				}
+				*u = v
+			})
+			continue
 		}
-		union[pin.label] = v
-		return true
-	})
+		if wc == nil {
+			wc = newTraversal[tick.Range](g, ticks{})
+		}
+		wc.sweep(s)
+		wc.pins(func(pin *endPin) {
+			r, u := wc.at(pin), &union[pin.slot]
+			if u.late.terms == nil {
+				ts := []Term{{Const: r.Max}, {Const: r.Min}}
+				*u = termSets{late: termSet{terms: ts[:1:1], exact: true}, early: termSet{terms: ts[1:], exact: true}}
+				return
+			}
+			alg.joinConst(&u.late, r.Max, true)
+			alg.joinConst(&u.early, r.Min, false)
+		})
+	}
 	out := make(map[string]*SiteTerms, len(union))
-	for label, v := range union {
-		out[label] = &SiteTerms{To: label, Late: v.late.terms, Early: v.early.terms, LateExact: v.late.exact, EarlyExact: v.early.exact}
+	for slot, v := range union {
+		if v.late.terms != nil {
+			label := g.labels[slot]
+			out[label] = &SiteTerms{To: label, Late: v.late.terms, Early: v.early.terms, LateExact: v.late.exact, EarlyExact: v.early.exact}
+		}
 	}
 	return out, g.loops
 }

@@ -165,60 +165,46 @@ func window(a, b Dist) (start, step tick.Time, n int) {
 	return start, step, n
 }
 
-// aligned returns both pmfs re-indexed onto their common window.
-func aligned(a, b Dist) (start tick.Time, step tick.Time, pa, pb []float64) {
+// CombineMax is the distribution of max(A, B) for independent arrivals —
+// the reconvergence rule for the latest arrival: CDFs multiply.
+func CombineMax(a, b Dist) Dist { return combine(a, b, true) }
+
+// CombineMin is the distribution of min(A, B) for independent arrivals —
+// the reconvergence rule for the earliest arrival: survival functions
+// multiply.
+func CombineMin(a, b Dist) Dist { return combine(a, b, false) }
+
+// combine is CombineMax (late) or CombineMin over the common window of
+// both supports.  Each pmf is read at its offset into the window, and a
+// CDF adds nothing outside its support.
+func combine(a, b Dist, late bool) Dist {
+	if a.Empty() {
+		return b
+	}
+	if b.Empty() {
+		return a
+	}
 	start, step, n := window(a, b)
-	pa = make([]float64, n)
-	pb = make([]float64, n)
 	offA, offB := 0, 0
 	if step > 0 {
 		offA = int((a.Start - start) / step)
 		offB = int((b.Start - start) / step)
 	}
-	copy(pa[offA:], a.P)
-	copy(pb[offB:], b.P)
-	return start, step, pa, pb
-}
-
-// CombineMax is the distribution of max(A, B) for independent arrivals —
-// the reconvergence rule for the latest arrival: CDFs multiply.
-func CombineMax(a, b Dist) Dist {
-	if a.Empty() {
-		return b
-	}
-	if b.Empty() {
-		return a
-	}
-	start, step, pa, pb := aligned(a, b)
-	p := make([]float64, len(pa))
+	p := make([]float64, n)
 	fa, fb, prev := 0.0, 0.0, 0.0
 	for i := range p {
-		fa += pa[i]
-		fb += pb[i]
-		f := fa * fb
-		p[i] = f - prev
-		prev = f
-	}
-	return Dist{Start: start, Step: step, P: p}
-}
-
-// CombineMin is the distribution of min(A, B) for independent arrivals —
-// the reconvergence rule for the earliest arrival: survival functions
-// multiply.
-func CombineMin(a, b Dist) Dist {
-	if a.Empty() {
-		return b
-	}
-	if b.Empty() {
-		return a
-	}
-	start, step, pa, pb := aligned(a, b)
-	p := make([]float64, len(pa))
-	fa, fb, prev := 0.0, 0.0, 0.0
-	for i := range p {
-		fa += pa[i]
-		fb += pb[i]
-		f := 1 - (1-fa)*(1-fb)
+		if j := i - offA; j >= 0 && j < len(a.P) {
+			fa += a.P[j]
+		}
+		if j := i - offB; j >= 0 && j < len(b.P) {
+			fb += b.P[j]
+		}
+		var f float64
+		if late {
+			f = fa * fb
+		} else {
+			f = 1 - (1-fa)*(1-fb)
+		}
 		p[i] = f - prev
 		prev = f
 	}
@@ -314,17 +300,14 @@ func AnalyzeDist(d *netlist.Design, step tick.Time) (map[string]SiteDist, []stri
 		step = DefaultDistStep(d.Period)
 	}
 	g := buildGraph(d)
-	crit := make(map[string]critical)
-	newTraversal[tick.Range](g, ticks{}).fold(func(s int32, pin *endPin, v tick.Range) bool {
-		if cur, ok := crit[pin.label]; !ok || v.Max > cur.wc.Max || (v.Max == cur.wc.Max && d.Nets[s].Name < d.Nets[cur.start].Name) {
-			crit[pin.label] = critical{start: s, pin: pin, wc: v}
+	crit := make([]critical, len(g.labels))
+	newTraversal[tick.Range](g, ticks{}).fold(func(s int32, pin *endPin, v tick.Range) {
+		if cur := &crit[pin.slot]; cur.pin == nil || v.Max > cur.wc.Max || (v.Max == cur.wc.Max && d.Nets[s].Name < d.Nets[cur.start].Name) {
+			*cur = critical{start: s, pin: pin, wc: v}
 		}
-		return true
 	})
-	picks := make([]critical, 0, len(crit))
-	for _, c := range crit {
-		picks = append(picks, c)
-	}
+	// A label no start reaches has no pick.
+	picks := slices.DeleteFunc(crit, func(c critical) bool { return c.pin == nil })
 	slices.SortFunc(picks, func(a, b critical) int { return cmp.Compare(a.start, b.start) })
 
 	alg := &distAlgebra{step: step, ranges: make(map[tick.Range]Dist)}
@@ -384,8 +367,11 @@ func (a *distAlgebra) fits(n int) bool {
 	return a.err == nil
 }
 
+// start gives both sides one Dist.  They alias until a join sets them
+// apart, and extend convolves an aliased pair once.
 func (a *distAlgebra) start() arrival {
-	return arrival{late: PointDist(0, a.step), early: PointDist(0, a.step)}
+	p := PointDist(0, a.step)
+	return arrival{late: p, early: p}
 }
 
 func (a *distAlgebra) extend(v arrival, e edge) arrival {
@@ -398,7 +384,18 @@ func (a *distAlgebra) extend(v arrival, e edge) arrival {
 		ed = RangeDist(e.delay, a.step)
 		a.ranges[e.delay] = ed
 	}
-	return arrival{late: Convolve(v.late, ed), early: Convolve(v.early, ed)}
+	late := Convolve(v.late, ed)
+	if v.aliased() {
+		return arrival{late: late, early: late}
+	}
+	return arrival{late: late, early: Convolve(v.early, ed)}
+}
+
+// aliased reports whether late and early are one Dist: the same start,
+// length and backing array.
+func (v arrival) aliased() bool {
+	return v.late.Start == v.early.Start && len(v.late.P) == len(v.early.P) &&
+		(len(v.late.P) == 0 || &v.late.P[0] == &v.early.P[0])
 }
 
 func (a *distAlgebra) join(dst, v arrival) arrival {
