@@ -28,14 +28,18 @@
 //	-store dir    persist converged runs in a content-addressed cache:
 //	              already-seen designs answer without running the engine,
 //	              edited designs warm-start from the nearest snapshot
+//	              (every run but -explore, under any delay model; a run
+//	              that -autocorr changed skips the store)
 //	-cpuprofile f write a CPU profile of the verification to f
 //	-memprofile f write an allocation profile (after verification) to f
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -47,24 +51,30 @@ import (
 	"scaldtv/internal/sections"
 	"scaldtv/internal/stats"
 	"scaldtv/internal/store"
+	"scaldtv/internal/verify"
 )
 
 // main only converts run's exit code into os.Exit, so the profiling defers
 // inside run always flush before the process dies.
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	lib := flag.Bool("lib", false, "make the component library available")
-	summary := flag.Bool("summary", false, "print the timing summary listing")
-	xref := flag.Bool("xref", false, "print the cross-reference listing")
-	statsFlag := flag.Bool("stats", false, "print execution and storage statistics")
-	caseIdx := flag.Int("case", 0, "case index for the timing summary")
-	exploreFlag := flag.Bool("explore", false, "discover the minimal case set discharging U/C-poisoned constraint sites")
-	delaysFlag := flag.String("delays", "", "delay model: worstcase (default), statistical or analytic")
+// run is the command with its arguments and output streams; it returns
+// the exit status: 0 clean, 1 violations, 2 usage, compile or verify
+// errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("scaldtv", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	lib := fs.Bool("lib", false, "make the component library available")
+	summary := fs.Bool("summary", false, "print the timing summary listing")
+	xref := fs.Bool("xref", false, "print the cross-reference listing")
+	statsFlag := fs.Bool("stats", false, "print execution and storage statistics")
+	caseIdx := fs.Int("case", 0, "case index for the timing summary")
+	exploreFlag := fs.Bool("explore", false, "discover the minimal case set discharging U/C-poisoned constraint sites")
+	delaysFlag := fs.String("delays", "", "delay model: worstcase (default), statistical or analytic")
 	params := map[string]float64{}
-	flag.Func("param", "bind design parameter name=value for the analytic model (repeatable)", func(s string) error {
+	fs.Func("param", "bind design parameter name=value for the analytic model (repeatable)", func(s string) error {
 		name, val, ok := strings.Cut(s, "=")
 		if !ok || name == "" {
 			return fmt.Errorf("want name=value, got %q", s)
@@ -76,22 +86,30 @@ func run() int {
 		params[name] = v
 		return nil
 	})
-	autoCorr := flag.Bool("autocorr", false, "automatically insert CORR delays into register feedback paths (§4.2.3)")
-	art := flag.Bool("art", false, "print ASCII timing diagrams")
-	artWidth := flag.Int("artwidth", 64, "timing diagram width in columns")
-	lintFlag := flag.Bool("lint", false, "run the structural design-rule checks")
-	jsonFlag := flag.Bool("json", false, "emit the result as JSON (suppresses the listings)")
-	dotFlag := flag.Bool("dot", false, "emit the design as a Graphviz digraph and exit")
-	slack := flag.Int("slack", 0, "print the N most critical constraint margins with a cycle-time estimate")
-	minPeriod := flag.Bool("minperiod", false, "bisect for the shortest clean clock period (§1.1) and exit")
-	sectionsFlag := flag.Bool("sections", false, "verify each file as an independent section and cross-check interface assertions (§2.5.2)")
-	workers := flag.Int("j", 0, "case-evaluation workers: 0 = one per CPU, 1 = sequential with incremental cone reuse")
-	watchFlag := flag.Bool("watch", false, "re-verify on every save, reusing converged waveforms for parameter-only edits")
-	storeDir := flag.String("store", "", "persist converged runs in this content-addressed cache directory")
-	storeMax := flag.Int64("store-max", 0, "store size budget in bytes (0 = the 256 MiB default)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile taken after verification to this file")
-	flag.Parse()
+	autoCorr := fs.Bool("autocorr", false, "automatically insert CORR delays into register feedback paths (§4.2.3)")
+	art := fs.Bool("art", false, "print ASCII timing diagrams")
+	artWidth := fs.Int("artwidth", 64, "timing diagram width in columns")
+	lintFlag := fs.Bool("lint", false, "run the structural design-rule checks")
+	jsonFlag := fs.Bool("json", false, "emit the result as JSON (suppresses the listings)")
+	dotFlag := fs.Bool("dot", false, "emit the design as a Graphviz digraph and exit")
+	slack := fs.Int("slack", 0, "print the N most critical constraint margins with a cycle-time estimate")
+	minPeriod := fs.Bool("minperiod", false, "bisect for the shortest clean clock period (§1.1) and exit")
+	sectionsFlag := fs.Bool("sections", false, "verify each file as an independent section and cross-check interface assertions (§2.5.2)")
+	workers := fs.Int("j", 0, "case-evaluation workers: 0 = one per CPU, 1 = sequential with incremental cone reuse")
+	watchFlag := fs.Bool("watch", false, "re-verify on every save, reusing converged waveforms for parameter-only edits")
+	storeDir := fs.String("store", "", "persist converged runs in this content-addressed cache directory")
+	storeMax := fs.Int64("store-max", 0, "store size budget in bytes (0 = the 256 MiB default)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile taken after verification to this file")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "scaldtv:", err)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -111,42 +129,38 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "scaldtv:", err)
+				fail(err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialise the retained-heap picture
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "scaldtv:", err)
+				fail(err)
 			}
 		}()
 	}
-	delays, err := scaldtv.ParseDelayModel(*delaysFlag)
+	delays, err := verify.ResolveDelayModel(*delaysFlag, params)
+	if errors.Is(err, verify.ErrParamsNeedAnalytic) {
+		err = fmt.Errorf("-param requires the analytic delay model, not -delays=%s", *delaysFlag)
+	}
 	if err != nil {
 		return fail(err)
-	}
-	if len(params) > 0 {
-		if !scaldtv.IsWorstCase(delays) && *delaysFlag != "analytic" {
-			return fail(fmt.Errorf("-param requires the analytic delay model, not -delays=%s", *delaysFlag))
-		}
-		delays = scaldtv.AnalyticDelays{Params: params}
 	}
 	baseOpts := scaldtv.Options{Workers: *workers, Explore: *exploreFlag, Delays: delays}
 	var st *store.Store
 	if *storeDir != "" {
-		var err error
 		if st, err = store.Open(*storeDir, *storeMax); err != nil {
 			return fail(err)
 		}
 	}
 
 	if *sectionsFlag {
-		if flag.NArg() < 2 {
-			fmt.Fprintln(os.Stderr, "usage: scaldtv -sections a.scald b.scald ...")
+		if fs.NArg() < 2 {
+			fmt.Fprintln(stderr, "usage: scaldtv -sections a.scald b.scald ...")
 			return 2
 		}
 		srcs := map[string]string{}
-		for _, path := range flag.Args() {
+		for _, path := range fs.Args() {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				return fail(err)
@@ -161,24 +175,24 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Print(rep.String())
+		fmt.Fprint(stdout, rep.String())
 		if !rep.Clean() {
 			return 1
 		}
 		return 0
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: scaldtv [flags] design.scald")
-		flag.PrintDefaults()
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: scaldtv [flags] design.scald")
+		fs.PrintDefaults()
 		return 2
 	}
 	if *watchFlag {
-		if err := watch(flag.Arg(0), *lib, baseOpts, st, os.Stdout, 200*time.Millisecond, 0); err != nil {
+		if err := watch(fs.Arg(0), *lib, baseOpts, st, stdout, 200*time.Millisecond, 0); err != nil {
 			return fail(err)
 		}
 		return 0
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return fail(err)
 	}
@@ -195,13 +209,25 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
+		// The notes go to stderr under -json, so stdout stays one JSON
+		// document.
+		notes := stdout
+		if *jsonFlag {
+			notes = stderr
+		}
 		for _, in := range ins {
-			fmt.Printf("autocorr: inserted %s ns fictitious delay into feedback of %s (via %s)\n",
+			fmt.Fprintf(notes, "autocorr: inserted %s ns fictitious delay into feedback of %s (via %s)\n",
 				in.Delay, in.Storage, in.Via)
+		}
+		if len(ins) > 0 && st != nil {
+			// The spliced design is no longer what the source text says,
+			// and the store keys its entries by that text.
+			fmt.Fprintln(stderr, "scaldtv: store: not used (-autocorr changed the design)")
+			st = nil
 		}
 	}
 	if *dotFlag {
-		fmt.Print(scaldtv.DOT(design))
+		fmt.Fprint(stdout, scaldtv.DOT(design))
 		return 0
 	}
 	if *minPeriod {
@@ -211,46 +237,36 @@ func run() int {
 			return fail(err)
 		}
 		if min == 0 {
-			fmt.Printf("no clean period found up to %s ns\n", hi)
+			fmt.Fprintf(stdout, "no clean period found up to %s ns\n", hi)
 			return 1
 		}
-		fmt.Printf("minimum clean clock period: %s ns (declared: %s ns)\n", min, design.Period)
+		fmt.Fprintf(stdout, "minimum clean clock period: %s ns (declared: %s ns)\n", min, design.Period)
 		return 0
 	}
 	opts := baseOpts
 	opts.KeepWaves = *summary || *art
 	opts.Margins = *slack > 0
-	var res *scaldtv.Result
-	if st != nil && (opts.Explore || !scaldtv.IsWorstCase(opts.Delays)) {
-		// -explore rewrites the case list, which a stored fixed point of
-		// the declared cases cannot answer, so it always runs the engine.
-		// The delay models stay off the store too, as in the server's
-		// stateless verify, where corner queries need the live Result.
-		fmt.Fprintln(os.Stderr, "scaldtv: store: bypassed (-explore/-delays run the engine directly)")
-		st = nil
-	}
-	if st != nil {
-		// Store-mediated run: an already-seen design answers from its
-		// persisted fixed point, an edited one warm-starts from the
-		// nearest snapshot.  Reports stay byte-identical to a cold run;
-		// provenance goes to stderr so stdout does not change shape.
-		oc, err := store.Verify(context.Background(), st, design, text, opts, true)
-		if err != nil {
-			return fail(err)
-		}
-		res = oc.Res
-		fmt.Fprintf(os.Stderr, "scaldtv: store: %s\n", oc.Provenance)
-	} else if res, err = scaldtv.Verify(design, opts); err != nil {
+	// An already-seen design answers from the store, an edited one
+	// warm-starts from the nearest snapshot; the listings and the exit
+	// status read the Result, so an exact hit restores it.  Without a
+	// store this is a plain run.  Reports stay byte-identical either way;
+	// provenance goes to stderr so stdout does not change shape.
+	oc, err := store.Verify(context.Background(), st, design, text, opts, st != nil)
+	if err != nil {
 		return fail(err)
 	}
+	if oc.Provenance != "" {
+		fmt.Fprintf(stderr, "scaldtv: store: %s\n", oc.Provenance)
+	}
+	res := oc.Res
 
 	if *jsonFlag {
-		out, err := scaldtv.JSONReport(res)
+		out, err := oc.JSON()
 		if err != nil {
 			return fail(err)
 		}
-		os.Stdout.Write(out)
-		fmt.Println()
+		stdout.Write(out)
+		fmt.Fprintln(stdout)
 		if res.Errors() {
 			return 1
 		}
@@ -259,63 +275,58 @@ func run() int {
 
 	if *lintFlag {
 		findings := scaldtv.Lint(design)
-		fmt.Printf("DESIGN RULE CHECKS: %d finding(s)\n", len(findings))
+		fmt.Fprintf(stdout, "DESIGN RULE CHECKS: %d finding(s)\n", len(findings))
 		for _, f := range findings {
-			fmt.Printf("  %s\n", f)
+			fmt.Fprintf(stdout, "  %s\n", f)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
-	fmt.Print(scaldtv.Summary(res))
-	fmt.Println()
-	fmt.Print(scaldtv.ErrorListing(res))
+	fmt.Fprint(stdout, scaldtv.Summary(res))
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, scaldtv.ErrorListing(res))
 	if *exploreFlag {
-		fmt.Println()
-		fmt.Print(scaldtv.ExploreListing(res))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, scaldtv.ExploreListing(res))
 	}
 	if len(res.SiteProbs) > 0 {
-		fmt.Println()
-		fmt.Print(scaldtv.StatListing(res))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, scaldtv.StatListing(res))
 	}
 	if res.MarginSurface != nil {
-		fmt.Println()
-		fmt.Print(scaldtv.SurfaceListing(res))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, scaldtv.SurfaceListing(res))
 	}
 	if *xref {
-		fmt.Println()
-		fmt.Print(scaldtv.CrossReference(res))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, scaldtv.CrossReference(res))
 	}
 	if *summary {
-		fmt.Println()
-		fmt.Print(scaldtv.TimingSummary(res, *caseIdx))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, scaldtv.TimingSummary(res, *caseIdx))
 	}
 	if *art {
-		fmt.Println()
-		fmt.Print(scaldtv.WaveArt(res, *caseIdx, *artWidth))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, scaldtv.WaveArt(res, *caseIdx, *artWidth))
 	}
 	if *slack > 0 {
-		fmt.Println()
-		fmt.Print(scaldtv.SlackListing(res, *slack))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, scaldtv.SlackListing(res, *slack))
 	}
 	if *statsFlag {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		var t31 stats.Table31
 		t31.FromVerify(res.Stats)
-		fmt.Print(t31.String())
-		fmt.Println()
-		fmt.Print(stats.Table32(rep, 0))
-		fmt.Println()
-		fmt.Print(rep.SummaryListing())
-		fmt.Println()
-		fmt.Print(stats.Measure(design, nil).String())
+		fmt.Fprint(stdout, t31.String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, stats.Table32(rep, 0))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, rep.SummaryListing())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, stats.Measure(design, nil).String())
 	}
 	if res.Errors() {
 		return 1
 	}
 	return 0
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "scaldtv:", err)
-	return 2
 }

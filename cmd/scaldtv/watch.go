@@ -27,7 +27,9 @@ import (
 // With a non-nil store, the first pass is answered through it (cached
 // or warm-started from the nearest persisted snapshot) and every
 // converged fixed point is persisted back, so the watch loop survives
-// process restarts without losing its incremental state.
+// process restarts without losing its incremental state.  With
+// opts.Explore every pass explores afresh: exploration retains no
+// session to update.
 //
 // maxUpdates > 0 bounds the number of successful verification passes
 // before returning (used by tests); 0 watches until the process is
@@ -71,25 +73,16 @@ func watch(path string, lib bool, opts scaldtv.Options, st *store.Store, out io.
 			continue
 		}
 
+		// Verify and Update persist the fixed point before they return,
+		// so anything reacting to the output line (tests, scripts)
+		// observes the updated store.
+		ctx := context.Background()
 		start := time.Now()
-		var (
-			res         *scaldtv.Result
-			incremental bool
-			provenance  store.Provenance
-		)
-		switch {
-		case V == nil && st != nil:
-			oc, err2 := store.Verify(context.Background(), st, design, text, opts, true)
-			if err2 != nil {
-				err = err2
-				break
-			}
-			V, res, incremental, provenance = oc.V, oc.Res, oc.Incremental, oc.Provenance
-		case V == nil:
-			V = scaldtv.NewVerifier(design, opts)
-			res, err = V.Verify()
-		default:
-			res, incremental, err = V.Update(design)
+		var oc *store.Outcome
+		if V == nil {
+			oc, err = store.Verify(ctx, st, design, text, opts, true)
+		} else {
+			oc, err = store.Update(ctx, st, V, design, text, opts)
 		}
 		if err != nil {
 			fmt.Fprintf(out, "watch: %s: %v\n", path, err)
@@ -97,19 +90,16 @@ func watch(path string, lib bool, opts scaldtv.Options, st *store.Store, out io.
 			continue
 		}
 		elapsed := time.Since(start).Round(time.Microsecond)
-		if st != nil {
-			// Persist before reporting, so anything reacting to the output
-			// line (tests, scripts) observes the updated store.
-			store.Save(st, text, opts, V)
-		}
+		V = oc.V
+		res := oc.Res
 		switch {
-		case provenance == store.Cached:
+		case oc.Provenance == store.Cached:
 			fmt.Fprintf(out, "watch: %s: %d violation(s) in %v (cached)\n",
 				path, len(res.Violations), elapsed)
-		case incremental && provenance == store.Warm:
+		case oc.Incremental && oc.Provenance == store.Warm:
 			fmt.Fprintf(out, "watch: %s: %d violation(s) in %v (warm: %d dirty instance(s), %d reused waveform(s))\n",
 				path, len(res.Violations), elapsed, res.Stats.DirtyPrims, res.Stats.ReusedWaves)
-		case incremental:
+		case oc.Incremental:
 			fmt.Fprintf(out, "watch: %s: %d violation(s) in %v (incremental: %d dirty instance(s), %d reused waveform(s))\n",
 				path, len(res.Violations), elapsed, res.Stats.DirtyPrims, res.Stats.ReusedWaves)
 		default:

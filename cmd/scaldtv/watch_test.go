@@ -247,6 +247,55 @@ func TestWatchStorePersistence(t *testing.T) {
 	}
 }
 
+// TestWatchExplore: with -explore every pass explores.  The case-analysis
+// example stripped of its case lines fails as declared (the U-poisoned
+// output), yet exploration rediscovers the split, so every pass — the
+// first and each re-verification after a save — reports 0 violations.
+func TestWatchExplore(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "caseanalysis", "caseanalysis.scald"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.Split(string(src), "\n") {
+		if !strings.HasPrefix(line, "case ") {
+			kept = append(kept, line)
+		}
+	}
+	caseless := strings.Join(kept, "\n")
+	if caseless == string(src) {
+		t.Fatal("fixture has no case lines to strip")
+	}
+	path := filepath.Join(t.TempDir(), "ca.scald")
+	save(t, path, caseless, time.Time{})
+
+	out := &lineWriter{ch: make(chan string, 16)}
+	done := make(chan error, 1)
+	go func() {
+		done <- watch(path, false, scaldtv.Options{Workers: 1, Explore: true}, nil, out, 2*time.Millisecond, 2)
+	}()
+	next := func(what string) string {
+		t.Helper()
+		select {
+		case line := <-out.ch:
+			return line
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+			return ""
+		}
+	}
+	if line := next("first pass"); !strings.Contains(line, ": 0 violation(s)") {
+		t.Fatalf("first pass did not explore: %q", line)
+	}
+	save(t, path, caseless+"; saved again\n", time.Time{})
+	if line := next("pass after a save"); !strings.Contains(line, ": 0 violation(s)") {
+		t.Fatalf("pass after a save did not explore: %q", line)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWatchMissingFile: a path that never existed is an immediate error.
 func TestWatchMissingFile(t *testing.T) {
 	err := watch(filepath.Join(t.TempDir(), "absent.scald"), false, scaldtv.Options{}, nil, os.Stderr, time.Millisecond, 1)

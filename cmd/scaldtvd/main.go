@@ -13,7 +13,8 @@
 // before the design is even compiled (the X-Scaldtv-Provenance header
 // reports cached/warm/cold; the body bytes never change), sessions
 // warm-start from the nearest persisted snapshot, and the cache
-// survives restarts.
+// survives restarts.  Every request but /v1/explore uses the store,
+// under any delay model.
 //
 // On SIGTERM or SIGINT the daemon drains: new requests are refused with
 // 503 while in-flight verifications run to completion (bounded by
@@ -29,8 +30,8 @@
 // the parts in declared case order — the distributed report is
 // byte-identical to a local `scaldtv -json` run.  Tenants (the
 // X-Scaldtv-Tenant header) get fair round-robin admission with
-// per-tenant bounded queues (-tenant-queue) and per-tenant quota
-// counters in /metrics.
+// per-tenant bounded queues (-queue) and per-tenant quota counters in
+// /metrics.
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 	addr := flag.String("addr", "localhost:7333", "listen address")
 	workers := flag.Int("j", 1, "default case-evaluation workers per verification: 0 = one per CPU")
 	pool := flag.Int("pool", 0, "concurrent verifications (0 = sized against per-run parallelism)")
-	queue := flag.Int("queue", 16, "admitted requests that may wait for a verification slot before 429")
+	queue := flag.Int("queue", 16, "requests per tenant that may wait for a verification slot before 429")
 	sessions := flag.Int("sessions", 64, "retained incremental sessions (LRU beyond this)")
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request verification deadline")
@@ -67,7 +68,6 @@ func main() {
 	storeMax := flag.Int64("store-max", 0, "store size budget in bytes (0 = the 256 MiB default)")
 	workerMode := flag.Bool("worker", false, "serve the cluster batch endpoint POST /v1/batch next to the ordinary API")
 	clusterList := flag.String("cluster", "", "coordinate over these comma-separated worker base URLs instead of verifying locally")
-	tenantQueue := flag.Int("tenant-queue", 0, "per-tenant waiting requests before 429 (0 = -queue)")
 	flag.Parse()
 
 	var st *store.Store
@@ -82,7 +82,6 @@ func main() {
 		Options:     scaldtv.Options{Workers: *workers},
 		Pool:        *pool,
 		Queue:       *queue,
-		TenantQueue: *tenantQueue,
 		MaxSessions: *sessions,
 		SessionTTL:  *sessionTTL,
 		Timeout:     *timeout,

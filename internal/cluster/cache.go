@@ -19,7 +19,6 @@ import (
 // probe instead of an elaboration.
 type designCache struct {
 	mu  sync.Mutex
-	max int
 	ent map[uint64]*list.Element
 	lru *list.List // front = most recently used
 }
@@ -30,11 +29,11 @@ type designEntry struct {
 	d   *netlist.Design
 }
 
-func newDesignCache(max int) *designCache {
-	if max <= 0 {
-		max = 64
-	}
-	return &designCache{max: max, ent: make(map[uint64]*list.Element), lru: list.New()}
+// designCacheSize bounds a design cache's LRU.
+const designCacheSize = 64
+
+func newDesignCache() *designCache {
+	return &designCache{ent: make(map[uint64]*list.Element), lru: list.New()}
 }
 
 // srcHash is the cache key: plain FNV-64a over the source text (no
@@ -81,7 +80,7 @@ func (c *designCache) compile(src string) (*netlist.Design, error) {
 		delete(c.ent, key)
 	}
 	c.ent[key] = c.lru.PushFront(&designEntry{key: key, src: src, d: d})
-	for c.lru.Len() > c.max {
+	for c.lru.Len() > designCacheSize {
 		e := c.lru.Back()
 		victim := e.Value.(*designEntry)
 		c.lru.Remove(e)

@@ -21,27 +21,25 @@ import (
 type CoordinatorConfig struct {
 	// Endpoints are the worker base URLs (http://host:port).
 	Endpoints []string
-	// Client performs the batch RPCs; default is a plain http.Client.
-	Client *http.Client
-	// Retries bounds how many times one sub-job is re-dispatched to
-	// another worker after its assigned worker fails mid-batch; beyond
-	// that the sub-job runs locally on the coordinator.  Default 3.
-	Retries int
 	// Backoff is the initial re-dispatch delay, doubled per attempt.
 	// Default 50ms.
 	Backoff time.Duration
-	// BatchTimeout bounds one batch RPC.  Default 120s.
-	BatchTimeout time.Duration
 	// ProbeInterval is the health re-probe cadence for a worker marked
 	// down.  Default 2s.
 	ProbeInterval time.Duration
-	// DesignCache bounds the coordinator's compiled-design LRU.
-	DesignCache int
-	// MaxSessionRoutes bounds the exact session→owner routing table
-	// (beyond it, lookups fall back to the consistent-hash ring).
-	// Default 4096.
-	MaxSessionRoutes int
 }
+
+const (
+	// retries bounds how many times one sub-job is re-dispatched to
+	// another worker after its assigned worker fails mid-batch; beyond
+	// that the sub-job runs locally on the coordinator.
+	retries = 3
+	// batchTimeout bounds one batch RPC.
+	batchTimeout = 120 * time.Second
+	// maxSessionRoutes bounds the exact session→owner routing table
+	// (beyond it, lookups fall back to the consistent-hash ring).
+	maxSessionRoutes = 4096
+)
 
 // Coordinator fans verification runs across engine workers: it
 // partitions a run's declared cases into contiguous ranges, ships each
@@ -91,28 +89,16 @@ type dispatchResult struct {
 
 // NewCoordinator builds a Coordinator over the worker endpoints.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 3
-	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 50 * time.Millisecond
-	}
-	if cfg.BatchTimeout <= 0 {
-		cfg.BatchTimeout = 120 * time.Second
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
-	if cfg.MaxSessionRoutes <= 0 {
-		cfg.MaxSessionRoutes = 4096
-	}
 	c := &Coordinator{
 		cfg:     cfg,
 		ring:    newRing(len(cfg.Endpoints)),
-		designs: newDesignCache(cfg.DesignCache),
+		designs: newDesignCache(),
 		closed:  make(chan struct{}),
 		routes:  make(map[string]int),
 	}
@@ -187,19 +173,15 @@ func (c *Coordinator) Verify(ctx context.Context, src string, opts verify.Option
 		total = 1
 	}
 
-	// Runs the wire cannot express (forced waveforms) and clusters with
-	// nobody to talk to run locally: same engine, same bytes.
-	if len(c.workers) == 0 || len(opts.Force) > 0 {
-		return c.verifyLocal(ctx, src, opts, d)
-	}
-
 	key := srcHash(src)
 	owner := c.ring.owner(key, c.alive)
-	if owner < 0 {
-		// Every worker is marked down; run locally rather than queue
-		// behind probes.  The next Verify re-dispatches once a probe
-		// brings a worker back.
-		return c.verifyLocal(ctx, src, opts, d)
+	if owner < 0 || len(opts.Force) > 0 {
+		// Runs the wire cannot express (forced waveforms) and clusters
+		// with no worker alive run locally: same engine, same bytes.  The
+		// next Verify re-dispatches once a probe brings a worker back.
+		c.localRuns.Add(1)
+		job := &SubJob{ID: c.jobID(key, 0), Source: src}
+		return merge([]*SubResult{verifyPart(ctx, nil, d, job, opts, "local")})
 	}
 
 	load := int(c.inflightRuns.Add(1))
@@ -267,6 +249,16 @@ func (c *Coordinator) Verify(ctx context.Context, src string, opts verify.Option
 	}
 	wg.Wait()
 
+	out, provenance, err := merge(results)
+	if len(jobs) > 1 && err == nil {
+		provenance = "sharded"
+	}
+	return out, provenance, err
+}
+
+// merge assembles the run's report from its parts in partition order.
+// A single part passes its provenance through.
+func merge(results []*SubResult) ([]byte, string, error) {
 	parts := make([]*report.Report, len(results))
 	for i, r := range results {
 		if r.Err != nil {
@@ -280,24 +272,7 @@ func (c *Coordinator) Verify(ctx context.Context, src string, opts verify.Option
 	if err != nil {
 		return nil, "", err
 	}
-	if len(jobs) == 1 {
-		return out, results[0].Provenance, nil
-	}
-	return out, "sharded", nil
-}
-
-// verifyLocal runs the whole verification on the coordinator.
-func (c *Coordinator) verifyLocal(ctx context.Context, src string, opts verify.Options, d *scaldtv.Design) ([]byte, string, error) {
-	c.localRuns.Add(1)
-	res, err := scaldtv.VerifyContext(ctx, d, opts)
-	if err != nil {
-		return nil, "", err
-	}
-	out, err := scaldtv.JSONReport(res)
-	if err != nil {
-		return nil, "", err
-	}
-	return out, "local", nil
+	return out, results[0].Provenance, nil
 }
 
 var jobSeq atomic.Int64
@@ -334,7 +309,7 @@ func (c *Coordinator) dispatch(ctx context.Context, d *scaldtv.Design, job *SubJ
 	tried := map[int]bool{}
 	target := preferred
 	backoff := c.cfg.Backoff
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if target < 0 {
 			break
 		}
@@ -365,20 +340,11 @@ func (c *Coordinator) dispatch(ctx context.Context, d *scaldtv.Design, job *SubJ
 	}
 	// Exhausted: run the partition locally so the report still completes.
 	c.localRuns.Add(1)
-	res := &SubResult{ID: job.ID}
 	rd, err := narrow(d, job)
 	if err != nil {
-		res.Err = wireErr(err)
-		return res
+		return &SubResult{ID: job.ID, Err: wireErr(err)}
 	}
-	out, err := scaldtv.VerifyContext(ctx, rd, job.Opts.Options())
-	if err != nil {
-		res.Err = wireErr(err)
-		return res
-	}
-	res.Part = report.NewPartial(out)
-	res.Provenance = "local"
-	return res
+	return verifyPart(ctx, nil, rd, job, job.Opts.Options(), "local")
 }
 
 // enqueue appends a sub-job to the worker's batch queue, starting the
@@ -437,14 +403,14 @@ func (c *Coordinator) send(w *workerRef, jobs []*SubJob) ([]*SubResult, error) {
 	if err := encodeBatch(&body, jobs); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.BatchTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), batchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/batch", &body)
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		w.fails.Add(1)
 		return nil, err
@@ -491,7 +457,7 @@ func (c *Coordinator) markDown(worker int) {
 				cancel()
 				return
 			}
-			resp, err := c.cfg.Client.Do(req)
+			resp, err := http.DefaultClient.Do(req)
 			cancel()
 			if err == nil {
 				resp.Body.Close()
@@ -546,7 +512,7 @@ func (c *Coordinator) NoteSession(id, ownerURL string) {
 	}
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
-	if len(c.routes) >= c.cfg.MaxSessionRoutes {
+	if len(c.routes) >= maxSessionRoutes {
 		// Drop an arbitrary entry; evicted ids fall back to ring routing.
 		for k := range c.routes {
 			delete(c.routes, k)
@@ -579,7 +545,7 @@ func (c *Coordinator) ProxySession(rw http.ResponseWriter, r *http.Request, key 
 		return false
 	}
 	req.Header = r.Header.Clone()
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		for i, w := range c.workers {
 			if w.url == owner {

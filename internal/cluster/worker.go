@@ -2,18 +2,20 @@ package cluster
 
 import (
 	"bufio"
+	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sync/atomic"
 
-	"scaldtv"
 	"scaldtv/internal/netlist"
 	"scaldtv/internal/report"
 	"scaldtv/internal/serr"
 	"scaldtv/internal/store"
 	"scaldtv/internal/tape"
+	"scaldtv/internal/verify"
 )
 
 // WorkerConfig tunes an engine worker.
@@ -22,9 +24,6 @@ type WorkerConfig struct {
 	// designs from the persistent content-addressed cache and persists
 	// fresh whole-run outcomes back, exactly like a standalone daemon.
 	Store *store.Store
-	// DesignCache bounds the in-memory LRU of compiled designs (with
-	// their attached tape programs and warm memo tables).  Default 64.
-	DesignCache int
 }
 
 // Worker is the engine half of the cluster: it owns a design cache and
@@ -45,7 +44,7 @@ type Worker struct {
 
 // NewWorker builds a Worker.
 func NewWorker(cfg WorkerConfig) *Worker {
-	w := &Worker{cfg: cfg, designs: newDesignCache(cfg.DesignCache), mux: http.NewServeMux()}
+	w := &Worker{cfg: cfg, designs: newDesignCache(), mux: http.NewServeMux()}
 	w.mux.HandleFunc("POST /v1/batch", w.handleBatch)
 	w.mux.HandleFunc("GET /healthz", w.handleHealthz)
 	w.mux.HandleFunc("GET /metrics", w.handleMetrics)
@@ -92,43 +91,44 @@ func (w *Worker) handleBatch(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runJob evaluates one sub-job: design from cache (compiling at most
-// once per source text), whole runs through the persistent store when
-// configured, case subsets as a narrowed design sharing the base
-// design's compiled tape and levelization.
+// runJob evaluates one sub-job and counts it in the worker's metrics.
 func (w *Worker) runJob(r *http.Request, job *SubJob) *SubResult {
 	w.jobs.Add(1)
-	res := &SubResult{ID: job.ID}
-	opts := job.Opts.Options()
+	st := w.cfg.Store
+	if !job.WholeRun() {
+		st = nil // a stored entry answers a whole run only
+	}
+	res := w.evalJob(r, st, job)
+	switch {
+	case res.Err != nil:
+		w.failures.Add(1)
+	case res.Provenance == string(store.Cached):
+		w.storeHits.Add(1)
+	}
+	return res
+}
 
-	// Whole-run source-text fast path: answer from the persistent store
-	// before even compiling (explore runs always execute, as in the
-	// standalone daemon — exploration rewrites the case list).
-	useStore := w.cfg.Store != nil && job.WholeRun() && !opts.Explore
-	if useStore {
-		if rep, ok := w.cfg.Store.ServeReportSource(job.Source, opts); ok {
-			if part, err := report.ParsePart(rep); err == nil {
-				w.storeHits.Add(1)
-				res.Part, res.Provenance = part, string(store.Cached)
-				return res
-			}
+// evalJob evaluates one sub-job: design from cache (compiling at most
+// once per source text), whole runs through the persistent store when
+// st is set, case subsets as a narrowed design sharing the base design's
+// compiled tape and levelization.
+func (w *Worker) evalJob(r *http.Request, st *store.Store, job *SubJob) *SubResult {
+	opts := job.Opts.Options()
+	// Source-text fast path: answer from the persistent store before
+	// even compiling.
+	if rep, ok := st.ServeReportSource(job.Source, opts); ok {
+		if part, err := report.ParsePart(rep); err == nil {
+			return &SubResult{ID: job.ID, Part: part, Provenance: string(store.Cached)}
 		}
 	}
-
 	d, err := w.designs.compile(job.Source)
 	if err != nil {
-		w.failures.Add(1)
-		res.Err = wireErr(err)
-		return res
+		return &SubResult{ID: job.ID, Err: wireErr(err)}
 	}
-
 	rd, err := narrow(d, job)
 	if err != nil {
-		w.failures.Add(1)
-		res.Err = wireErr(err)
-		return res
+		return &SubResult{ID: job.ID, Err: wireErr(err)}
 	}
-
 	if rd != d {
 		// Prime the compiled program and levelization on the cached base
 		// design so every case-subset variant shares them (WithCases
@@ -138,36 +138,25 @@ func (w *Worker) runJob(r *http.Request, job *SubJob) *SubResult {
 			d.Levelization()
 		}
 	}
+	return verifyPart(r.Context(), st, rd, job, opts, string(store.Cold))
+}
 
-	if useStore {
-		oc, err := store.Verify(r.Context(), w.cfg.Store, d, job.Source, opts, false)
-		if err != nil {
-			w.failures.Add(1)
-			res.Err = wireErr(err)
-			return res
-		}
-		if oc.Res != nil {
-			res.Part = report.NewPartial(oc.Res)
-		} else if res.Part, err = report.ParsePart(oc.Report); err != nil {
-			w.failures.Add(1)
-			res.Err = wireErr(serr.Newf(serr.Limit, "cluster: stored report unusable: %v", err))
-			return res
-		}
-		if oc.Provenance == store.Cached {
-			w.storeHits.Add(1)
-		}
-		res.Provenance = string(oc.Provenance)
-		return res
-	}
-
-	result, err := scaldtv.VerifyContext(r.Context(), rd, opts)
+// verifyPart verifies one sub-job's design, already narrowed to its
+// case range, through store.Verify, and wraps the outcome as the job's
+// part: built from the live result, or parsed from the stored report of
+// a cached whole run.  The part carries the store's provenance, or
+// orElse when no store took part.
+func verifyPart(ctx context.Context, st *store.Store, rd *netlist.Design, job *SubJob, opts verify.Options, orElse string) *SubResult {
+	oc, err := store.Verify(ctx, st, rd, job.Source, opts, false)
 	if err != nil {
-		w.failures.Add(1)
-		res.Err = wireErr(err)
-		return res
+		return &SubResult{ID: job.ID, Err: wireErr(err)}
 	}
-	res.Part = report.NewPartial(result)
-	res.Provenance = string(store.Cold)
+	res := &SubResult{ID: job.ID, Provenance: cmp.Or(string(oc.Provenance), orElse)}
+	if oc.Res != nil {
+		res.Part = report.NewPartial(oc.Res)
+	} else if res.Part, err = report.ParsePart(oc.Report); err != nil {
+		res.Err = wireErr(serr.Newf(serr.Limit, "cluster: stored report unusable: %v", err))
+	}
 	return res
 }
 

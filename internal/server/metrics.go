@@ -12,6 +12,7 @@ import (
 	"scaldtv"
 	"scaldtv/internal/cluster"
 	"scaldtv/internal/stats"
+	"scaldtv/internal/store"
 )
 
 // wallRing bounds how many recent verification wall times feed the
@@ -40,33 +41,42 @@ type metrics struct {
 	filled bool
 }
 
-// observe records one completed verification run.
-func (m *metrics) observe(res *scaldtv.Result, wall time.Duration) {
-	m.verifies.Add(1)
-	if res.Stats.CacheHits+res.Stats.CacheMisses > 0 {
-		m.lastHitRate.Store(math.Float64bits(stats.HitRate(res.Stats.CacheHits, res.Stats.CacheMisses)))
+// count records one admitted request's outcome.  An answer from the
+// store counts as a store hit, not a run; any other outcome is a
+// completed run, observed with its engine statistics when it carries a
+// Result (a distributed run's statistics live on the workers that ran
+// its partitions).
+func (m *metrics) count(oc *store.Outcome, wall time.Duration) {
+	switch {
+	case oc.Res != nil:
+		m.observe(oc.Res, wall)
+	case oc.Provenance != store.Cached:
+		m.observe(nil, wall)
 	}
-	if res.Stats.Incremental {
-		m.incrementals.Add(1)
-		if res.Stats.Primitives > 0 {
-			m.lastDirtyRatio.Store(math.Float64bits(
-				float64(res.Stats.DirtyPrims) / float64(res.Stats.Primitives)))
-		}
+	switch oc.Provenance {
+	case store.Cached:
+		m.storeHits.Add(1)
+	case store.Warm:
+		m.storeWarm.Add(1)
 	}
-	m.mu.Lock()
-	m.walls[m.next] = wall.Seconds()
-	m.next++
-	if m.next == wallRing {
-		m.next, m.filled = 0, true
-	}
-	m.mu.Unlock()
 }
 
-// observeWall records one completed distributed run, where only the
-// wall time is known locally (the engine statistics live on the
-// workers that ran the partitions).
-func (m *metrics) observeWall(wall time.Duration) {
+// observe records one completed verification run; res is nil when only
+// the wall time is known.
+func (m *metrics) observe(res *scaldtv.Result, wall time.Duration) {
 	m.verifies.Add(1)
+	if res != nil {
+		if res.Stats.CacheHits+res.Stats.CacheMisses > 0 {
+			m.lastHitRate.Store(math.Float64bits(stats.HitRate(res.Stats.CacheHits, res.Stats.CacheMisses)))
+		}
+		if res.Stats.Incremental {
+			m.incrementals.Add(1)
+			if res.Stats.Primitives > 0 {
+				m.lastDirtyRatio.Store(math.Float64bits(
+					float64(res.Stats.DirtyPrims) / float64(res.Stats.Primitives)))
+			}
+		}
+	}
 	m.mu.Lock()
 	m.walls[m.next] = wall.Seconds()
 	m.next++

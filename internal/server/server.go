@@ -27,14 +27,19 @@
 //
 // The stateless verify response is byte-identical to `scaldtv -json` for
 // the same source and options — the engine's report determinism contract
-// carried over the wire.
+// carried over the wire.  Every endpoint verifies through store.Verify or
+// store.Update (a nil Config.Store is a store that holds nothing), so
+// with a store every request but an exploration is answered from and
+// saved to it, under any delay model.
 //
 // Admission control: verification work runs on a bounded pool of Pool
-// slots with a bounded queue of Queue further requests; beyond that the
-// server answers 429 with Retry-After instead of blocking unboundedly.
-// Every request carries a deadline, and client disconnects cancel the
-// verify cooperatively (kind canceled → 408).  During a drain (SIGTERM)
-// new work is refused with 503 while in-flight verifies complete.
+// slots.  Each tenant (the X-Scaldtv-Tenant header) may have Queue
+// requests waiting for a slot, granted round-robin across tenants;
+// beyond that the tenant is answered 429 with Retry-After instead of
+// blocking unboundedly.  Every request carries a deadline, and client
+// disconnects cancel the verify cooperatively (kind canceled → 408).
+// During a drain (SIGTERM) new work is refused with 503 while in-flight
+// verifies complete.
 //
 // Error mapping: structured scaldtv error kinds map onto HTTP statuses —
 // parse → 400, elaborate/assertion → 422, canceled → 408, limit → 503.
@@ -60,6 +65,7 @@ import (
 	"scaldtv/internal/cluster"
 	"scaldtv/internal/serr"
 	"scaldtv/internal/store"
+	"scaldtv/internal/verify"
 )
 
 // Config tunes the service.  The zero value gets sensible defaults from
@@ -74,8 +80,11 @@ type Config struct {
 	// Pool × Workers ≈ GOMAXPROCS: a server already fanning each run out
 	// over every core admits one run at a time.
 	Pool int
-	// Queue bounds how many admitted requests may wait for a pool slot;
-	// beyond Pool+Queue in flight the server answers 429.  Default 16.
+	// Queue bounds how many requests each tenant (the X-Scaldtv-Tenant
+	// header; empty means the shared "default" tenant) may have waiting
+	// for a pool slot; beyond it that tenant's requests are answered 429.
+	// Waiters are granted round-robin across tenants, so one tenant's
+	// burst cannot starve another's queue.  Default 16.
 	Queue int
 	// MaxSessions bounds the session table; the least recently used
 	// session is evicted beyond it.  Default 64.
@@ -90,9 +99,10 @@ type Config struct {
 	// verification cache: stateless verifies of already-seen designs are
 	// answered from it without taking an admission slot, session creates
 	// restore or warm-start from it, and every converged run is
-	// persisted back.  Response bodies are byte-identical with or
-	// without it; provenance travels out of band in the
-	// X-Scaldtv-Provenance header and the session envelope.
+	// persisted back — under any delay model, for every request but an
+	// exploration.  Response bodies are byte-identical with or without
+	// it; provenance travels out of band in the X-Scaldtv-Provenance
+	// header and the session envelope.
 	Store *store.Store
 	// Cluster, when non-nil, turns this server into a coordinator:
 	// verifications fan out across the cluster's engine workers (report
@@ -100,15 +110,6 @@ type Config struct {
 	// the worker owning the session.  Admission control still applies —
 	// the pool then bounds concurrent *distributed* runs.
 	Cluster *cluster.Coordinator
-	// TenantQueue bounds how many admitted requests may wait for a pool
-	// slot per tenant (the X-Scaldtv-Tenant header; empty means the
-	// shared "default" tenant).  Waiters are granted round-robin across
-	// tenants, so one tenant's burst cannot starve another's queue.
-	// Default Queue.
-	TenantQueue int
-	// MaxTenants bounds how many distinct tenants are tracked before new
-	// ones aggregate into the shared "other" bucket.  Default 64.
-	MaxTenants int
 
 	// now substitutes the clock (session TTL tests).
 	now func() time.Time
@@ -121,8 +122,6 @@ type Config struct {
 // Handler on an http.Server, and call SetDraining(true) before Shutdown.
 type Server struct {
 	cfg      Config
-	pool     int
-	queue    int
 	fq       *fairQueue
 	draining atomic.Bool
 	sessions *sessionTable
@@ -157,20 +156,12 @@ func New(cfg Config) *Server {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = 8 << 20
 	}
-	if cfg.TenantQueue <= 0 {
-		cfg.TenantQueue = cfg.Queue
-	}
-	if cfg.MaxTenants <= 0 {
-		cfg.MaxTenants = 64
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
 	s := &Server{
 		cfg:      cfg,
-		pool:     cfg.Pool,
-		queue:    cfg.Queue,
-		fq:       newFairQueue(cfg.Pool, cfg.TenantQueue, cfg.MaxTenants),
+		fq:       newFairQueue(cfg.Pool, cfg.Queue, maxTenants),
 		sessions: newSessionTable(cfg.MaxSessions, cfg.SessionTTL, cfg.now),
 		mux:      http.NewServeMux(),
 	}
@@ -327,15 +318,12 @@ func (s *Server) readRequest(r *http.Request) (src string, opts scaldtv.Options,
 		params[name] = f
 	}
 	if delays != "" || len(params) > 0 {
-		dm, err := scaldtv.ParseDelayModel(delays)
-		if err != nil {
+		dm, err := verify.ResolveDelayModel(delays, params)
+		switch {
+		case errors.Is(err, verify.ErrParamsNeedAnalytic):
+			return "", opts, nil, serr.Newf(serr.Parse, "server: parameter bindings require the analytic delay model, not delays=%q", delays)
+		case err != nil:
 			return "", opts, nil, serr.Newf(serr.Parse, "server: delays=%q: %v", delays, err)
-		}
-		if len(params) > 0 {
-			if !scaldtv.IsWorstCase(dm) && delays != "analytic" {
-				return "", opts, nil, serr.Newf(serr.Parse, "server: parameter bindings require the analytic delay model, not delays=%q", delays)
-			}
-			dm = scaldtv.AnalyticDelays{Params: params}
 		}
 		opts.Delays = dm
 	}
@@ -401,7 +389,18 @@ func joinProvenance(prov, model string) string {
 // handleVerify is the stateless POST /v1/verify endpoint.  The response
 // body is byte-identical to `scaldtv -json` for the same input: the JSON
 // report followed by one newline.
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) { s.serveVerify(w, r, false) }
+
+// handleExplore is the stateless POST /v1/explore endpoint: /v1/verify
+// with automatic case exploration, answered with the JSON report
+// carrying the exploration section (and, with ?delays=statistical,
+// per-site violation probabilities).  The response is byte-identical to
+// `scaldtv -explore -json` for the same input.
+func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) { s.serveVerify(w, r, true) }
+
+// serveVerify answers a stateless verification request, exploring when
+// explore is set.
+func (s *Server) serveVerify(w http.ResponseWriter, r *http.Request, explore bool) {
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	src, opts, corners, err := s.readRequest(r)
@@ -409,121 +408,119 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeReport := func(rep []byte, provenance store.Provenance) {
-		if p := joinProvenance(string(provenance), delayProvenance(opts)); p != "" {
-			w.Header().Set("X-Scaldtv-Provenance", p)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(rep)
-		io.WriteString(w, "\n")
-	}
+	opts.Explore = explore
+	var (
+		oc  *store.Outcome
+		rep []byte
+	)
 	if s.cfg.Cluster != nil && len(corners) == 0 {
 		// Coordinator mode: the run fans out across the engine workers
 		// (the coordinator compiles through its own design cache and the
 		// workers answer from theirs, so no local compile happens here)
 		// and the merged report is byte-identical to a local run.
-		release, err := s.admit(ctx, r)
-		if err != nil {
-			s.writeErr(w, err)
-			return
-		}
-		defer release()
-		if s.cfg.onVerifyStart != nil {
-			s.cfg.onVerifyStart(ctx)
-		}
-		start := time.Now()
-		rep, prov, err := s.cfg.Cluster.Verify(ctx, src, opts)
-		if err != nil {
-			s.met.failures.Add(1)
-			s.writeErr(w, err)
-			return
-		}
-		s.met.observeWall(time.Since(start))
-		writeReport(rep, store.Provenance(prov))
-		return
-	}
-	// Corner queries are answered from the live Result's margin surface,
-	// which stored report bytes cannot give, so non-worst-case delay
-	// models always run the engine directly, exactly as the scaldtv CLI
-	// does.
-	useStore := s.cfg.Store != nil && scaldtv.IsWorstCase(opts.Delays)
-	if useStore {
-		// Source-text fast path: an exact repeat of a verified request is
-		// answered before the design is even compiled — parsing and
-		// elaborating a large design costs tens of milliseconds, the
-		// store probe a directory scan and a checksum pass.  It also
-		// bypasses admission control: a busy pool cannot queue (or
+		oc, rep = s.verifyAdmitted(ctx, w, r, nil, func(ctx context.Context, _ *scaldtv.Design) (*store.Outcome, error) {
+			rep, prov, err := s.cfg.Cluster.Verify(ctx, src, opts)
+			return &store.Outcome{Report: rep, Provenance: store.Provenance(prov)}, err
+		}, (*store.Outcome).JSON)
+	} else {
+		// Corner queries are answered from the live Result's margin
+		// surface, which stored report bytes cannot give, so they skip
+		// both byte probes.  The source-text probe answers an exact repeat
+		// before the design is even compiled — parsing and elaborating a
+		// large design costs tens of milliseconds, the probe a directory
+		// scan and a checksum pass — and the design probe catches a
+		// textually different spelling of an already-verified design.
+		// Both bypass admission control: a busy pool cannot queue (or
 		// reject) a request the engine never needs to see.
-		if rep, ok := s.cfg.Store.ServeReportSource(src, opts); ok {
-			s.met.storeHits.Add(1)
-			writeReport(rep, store.Cached)
+		if len(corners) == 0 {
+			if rep, ok := s.cfg.Store.ServeReportSource(src, opts); ok {
+				s.met.storeHits.Add(1)
+				s.writeReport(w, rep, store.Cached, opts)
+				return
+			}
+		}
+		d, err := scaldtv.Compile(src)
+		if err != nil {
+			s.writeErr(w, err)
 			return
 		}
-	}
-	d, err := scaldtv.Compile(src)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if useStore {
-		// Second-level exact hit on the design fingerprint: catches a
-		// textually different spelling of an already-verified design
-		// (reformatted source, renamed macros), still without engine work.
-		if rep, ok := s.cfg.Store.ServeReport(d, opts); ok {
-			s.met.storeHits.Add(1)
-			writeReport(rep, store.Cached)
-			return
+		if len(corners) == 0 {
+			if rep, ok := s.cfg.Store.ServeReport(d, opts); ok {
+				s.met.storeHits.Add(1)
+				s.writeReport(w, rep, store.Cached, opts)
+				return
+			}
 		}
+		// A corner query reads the Result, which an exact store hit only
+		// has when it restores the stored session.
+		oc, rep = s.verifyAdmitted(ctx, w, r, nil, func(ctx context.Context, _ *scaldtv.Design) (*store.Outcome, error) {
+			return store.Verify(ctx, s.cfg.Store, d, src, opts, len(corners) > 0 && s.cfg.Store != nil)
+		}, func(oc *store.Outcome) ([]byte, error) {
+			rep, err := oc.JSON()
+			if err != nil || len(corners) == 0 {
+				return rep, err
+			}
+			return cornerResponse(oc.Res, rep, corners)
+		})
 	}
+	if oc != nil {
+		s.writeReport(w, rep, oc.Provenance, opts)
+	}
+}
+
+// writeReport writes a stateless verification response: the report and
+// one newline, with the store provenance and the delay model in the
+// X-Scaldtv-Provenance header.
+func (s *Server) writeReport(w http.ResponseWriter, rep []byte, provenance store.Provenance, opts scaldtv.Options) {
+	if p := joinProvenance(string(provenance), delayProvenance(opts)); p != "" {
+		w.Header().Set("X-Scaldtv-Provenance", p)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(rep)
+	io.WriteString(w, "\n")
+}
+
+// verifyAdmitted is every verification's way through admission control:
+// it takes a pool slot for the request's tenant, runs the test hook,
+// compiles the design when compile is set (a session compiles inside its
+// slot), times run and counts its outcome in the metrics, then renders
+// the response body with render, so all of a request's CPU work stays
+// inside its slot and only the write happens after release.  It writes
+// any error response itself and returns a nil outcome; a compile error
+// answers 4xx without counting as a failed run.
+func (s *Server) verifyAdmitted(ctx context.Context, w http.ResponseWriter, r *http.Request,
+	compile func() (*scaldtv.Design, error), run func(context.Context, *scaldtv.Design) (*store.Outcome, error),
+	render func(*store.Outcome) ([]byte, error)) (*store.Outcome, []byte) {
 	release, err := s.admit(ctx, r)
 	if err != nil {
 		s.writeErr(w, err)
-		return
+		return nil, nil
 	}
 	defer release()
 	if s.cfg.onVerifyStart != nil {
 		s.cfg.onVerifyStart(ctx)
 	}
-	start := time.Now()
-	if useStore {
-		oc, err := store.Verify(ctx, s.cfg.Store, d, src, opts, false)
-		if err != nil {
-			s.met.failures.Add(1)
+	var d *scaldtv.Design
+	if compile != nil {
+		if d, err = compile(); err != nil {
 			s.writeErr(w, err)
-			return
+			return nil, nil
 		}
-		if oc.Res != nil {
-			s.met.observe(oc.Res, time.Since(start))
-		}
-		switch oc.Provenance {
-		case store.Cached: // a concurrent writer won the race since the probe
-			s.met.storeHits.Add(1)
-		case store.Warm:
-			s.met.storeWarm.Add(1)
-		}
-		writeReport(oc.Report, oc.Provenance)
-		return
 	}
-	res, err := scaldtv.VerifyContext(ctx, d, opts)
+	start := time.Now()
+	oc, err := run(ctx, d)
 	if err != nil {
 		s.met.failures.Add(1)
 		s.writeErr(w, err)
-		return
+		return nil, nil
 	}
-	s.met.observe(res, time.Since(start))
-	out, err := scaldtv.JSONReport(res)
+	s.met.count(oc, time.Since(start))
+	body, err := render(oc)
 	if err != nil {
 		s.writeErr(w, err)
-		return
+		return nil, nil
 	}
-	if len(corners) > 0 {
-		out, err = cornerResponse(res, out, corners)
-		if err != nil {
-			s.writeErr(w, err)
-			return
-		}
-	}
-	writeReport(out, "")
+	return oc, body
 }
 
 // cornerBody is the response of a corner-querying verification: the
@@ -579,78 +576,6 @@ func cornerResponse(res *scaldtv.Result, rep []byte, corners []map[string]float6
 		body.Corners = append(body.Corners, ans)
 	}
 	return json.MarshalIndent(&body, "", "  ")
-}
-
-// handleExplore is the stateless POST /v1/explore endpoint: automatic
-// case exploration over the same request shape as /v1/verify, answered
-// with the JSON report carrying the exploration section (and, with
-// ?delays=statistical, per-site violation probabilities).  The response
-// is byte-identical to `scaldtv -explore -json` for the same input.
-// Exploration rewrites the case list, which a stored fixed point of the
-// declared cases cannot answer, so this endpoint always runs the engine —
-// there is no store fast path — and provenance is simply absent.
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	src, opts, _, err := s.readRequest(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	opts.Explore = true
-	if s.cfg.Cluster != nil {
-		release, err := s.admit(ctx, r)
-		if err != nil {
-			s.writeErr(w, err)
-			return
-		}
-		defer release()
-		if s.cfg.onVerifyStart != nil {
-			s.cfg.onVerifyStart(ctx)
-		}
-		start := time.Now()
-		rep, _, err := s.cfg.Cluster.Verify(ctx, src, opts)
-		if err != nil {
-			s.met.failures.Add(1)
-			s.writeErr(w, err)
-			return
-		}
-		s.met.observeWall(time.Since(start))
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(rep)
-		io.WriteString(w, "\n")
-		return
-	}
-	d, err := scaldtv.Compile(src)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	release, err := s.admit(ctx, r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	defer release()
-	if s.cfg.onVerifyStart != nil {
-		s.cfg.onVerifyStart(ctx)
-	}
-	start := time.Now()
-	res, err := scaldtv.VerifyContext(ctx, d, opts)
-	if err != nil {
-		s.met.failures.Add(1)
-		s.writeErr(w, err)
-		return
-	}
-	s.met.observe(res, time.Since(start))
-	out, err := scaldtv.JSONReport(res)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(out)
-	io.WriteString(w, "\n")
 }
 
 // errBody is the JSON error response.

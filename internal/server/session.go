@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -171,16 +172,17 @@ type sessionEnvelope struct {
 	Report      json.RawMessage `json:"report"`
 }
 
-// writeEnvelope renders the session response for a completed run.
-// provenance is empty when the server runs without a store; the
-// embedded report stays byte-identical either way.
-func (s *Server) writeEnvelope(w http.ResponseWriter, code int, id string, res *scaldtv.Result, provenance store.Provenance) {
-	rep, err := scaldtv.JSONReport(res)
+// envelope renders the session response for a completed run, reusing
+// the report bytes a store already rendered.  The provenance is empty
+// when the server runs without a store and for an update; the embedded
+// report stays byte-identical either way.
+func envelope(id string, oc *store.Outcome) ([]byte, error) {
+	rep, err := oc.JSON()
 	if err != nil {
-		s.writeErr(w, err)
-		return
+		return nil, err
 	}
-	env := sessionEnvelope{
+	res := oc.Res
+	return json.MarshalIndent(&sessionEnvelope{
 		Schema:      report.SchemaVersion,
 		Session:     id,
 		Incremental: res.Stats.Incremental,
@@ -190,24 +192,25 @@ func (s *Server) writeEnvelope(w http.ResponseWriter, code int, id string, res *
 		Primitives:  res.Stats.Primitives,
 		Pass:        !res.Errors(),
 		Violations:  len(res.Violations),
-		Provenance:  string(provenance),
+		Provenance:  string(oc.Provenance),
 		Report:      rep,
-	}
-	out, err := json.MarshalIndent(&env, "", "  ")
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+	}, "", "  ")
+}
+
+// writeEnvelope writes a rendered session response.
+func writeEnvelope(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(out)
+	w.Write(body)
 	io.WriteString(w, "\n")
 }
 
-// handleSessionCreate (POST /v1/sessions) compiles the design, runs a
-// full verification, and retains the converged Verifier under a fresh
-// session id.  Worker and cache options are fixed for the session's
-// lifetime here; later PUTs only carry source.
+// handleSessionCreate (POST /v1/sessions) compiles the design, verifies
+// it through the store — an already-seen design restores its persisted
+// fixed point, a structurally known one warm-starts from the nearest
+// snapshot — and retains the converged Verifier under a fresh session
+// id.  Worker and cache options are fixed for the session's lifetime
+// here; later PUTs only carry source.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.clusterProxy(w, r) {
 		return
@@ -219,63 +222,27 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	release, err := s.admit(ctx, r)
-	if err != nil {
-		s.writeErr(w, err)
+	// A session retains a Verifier, which exploration leaves none of.
+	opts.Explore = false
+	id := newSessionID()
+	oc, body := s.verifyAdmitted(ctx, w, r, compileFunc(src), func(ctx context.Context, d *scaldtv.Design) (*store.Outcome, error) {
+		return store.Verify(ctx, s.cfg.Store, d, src, opts, true)
+	}, func(oc *store.Outcome) ([]byte, error) { return envelope(id, oc) })
+	if oc == nil {
 		return
 	}
-	defer release()
-	if s.cfg.onVerifyStart != nil {
-		s.cfg.onVerifyStart(ctx)
-	}
-	d, err := scaldtv.Compile(src)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	start := time.Now()
-	var (
-		V          *scaldtv.Verifier
-		res        *scaldtv.Result
-		provenance store.Provenance
-	)
-	if s.cfg.Store != nil {
-		// Store-mediated create: an already-seen design restores its
-		// persisted fixed point, a structurally-known one warm-starts
-		// from the nearest snapshot and re-verifies only the diff cone.
-		oc, err := store.Verify(ctx, s.cfg.Store, d, src, opts, true)
-		if err != nil {
-			s.met.failures.Add(1)
-			s.writeErr(w, err)
-			return
-		}
-		V, res, provenance = oc.V, oc.Res, oc.Provenance
-		switch provenance {
-		case store.Cached:
-			s.met.storeHits.Add(1)
-		case store.Warm:
-			s.met.storeWarm.Add(1)
-		}
-	} else {
-		V = scaldtv.NewVerifier(d, opts)
-		if res, err = V.VerifyContext(ctx); err != nil {
-			s.met.failures.Add(1)
-			s.writeErr(w, err)
-			return
-		}
-	}
-	sess := &session{id: newSessionID(), V: V, opts: opts}
-	s.met.observe(res, time.Since(start))
-	s.sessions.put(sess)
-	w.Header().Set("Location", "/v1/sessions/"+sess.id)
-	s.writeEnvelope(w, http.StatusCreated, sess.id, res, provenance)
+	s.sessions.put(&session{id: id, V: oc.V, opts: opts})
+	w.Header().Set("Location", "/v1/sessions/"+id)
+	writeEnvelope(w, http.StatusCreated, body)
 }
 
 // handleSessionUpdate (PUT /v1/sessions/{id}/design) adopts an edited
 // design: when it differs from the retained one only in parameters, the
 // verifier re-verifies just the forward cone of the edits and the
 // response reports incremental=true with the cone size; a structural
-// edit transparently falls back to a full run.  A canceled update drops
+// edit transparently falls back to a full run.  The new fixed point is
+// saved to the store, so later creates — in this process or after a
+// restart — find it cached or warm-startable.  A canceled update drops
 // the retained state inside the verifier (abort-don't-corrupt), so the
 // session survives and the next PUT simply runs from scratch.
 func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
@@ -305,34 +272,18 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, errSessionGone)
 		return
 	}
-	release, err := s.admit(ctx, r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
+	oc, body := s.verifyAdmitted(ctx, w, r, compileFunc(src), func(ctx context.Context, d *scaldtv.Design) (*store.Outcome, error) {
+		return store.Update(ctx, s.cfg.Store, sess.V, d, src, sess.opts)
+	}, func(oc *store.Outcome) ([]byte, error) { return envelope(sess.id, oc) })
+	if oc != nil {
+		writeEnvelope(w, http.StatusOK, body)
 	}
-	defer release()
-	if s.cfg.onVerifyStart != nil {
-		s.cfg.onVerifyStart(ctx)
-	}
-	nd, err := scaldtv.Compile(src)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	start := time.Now()
-	res, _, err := sess.V.UpdateContext(ctx, nd)
-	if err != nil {
-		s.met.failures.Add(1)
-		s.writeErr(w, err)
-		return
-	}
-	s.met.observe(res, time.Since(start))
-	if s.cfg.Store != nil {
-		// Persist the new fixed point so later creates — in this process
-		// or after a restart — find it cached or warm-startable.
-		store.Save(s.cfg.Store, src, sess.opts, sess.V)
-	}
-	s.writeEnvelope(w, http.StatusOK, sess.id, res, "")
+}
+
+// compileFunc is the compile step of a session request, which runs
+// inside its admission slot.
+func compileFunc(src string) func() (*scaldtv.Design, error) {
+	return func() (*scaldtv.Design, error) { return scaldtv.Compile(src) }
 }
 
 // handleSessionReport (GET /v1/sessions/{id}/report) renders the

@@ -19,6 +19,10 @@ const tenantHeader = "X-Scaldtv-Tenant"
 // grow the queue map or the metrics exposition without bound.
 const otherTenant = "other"
 
+// maxTenants bounds how many distinct tenants a server tracks before new
+// ones aggregate into otherTenant.
+const maxTenants = 64
+
 // tenantWaiter is one queued admission.
 type tenantWaiter struct {
 	ready   chan struct{}

@@ -18,8 +18,8 @@ func TestQueuedDisconnectFreesSlot(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 16)
 	s, ts := newTestServer(t, Config{
-		Pool:        1,
-		TenantQueue: 4,
+		Pool:  1,
+		Queue: 4,
 		onVerifyStart: func(ctx context.Context) {
 			started <- struct{}{}
 			select {
@@ -181,8 +181,8 @@ func TestTenantRejectionIsolated(t *testing.T) {
 	defer close(block)
 	started := make(chan struct{}, 8)
 	s, ts := newTestServer(t, Config{
-		Pool:        1,
-		TenantQueue: 1,
+		Pool:  1,
+		Queue: 1,
 		onVerifyStart: func(ctx context.Context) {
 			started <- struct{}{}
 			select {

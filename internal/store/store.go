@@ -7,10 +7,10 @@
 // The layout is one file per entry under a single directory, named
 // <structural-fp>-<key>-<source-key>.scv, so an exact lookup is a
 // filename probe, a nearest lookup (any entry sharing the design's
-// structure, for warm-starting an incremental re-verification of an
-// edited design) is a prefix scan, and a source-text lookup — the only
-// probe that needs no compiled design at all — matches on the last
-// component.  Writes go through a temp file and an atomic rename —
+// structure — and, under the analytic model, its parameter point — for
+// warm-starting an incremental re-verification of an edited design) is
+// a prefix scan, and a source-text lookup — the only probe that needs
+// no compiled design at all — matches on the last component.  Writes go through a temp file and an atomic rename —
 // readers never observe a partial blob — and every blob carries a
 // trailing FNV-64a checksum over its whole content, so truncation or
 // bit rot degrades to a cache miss rather than a wrong answer.  The
@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -52,7 +53,7 @@ type Store struct {
 // Entry is one stored verification outcome.
 type Entry struct {
 	Key      uint64 // verify.Fingerprint of (design, options)
-	StructFP uint64 // netlist.StructuralFingerprint of the design
+	StructFP uint64 // the warm-start key: netlist.StructuralFingerprint, plus the analytic point (warmKey)
 	SrcKey   uint64 // SourceKey of (source text, options): the pre-compile probe
 	Source   string // the source text the design was compiled from
 	Report   []byte // the rendered JSON report, byte-exact
@@ -91,9 +92,13 @@ func nameParts(name string) (structFP, key, srcKey uint64, ok bool) {
 		return 0, 0, 0, false
 	}
 	for i, p := range parts {
-		if _, err := fmt.Sscanf(p, "%016x", &fps[i]); err != nil || len(p) != 16 {
+		// Every probe parses every name in the directory, so this avoids
+		// fmt's scanner.
+		v, err := strconv.ParseUint(p, 16, 64)
+		if err != nil || len(p) != 16 {
 			return 0, 0, 0, false
 		}
+		fps[i] = v
 	}
 	return fps[0], fps[1], fps[2], true
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -129,6 +130,26 @@ func ParseDelayModel(s string) (DelayModel, error) {
 		return AnalyticDelays{}, nil
 	}
 	return nil, fmt.Errorf("verify: unknown delay model %q (want worstcase, statistical or analytic)", s)
+}
+
+// ErrParamsNeedAnalytic reports parameter bindings given under a named
+// delay model other than the analytic one.
+var ErrParamsNeedAnalytic = errors.New("verify: parameter bindings require the analytic delay model")
+
+// ResolveDelayModel resolves a delay-model spelling (ParseDelayModel)
+// together with parameter bindings into one model: bindings imply the
+// analytic model, and bindings under another named model are
+// ErrParamsNeedAnalytic.  The CLI's -delays/-param flags and the
+// daemon's delays/params request fields both resolve through it.
+func ResolveDelayModel(name string, params map[string]float64) (DelayModel, error) {
+	m, err := ParseDelayModel(name)
+	if err != nil || len(params) == 0 {
+		return m, err
+	}
+	if _, analytic := m.(AnalyticDelays); !analytic && !IsWorstCase(m) {
+		return nil, ErrParamsNeedAnalytic
+	}
+	return AnalyticDelays{Params: params}, nil
 }
 
 // IsWorstCase reports whether the model (possibly nil) is the plain
