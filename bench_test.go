@@ -40,7 +40,7 @@ func BenchmarkTable31_FullPipeline(b *testing.B) {
 			}
 			b.ReportMetric(float64(last.Table31.Events), "events")
 			b.ReportMetric(float64(last.Table31.Primitives), "prims")
-			b.ReportMetric(float64(last.Table31.Verify.Nanoseconds())/float64(last.Table31.Events), "ns/event")
+			b.ReportMetric(float64(last.Table31.VerifyTime.Nanoseconds())/float64(last.Table31.Events), "ns/event")
 		})
 	}
 }

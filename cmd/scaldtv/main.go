@@ -25,11 +25,12 @@
 //	-j n          case-evaluation workers (0 = one per CPU, 1 = sequential)
 //	-watch        stay running and re-verify on every save; parameter-only
 //	              edits reverify just the dirty cone incrementally
-//	-store dir    persist converged runs in a content-addressed cache:
-//	              already-seen designs answer without running the engine,
-//	              edited designs warm-start from the nearest snapshot
-//	              (every run but -explore, under any delay model; a run
-//	              that -autocorr changed skips the store)
+//	-store dir    persist the reports of converged runs in a
+//	              content-addressed cache: stderr says whether the store
+//	              already held the design's report (cached) or the run
+//	              added it (cold); every run but -explore, under any
+//	              delay model (a run that -autocorr changed skips the
+//	              store)
 //	-cpuprofile f write a CPU profile of the verification to f
 //	-memprofile f write an allocation profile (after verification) to f
 package main
@@ -246,11 +247,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := baseOpts
 	opts.KeepWaves = *summary || *art
 	opts.Margins = *slack > 0
-	// An already-seen design answers from the store, an edited one
-	// warm-starts from the nearest snapshot; the listings and the exit
-	// status read the Result, so an exact hit restores it.  Without a
-	// store this is a plain run.  Reports stay byte-identical either way;
-	// provenance goes to stderr so stdout does not change shape.
+	// The listings and the exit status read the Result, so a run with a
+	// store always runs, and -json prints the stored bytes when the store
+	// already held them.  Without a store this is a plain run.  Reports
+	// stay byte-identical either way; provenance goes to stderr so stdout
+	// does not change shape.
 	oc, err := store.Verify(context.Background(), st, design, text, opts, st != nil)
 	if err != nil {
 		return fail(err)
@@ -315,8 +316,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *statsFlag {
 		fmt.Fprintln(stdout)
-		var t31 stats.Table31
-		t31.FromVerify(res.Stats)
+		t31 := stats.Table31{Stats: res.Stats}
 		fmt.Fprint(stdout, t31.String())
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, stats.Table32(rep, 0))

@@ -24,12 +24,11 @@ import (
 // within the filesystem's timestamp granularity would otherwise be
 // missed, and a touch without an edit would otherwise re-verify.
 //
-// With a non-nil store, the first pass is answered through it (cached
-// or warm-started from the nearest persisted snapshot) and every
-// converged fixed point is persisted back, so the watch loop survives
-// process restarts without losing its incremental state.  With
-// opts.Explore every pass explores afresh: exploration retains no
-// session to update.
+// With a non-nil store, the first pass says whether the store already
+// held the design's report (cached) and every converged pass saves its
+// report, so a restarted watch, or any other caller, finds the designs
+// it verified.  With opts.Explore every pass explores afresh:
+// exploration retains no session to update.
 //
 // maxUpdates > 0 bounds the number of successful verification passes
 // before returning (used by tests); 0 watches until the process is
@@ -73,7 +72,7 @@ func watch(path string, lib bool, opts scaldtv.Options, st *store.Store, out io.
 			continue
 		}
 
-		// Verify and Update persist the fixed point before they return,
+		// Verify and Update persist the report before they return,
 		// so anything reacting to the output line (tests, scripts)
 		// observes the updated store.
 		ctx := context.Background()
@@ -96,9 +95,6 @@ func watch(path string, lib bool, opts scaldtv.Options, st *store.Store, out io.
 		case oc.Provenance == store.Cached:
 			fmt.Fprintf(out, "watch: %s: %d violation(s) in %v (cached)\n",
 				path, len(res.Violations), elapsed)
-		case oc.Incremental && oc.Provenance == store.Warm:
-			fmt.Fprintf(out, "watch: %s: %d violation(s) in %v (warm: %d dirty instance(s), %d reused waveform(s))\n",
-				path, len(res.Violations), elapsed, res.Stats.DirtyPrims, res.Stats.ReusedWaves)
 		case oc.Incremental:
 			fmt.Fprintf(out, "watch: %s: %d violation(s) in %v (incremental: %d dirty instance(s), %d reused waveform(s))\n",
 				path, len(res.Violations), elapsed, res.Stats.DirtyPrims, res.Stats.ReusedWaves)

@@ -8,13 +8,12 @@
 // package comment of internal/server for the endpoint and
 // admission-control details.
 //
-// With -store the daemon persists converged runs in a content-addressed
-// cache directory: repeated verify requests are answered from the store
-// before the design is even compiled (the X-Scaldtv-Provenance header
-// reports cached/warm/cold; the body bytes never change), sessions
-// warm-start from the nearest persisted snapshot, and the cache
-// survives restarts.  Every request but /v1/explore uses the store,
-// under any delay model.
+// With -store the daemon persists the reports of converged runs in a
+// content-addressed cache directory: repeated verify requests are
+// answered from the store before the design is even compiled (the
+// X-Scaldtv-Provenance header reports cached or cold; the body bytes
+// never change), and the cache survives restarts.  Every request but
+// /v1/explore uses the store, under any delay model.
 //
 // On SIGTERM or SIGINT the daemon drains: new requests are refused with
 // 503 while in-flight verifications run to completion (bounded by

@@ -161,7 +161,7 @@ func (c *Coordinator) alive(i int) bool { return !c.workers[i].down.Load() }
 // splits the run's cases across workers for latency, while concurrent
 // runs ship whole to their ring owners for throughput.  provenance
 // describes how the run was obtained: a whole-run job passes its
-// worker's provenance through (cached/warm/cold), a partitioned run
+// worker's provenance through (cached/cold), a partitioned run
 // reports "sharded", a run with no reachable workers "local".
 func (c *Coordinator) Verify(ctx context.Context, src string, opts verify.Options) (rep []byte, provenance string, err error) {
 	d, err := c.designs.compile(src)

@@ -22,7 +22,7 @@ func TestRunScaleSmall(t *testing.T) {
 	if r.Table31.Primitives == 0 || r.Table31.Events == 0 {
 		t.Errorf("table 3-1 counters empty: %+v", r.Table31)
 	}
-	if r.Table31.Read <= 0 || r.Table31.Pass2 <= 0 || r.Table31.Verify <= 0 {
+	if r.Table31.Read <= 0 || r.Table31.Pass2 <= 0 || r.Table31.VerifyTime <= 0 {
 		t.Errorf("phase times missing: %+v", r.Table31)
 	}
 	if r.Storage.Total() <= 0 || r.Storage.ValueLists == 0 {

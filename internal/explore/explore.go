@@ -98,7 +98,8 @@ func RunContext(ctx context.Context, d *netlist.Design, opts verify.Options) (*v
 	probes := 0
 	var chosen []int // candidate indexes, declared order
 	var cands []candidate
-	if len(sites) > 0 && converged(bres) {
+	// EvalCase probes are only valid from a true fixed point.
+	if len(sites) > 0 && bres.Converged() {
 		cands = rankCandidates(d, anchors)
 		if len(cands) > maxProbed {
 			for _, c := range cands[maxProbed:] {
@@ -367,17 +368,6 @@ func anchorIn(a anchor, c netlist.Cone) bool {
 		return c.Nets[a.net]
 	}
 	return false
-}
-
-// converged reports no ConvergenceViolation in the result — EvalCase
-// probes are only valid from a true fixed point.
-func converged(res *verify.Result) bool {
-	for _, v := range res.Violations {
-		if v.Kind == verify.ConvergenceViolation {
-			return false
-		}
-	}
-	return true
 }
 
 // violationKey identifies a constraint site independent of case label and

@@ -30,9 +30,9 @@ func floatBits(v float64) uint64 {
 //     classifies as parameter-level edits (delays, checker intervals,
 //     same-shape kind swaps, wire overrides, assertion range tweaks and
 //     instance names), so that any two designs Diff accepts as
-//     structurally identical share a StructuralFingerprint.  The store
-//     uses it to find the nearest snapshot to warm-start an incremental
-//     re-verification from.
+//     structurally identical share a StructuralFingerprint: it names
+//     the designs one retained Verifier can Update between
+//     incrementally.
 //
 // Both hashes are FNV-1a with length-prefixed strings, so field
 // boundaries cannot alias.

@@ -239,46 +239,6 @@ func TestCaseDiff(t *testing.T) {
 	}
 }
 
-func TestVCD(t *testing.T) {
-	res := smallResult(t, true)
-	v := VCD(res, 0)
-	for _, want := range []string{
-		"$timescale 1ps $end",
-		"$var wire 1",
-		"W_DATA_0_7__.S6-12",
-		"$enddefinitions",
-		"#0",
-		"#50000",
-	} {
-		if !strings.Contains(v, want) {
-			t.Errorf("VCD missing %q:\n%s", want, v)
-		}
-	}
-	// The clock's rise at 49 ns (49000 ps, skew band start) appears.
-	if !strings.Contains(v, "#49000") && !strings.Contains(v, "x") {
-		t.Errorf("clock transitions missing:\n%s", v)
-	}
-	if VCD(smallResult(t, false), 0) != "" {
-		t.Error("VCD without waves should be empty")
-	}
-}
-
-func TestVCDCode(t *testing.T) {
-	seen := map[string]bool{}
-	for i := 0; i < 10000; i++ {
-		c := vcdCode(i)
-		if seen[c] {
-			t.Fatalf("code collision at %d: %q", i, c)
-		}
-		seen[c] = true
-		for _, ch := range []byte(c) {
-			if ch < '!' || ch > '~' {
-				t.Fatalf("non-printable code byte %d at %d", ch, i)
-			}
-		}
-	}
-}
-
 func TestSlackListing(t *testing.T) {
 	b := netlist.NewBuilder("slack")
 	b.SetPeriod(50 * tick.NS)

@@ -30,7 +30,6 @@ type metrics struct {
 	failures     atomic.Int64 // runs that returned an error
 	rejected     atomic.Int64 // admissions refused with 429
 	storeHits    atomic.Int64 // requests answered from the persistent store
-	storeWarm    atomic.Int64 // runs warm-started from a persisted snapshot
 
 	lastHitRate    atomic.Uint64 // float64 bits: cache hits / lookups, last run
 	lastDirtyRatio atomic.Uint64 // float64 bits: dirty prims / prims, last incremental run
@@ -53,11 +52,8 @@ func (m *metrics) count(oc *store.Outcome, wall time.Duration) {
 	case oc.Provenance != store.Cached:
 		m.observe(nil, wall)
 	}
-	switch oc.Provenance {
-	case store.Cached:
+	if oc.Provenance == store.Cached {
 		m.storeHits.Add(1)
-	case store.Warm:
-		m.storeWarm.Add(1)
 	}
 }
 
@@ -139,7 +135,6 @@ func (m *metrics) render(w io.Writer, queueDepth, sessions int) {
 	counter("scaldtvd_verify_failures_total", "Verification runs that returned an error.", m.failures.Load())
 	counter("scaldtvd_rejected_total", "Requests refused with 429 by admission control.", m.rejected.Load())
 	counter("scaldtvd_store_hits_total", "Requests answered from the persistent verification store.", m.storeHits.Load())
-	counter("scaldtvd_store_warm_total", "Runs warm-started from a persisted snapshot.", m.storeWarm.Load())
 	gaugeI("scaldtvd_queue_depth", "Requests holding or waiting for a verification slot.", queueDepth)
 	gaugeI("scaldtvd_sessions", "Live sessions in the LRU table.", sessions)
 	gaugeF("scaldtvd_cache_hit_rate", "Evaluation-memo hit rate of the most recent run.",

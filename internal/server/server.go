@@ -29,8 +29,11 @@
 // the same source and options — the engine's report determinism contract
 // carried over the wire.  Every endpoint verifies through store.Verify or
 // store.Update (a nil Config.Store is a store that holds nothing), so
-// with a store every request but an exploration is answered from and
-// saved to it, under any delay model.
+// with a store every request but an exploration is answered from it or
+// saves its report to it, under any delay model.  The store keeps
+// reports, not fixed points: a stateless request it holds runs no
+// engine, while a session create or a corner query always runs, and
+// its provenance says whether the store already held the report.
 //
 // Admission control: verification work runs on a bounded pool of Pool
 // slots.  Each tenant (the X-Scaldtv-Tenant header) may have Queue
@@ -97,12 +100,11 @@ type Config struct {
 	MaxBody int64
 	// Store, when non-nil, is the persistent content-addressed
 	// verification cache: stateless verifies of already-seen designs are
-	// answered from it without taking an admission slot, session creates
-	// restore or warm-start from it, and every converged run is
-	// persisted back — under any delay model, for every request but an
-	// exploration.  Response bodies are byte-identical with or without
-	// it; provenance travels out of band in the X-Scaldtv-Provenance
-	// header and the session envelope.
+	// answered from it without taking an admission slot, and every
+	// converged run's report is saved to it — under any delay model, for
+	// every request but an exploration.  Response bodies are
+	// byte-identical with or without it; provenance travels out of band
+	// in the X-Scaldtv-Provenance header and the session envelope.
 	Store *store.Store
 	// Cluster, when non-nil, turns this server into a coordinator:
 	// verifications fan out across the cluster's engine workers (report
@@ -451,8 +453,8 @@ func (s *Server) serveVerify(w http.ResponseWriter, r *http.Request, explore boo
 				return
 			}
 		}
-		// A corner query reads the Result, which an exact store hit only
-		// has when it restores the stored session.
+		// A corner query reads the Result, which only a run gives, so with
+		// a store it asks for a retained request, which always runs.
 		oc, rep = s.verifyAdmitted(ctx, w, r, nil, func(ctx context.Context, _ *scaldtv.Design) (*store.Outcome, error) {
 			return store.Verify(ctx, s.cfg.Store, d, src, opts, len(corners) > 0 && s.cfg.Store != nil)
 		}, func(oc *store.Outcome) ([]byte, error) {

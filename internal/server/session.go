@@ -168,7 +168,7 @@ type sessionEnvelope struct {
 	Primitives  int             `json:"primitives"`
 	Pass        bool            `json:"pass"`
 	Violations  int             `json:"violations"`
-	Provenance  string          `json:"provenance,omitempty"` // cached/warm/cold; only with a store
+	Provenance  string          `json:"provenance,omitempty"` // cached/cold; only with a store
 	Report      json.RawMessage `json:"report"`
 }
 
@@ -206,11 +206,10 @@ func writeEnvelope(w http.ResponseWriter, code int, body []byte) {
 }
 
 // handleSessionCreate (POST /v1/sessions) compiles the design, verifies
-// it through the store — an already-seen design restores its persisted
-// fixed point, a structurally known one warm-starts from the nearest
-// snapshot — and retains the converged Verifier under a fresh session
-// id.  Worker and cache options are fixed for the session's lifetime
-// here; later PUTs only carry source.
+// it through the store — the envelope says whether the store already
+// held the design's report — and retains the converged Verifier under a
+// fresh session id.  Worker and cache options are fixed for the
+// session's lifetime here; later PUTs only carry source.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.clusterProxy(w, r) {
 		return
@@ -240,11 +239,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // design: when it differs from the retained one only in parameters, the
 // verifier re-verifies just the forward cone of the edits and the
 // response reports incremental=true with the cone size; a structural
-// edit transparently falls back to a full run.  The new fixed point is
-// saved to the store, so later creates — in this process or after a
-// restart — find it cached or warm-startable.  A canceled update drops
-// the retained state inside the verifier (abort-don't-corrupt), so the
-// session survives and the next PUT simply runs from scratch.
+// edit transparently falls back to a full run.  The new report is saved
+// to the store, so later requests — in this process or after a
+// restart — find it cached.  A canceled update drops the retained state
+// inside the verifier (abort-don't-corrupt), so the session survives and
+// the next PUT simply runs from scratch.
 func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.clusterProxy(w, r) {
 		return

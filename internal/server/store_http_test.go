@@ -24,9 +24,9 @@ func testStore(t *testing.T) *store.Store {
 	return st
 }
 
-// TestVerifyStoreProvenance drives POST /v1/verify through the three
+// TestVerifyStoreProvenance drives POST /v1/verify through the two
 // provenance tiers: a first-ever design runs cold, repeating it answers
-// from the store without engine work, and a parameter edit warm-starts.
+// from the store without engine work, and a parameter edit runs cold.
 // The body is byte-identical to the storeless server in every tier;
 // provenance travels only in the X-Scaldtv-Provenance header.
 func TestVerifyStoreProvenance(t *testing.T) {
@@ -57,21 +57,17 @@ func TestVerifyStoreProvenance(t *testing.T) {
 		t.Errorf("store hit counter = %d, want 1", n)
 	}
 
-	// Same structure, slower buffer: the store warm-starts from the
-	// persisted snapshot and re-verifies only the diff cone.
+	// Same structure, slower buffer: a new design, so it runs cold.
 	edited := sessSource(3)
 	resp, got = post(t, ts.URL+"/v1/verify?lib=1", edited)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("edited: status %d: %s", resp.StatusCode, got)
 	}
-	if p := resp.Header.Get("X-Scaldtv-Provenance"); p != "warm" {
-		t.Errorf("edited: provenance header %q, want warm", p)
+	if p := resp.Header.Get("X-Scaldtv-Provenance"); p != "cold" {
+		t.Errorf("edited: provenance header %q, want cold", p)
 	}
 	if wantEd := cliJSON(t, edited, scaldtv.Options{}); !bytes.Equal(got, wantEd) {
-		t.Errorf("warm body differs from scaldtv -json for the edited source")
-	}
-	if n := s.met.storeWarm.Load(); n != 1 {
-		t.Errorf("store warm counter = %d, want 1", n)
+		t.Errorf("edited body differs from scaldtv -json for the edited source")
 	}
 
 	// The new counters are exported.
@@ -79,7 +75,7 @@ func TestVerifyStoreProvenance(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: status %d", resp.StatusCode)
 	}
-	for _, line := range []string{"scaldtvd_store_hits_total 1", "scaldtvd_store_warm_total 1"} {
+	for _, line := range []string{"scaldtvd_store_hits_total 1"} {
 		if !strings.Contains(string(body), line) {
 			t.Errorf("metrics missing %q:\n%s", line, body)
 		}

@@ -136,76 +136,17 @@ func (s Storage) String() string {
 }
 
 // Table31 is the execution-statistics breakdown.  The macro-expander rows
-// mirror the paper's (read / pass 1 / pass 2); the verifier rows come from
-// verify.Stats.
+// mirror the paper's (read / pass 1 / pass 2); the verifier rows are the
+// run's own verify.Stats.
 type Table31 struct {
+	verify.Stats
+
 	Read  time.Duration // reading input and building parse structures
 	Pass1 time.Duration // macro table + synonym resolution
 	Pass2 time.Duration // full expansion
 
-	VBuild  time.Duration // verifier data-structure construction
 	XRef    time.Duration // cross-reference generation
-	Verify  time.Duration // relaxation to fixed point
-	Summary time.Duration // constraint checks and listing generation
-
-	Primitives int
-	Events     int
-	Cases      int
-
-	// Evaluation-cache counters (PR 2): memoized primitive evaluation
-	// with interned waveforms.  All zero when the cache is disabled.
-	CacheHits   int
-	CacheMisses int
-	Interned    int
-	Deduped     int
-
-	// Incremental-reverification counters (PR 3): populated when the
-	// result came from Verifier.Reverify rather than a full run.
-	Incremental  bool
-	DirtyPrims   int
-	DirtyNets    int
-	ReusedWaves  int
-	ReverifyTime time.Duration
-
-	// Wavefront-scheduler counters: the levelization the tape sweeps, and
-	// its sweeps to fixed point.  All zero when the levelization is
-	// unknown (a Reference run).
-	Levels       int
-	SCCs         int
-	FeedbackSCCs int
-	Sweeps       int
-
-	// Case-exploration counters (PR 8): populated when automatic case
-	// exploration ran (-explore).
-	ExploreCandidates int
-	ExploreProbes     int
-	ExploreTime       time.Duration
-}
-
-// FromVerify fills the verifier-side rows.
-func (t *Table31) FromVerify(s verify.Stats) {
-	t.VBuild = s.BuildTime
-	t.Verify = s.VerifyTime
-	t.Summary = s.CheckTime
-	t.Primitives = s.Primitives
-	t.Events = s.Events
-	t.Cases = s.Cases
-	t.CacheHits = s.CacheHits
-	t.CacheMisses = s.CacheMisses
-	t.Interned = s.Interned
-	t.Deduped = s.Deduped
-	t.Incremental = s.Incremental
-	t.DirtyPrims = s.DirtyPrims
-	t.DirtyNets = s.DirtyNets
-	t.ReusedWaves = s.ReusedWaves
-	t.ReverifyTime = s.ReverifyTime
-	t.Levels = s.Levels
-	t.SCCs = s.SCCs
-	t.FeedbackSCCs = s.FeedbackSCCs
-	t.Sweeps = s.Sweeps
-	t.ExploreCandidates = s.ExploreCandidates
-	t.ExploreProbes = s.ExploreProbes
-	t.ExploreTime = s.ExploreTime
+	Listing time.Duration // listing generation, rendered with the checks (Stats.CheckTime)
 }
 
 // HitRate is the fraction of cache lookups served from the cache, shared
@@ -229,7 +170,7 @@ func (t Table31) PerPrim() time.Duration {
 	if t.Primitives == 0 {
 		return 0
 	}
-	return t.Verify / time.Duration(t.Primitives)
+	return t.VerifyTime / time.Duration(t.Primitives)
 }
 
 // PerEvent is the cost per event (the paper reports 20 ms/event).
@@ -237,7 +178,7 @@ func (t Table31) PerEvent() time.Duration {
 	if t.Events == 0 {
 		return 0
 	}
-	return t.Verify / time.Duration(t.Events)
+	return t.VerifyTime / time.Duration(t.Events)
 }
 
 // String renders the table.
@@ -250,11 +191,12 @@ func (t Table31) String() string {
 	fmt.Fprintf(&sb, "    pass 2 (full expansion)        %12v\n", t.Pass2)
 	fmt.Fprintf(&sb, "    total                          %12v\n", t.Read+t.Pass1+t.Pass2)
 	sb.WriteString("  TIMING VERIFIER\n")
-	fmt.Fprintf(&sb, "    building data structures       %12v\n", t.VBuild)
+	summary := t.CheckTime + t.Listing
+	fmt.Fprintf(&sb, "    building data structures       %12v\n", t.BuildTime)
 	fmt.Fprintf(&sb, "    cross reference listings       %12v\n", t.XRef)
-	fmt.Fprintf(&sb, "    verifying circuit              %12v\n", t.Verify)
-	fmt.Fprintf(&sb, "    checks and summary listing     %12v\n", t.Summary)
-	fmt.Fprintf(&sb, "    total                          %12v\n", t.VBuild+t.XRef+t.Verify+t.Summary)
+	fmt.Fprintf(&sb, "    verifying circuit              %12v\n", t.VerifyTime)
+	fmt.Fprintf(&sb, "    checks and summary listing     %12v\n", summary)
+	fmt.Fprintf(&sb, "    total                          %12v\n", t.BuildTime+t.XRef+t.VerifyTime+summary)
 	sb.WriteString("  EVALUATION CACHE\n")
 	if t.CacheHits+t.CacheMisses == 0 {
 		sb.WriteString("    off\n")

@@ -73,13 +73,14 @@ func TestTable31(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var t31 Table31
-	t31.Read = 5 * time.Millisecond
-	t31.Pass1 = time.Millisecond
-	t31.Pass2 = 7 * time.Millisecond
-	t31.FromVerify(res.Stats)
+	t31 := Table31{
+		Stats: res.Stats,
+		Read:  5 * time.Millisecond,
+		Pass1: time.Millisecond,
+		Pass2: 7 * time.Millisecond,
+	}
 	if t31.Primitives != res.Stats.Primitives || t31.Events != res.Stats.Events {
-		t.Errorf("FromVerify lost counters: %+v", t31)
+		t.Errorf("embedded stats lost counters: %+v", t31)
 	}
 	if t31.PerEvent() <= 0 || t31.PerPrim() <= 0 {
 		t.Errorf("per-unit costs should be positive: %v %v", t31.PerEvent(), t31.PerPrim())
@@ -105,13 +106,12 @@ func TestTable31CacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var t31 Table31
-	t31.FromVerify(res.Stats)
+	t31 := Table31{Stats: res.Stats}
 	if t31.CacheMisses == 0 || t31.Interned == 0 {
 		t.Fatalf("default run should populate cache counters: %+v", t31)
 	}
 	if t31.CacheHits != res.Stats.CacheHits || t31.Deduped != res.Stats.Deduped {
-		t.Errorf("FromVerify lost cache counters: %+v vs %+v", t31, res.Stats)
+		t.Errorf("embedded stats lost cache counters: %+v vs %+v", t31, res.Stats)
 	}
 	if r := t31.CacheHitRate(); r < 0 || r > 1 {
 		t.Errorf("hit rate = %f, out of range", r)
@@ -133,8 +133,7 @@ func TestTable31CacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var t31off Table31
-	t31off.FromVerify(off.Stats)
+	t31off := Table31{Stats: off.Stats}
 	if t31off.CacheHits != 0 || t31off.CacheMisses != 0 || t31off.Interned != 0 {
 		t.Errorf("Reference run reported cache activity: %+v", t31off)
 	}

@@ -3,11 +3,13 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
+	"time"
 
 	"scaldtv/internal/explore"
 	"scaldtv/internal/report"
@@ -189,56 +191,129 @@ func TestProbesNilSafe(t *testing.T) {
 	}
 }
 
-// TestAnalyticWarmKey: under the analytic model a warm start looks only
-// at entries verified at the request's parameter point, the only ones
-// Restore accepts.  An edit at the stored point warm-starts; a new point
-// finds no entry to recompile and runs cold; every report matches a
-// plain run.
-func TestAnalyticWarmKey(t *testing.T) {
-	data, err := os.ReadFile("../../examples/params/params.scald")
+// TestVerifyRequestKinds: a stateless miss runs without retaining a
+// session and writes exactly one version-2 blob; a retained request
+// for the stored design runs, answers cached with the stored bytes and
+// a live Verifier, and leaves the blob as it was.
+func TestVerifyRequestKinds(t *testing.T) {
+	opts := verify.Options{Workers: 1}
+	ctx := context.Background()
+	dir := t.TempDir()
+	st, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := string(data)
-	edited := strings.Replace(src, "setup=4.0", "setup=4.5", 1)
-	at := func(load float64) verify.Options {
-		return verify.Options{Workers: 1, Delays: verify.AnalyticDelays{Params: map[string]float64{"load": load}}}
+	d, err := compile(warmV1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	miss, err := Verify(ctx, st, d, warmV1, opts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Provenance != Cold || miss.V != nil {
+		t.Errorf("stateless miss: provenance %q, session %v; want cold with none", miss.Provenance, miss.V != nil)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != blobName(verify.Fingerprint(d, opts), SourceKey(warmV1, opts)) {
+		t.Fatalf("stateless miss wrote %v, want the one entry's blob", ents)
+	}
+	path := filepath.Join(dir, ents[0].Name())
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(blob[len(blobMagic):]); v != 2 {
+		t.Errorf("blob version %d, want 2", v)
+	}
+	stored, ok := st.Get(verify.Fingerprint(d, opts))
+	if !ok {
+		t.Fatal("the stateless miss saved no readable entry")
+	}
+
+	// Pin the blob's time, so a rewrite would show even within one
+	// filesystem tick.
+	hourAgo := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, hourAgo, hourAgo); err != nil {
+		t.Fatal(err)
+	}
+	before := dirState(t, dir)
+	d2, err := compile(warmV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := Verify(ctx, st, d2, warmV1, opts, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Provenance != Cached || hit.V == nil || hit.Res == nil || hit.V.Result() != hit.Res {
+		t.Fatalf("retained hit: provenance %q, session %v; want cached with a live session", hit.Provenance, hit.V != nil)
+	}
+	if !bytes.Equal(hit.Report, stored.Report) {
+		t.Error("retained hit does not answer with the stored bytes")
+	}
+	if after := dirState(t, dir); after != before {
+		t.Errorf("retained hit rewrote the store\nbefore: %s\nafter:  %s", before, after)
+	}
+
+	// The session is live: an edit re-verifies incrementally, and an
+	// edit back to the stored design leaves its blob alone too.
+	srcV2 := replaceOnce(t, warmV1, `"B1" delay=(1,2)`, `"B1" delay=(1,4)`)
+	d3, err := compile(srcV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := Update(ctx, st, hit.V, d3, srcV2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !up.Incremental {
+		t.Error("an edit of the retained hit's session did not re-verify incrementally")
+	}
+	d4, err := compile(warmV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Update(ctx, st, hit.V, d4, warmV1, opts); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != int64(len(blob)) || !info.ModTime().Equal(hourAgo) {
+		t.Errorf("an update back to the stored design rewrote its blob (size %d, modified %v)", info.Size(), info.ModTime())
+	}
+}
+
+// TestVerifySkipsNonConverged: a run stopped at its pass cap is not a
+// fixed point, so the store neither saves it nor answers a repeat of it.
+func TestVerifySkipsNonConverged(t *testing.T) {
+	opts := verify.Options{Workers: 1, MaxPasses: 1}
 	st, err := Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, step := range []struct {
-		name string
-		src  string
-		opts verify.Options
-		want Provenance
-	}{
-		{"first", src, at(1.5), Cold},
-		{"edit at the stored point", edited, at(1.5), Warm},
-		{"new point", edited, at(2.5), Cold},
-	} {
-		d, err := compile(step.src)
+	for _, retain := range []bool{false, true, false} {
+		d, err := compile(warmV1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, found := st.Nearest(warmKey(d, step.opts))
-		if found != (step.want == Warm) {
-			t.Errorf("%s: nearest entry found = %v", step.name, found)
-		}
-		out, err := Verify(context.Background(), st, d, step.src, step.opts, false)
+		out, err := Verify(context.Background(), st, d, warmV1, opts, retain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Provenance != step.want {
-			t.Errorf("%s: provenance %q, want %q", step.name, out.Provenance, step.want)
+		if out.Res == nil || out.Res.Converged() {
+			t.Fatal("expected a convergence violation under MaxPasses=1")
 		}
-		got, err := out.JSON()
-		if err != nil {
-			t.Fatal(err)
+		if out.Provenance != Cold || out.Report != nil {
+			t.Errorf("retain=%v: provenance %q, report rendered %v; want cold, unrendered", retain, out.Provenance, out.Report != nil)
 		}
-		if !bytes.Equal(got, coldReport(t, step.src, step.opts)) {
-			t.Errorf("%s: report differs from a plain run", step.name)
+		if n := st.Len(); n != 0 {
+			t.Errorf("retain=%v: the store saved %d non-converged entries", retain, n)
 		}
 	}
 }

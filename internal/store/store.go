@@ -1,24 +1,23 @@
 // Package store is the persistent, content-addressed verification
-// cache: converged Verifier fixed points, their rendered JSON reports
-// and the source they were compiled from, written as self-checking
-// blobs keyed by verification fingerprint (verify.Fingerprint — the
-// design content hash mixed with the report-relevant options).
+// cache: the rendered JSON reports of converged runs and the source
+// they were compiled from, written as self-checking blobs keyed by
+// verification fingerprint (verify.Fingerprint — the design content
+// hash mixed with the report-relevant options).
 //
 // The layout is one file per entry under a single directory, named
-// <structural-fp>-<key>-<source-key>.scv, so an exact lookup is a
-// filename probe, a nearest lookup (any entry sharing the design's
-// structure — and, under the analytic model, its parameter point — for
-// warm-starting an incremental re-verification of an edited design) is
-// a prefix scan, and a source-text lookup — the only probe that needs
-// no compiled design at all — matches on the last component.  Writes go through a temp file and an atomic rename —
-// readers never observe a partial blob — and every blob carries a
-// trailing FNV-64a checksum over its whole content, so truncation or
-// bit rot degrades to a cache miss rather than a wrong answer.  The
-// directory is size-bounded: after each write, the oldest entries (by
-// modification time) are removed until the configured budget holds.
+// <key>-<source-key>.scv, so an exact lookup matches on the first
+// component and a source-text lookup — the only probe that needs no
+// compiled design at all — on the second.  Writes go through a temp
+// file and an atomic rename — readers never observe a partial blob —
+// and every blob carries a trailing FNV-64a checksum over its whole
+// content, so truncation or bit rot degrades to a cache miss rather
+// than a wrong answer.  The directory is size-bounded: after each
+// write, the oldest entries (by modification time) are removed until
+// the configured budget holds.
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -31,7 +30,7 @@ import (
 
 const (
 	blobMagic   = "SCTV"
-	blobVersion = 1
+	blobVersion = 2
 	blobSuffix  = ".scv"
 
 	// DefaultMaxBytes bounds the store directory when Open is given no
@@ -52,12 +51,10 @@ type Store struct {
 
 // Entry is one stored verification outcome.
 type Entry struct {
-	Key      uint64 // verify.Fingerprint of (design, options)
-	StructFP uint64 // the warm-start key: netlist.StructuralFingerprint, plus the analytic point (warmKey)
-	SrcKey   uint64 // SourceKey of (source text, options): the pre-compile probe
-	Source   string // the source text the design was compiled from
-	Report   []byte // the rendered JSON report, byte-exact
-	State    []byte // the encoded verify.Snapshot
+	Key    uint64 // verify.Fingerprint of (design, options)
+	SrcKey uint64 // SourceKey of (source text, options): the pre-compile probe
+	Source string // the source text the design was compiled from
+	Report []byte // the rendered JSON report, byte-exact
 }
 
 // Open prepares a store rooted at dir, creating it if needed.
@@ -76,31 +73,33 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-func blobName(structFP, key, srcKey uint64) string {
-	return fmt.Sprintf("%016x-%016x-%016x%s", structFP, key, srcKey, blobSuffix)
+func blobName(key, srcKey uint64) string {
+	return fmt.Sprintf("%016x-%016x%s", key, srcKey, blobSuffix)
 }
 
-// nameParts parses a blob filename back into its three fingerprints.
-func nameParts(name string) (structFP, key, srcKey uint64, ok bool) {
+// nameParts parses a blob filename back into its two fingerprints.  A
+// name of any other shape — a version-1 blob's three-part name among
+// them — does not parse, so the probes never read it.
+func nameParts(name string) (key, srcKey uint64, ok bool) {
 	base, found := strings.CutSuffix(name, blobSuffix)
 	if !found {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
-	var fps [3]uint64
+	var fps [2]uint64
 	parts := strings.Split(base, "-")
-	if len(parts) != 3 {
-		return 0, 0, 0, false
+	if len(parts) != len(fps) {
+		return 0, 0, false
 	}
 	for i, p := range parts {
 		// Every probe parses every name in the directory, so this avoids
 		// fmt's scanner.
 		v, err := strconv.ParseUint(p, 16, 64)
 		if err != nil || len(p) != 16 {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 		fps[i] = v
 	}
-	return fps[0], fps[1], fps[2], true
+	return fps[0], fps[1], true
 }
 
 // Get returns the entry stored under the exact verification key, or
@@ -112,7 +111,7 @@ func (s *Store) Get(key uint64) (*Entry, bool) {
 		return nil, false
 	}
 	for _, de := range names {
-		if _, k, _, ok := nameParts(de.Name()); ok && k == key {
+		if k, _, ok := nameParts(de.Name()); ok && k == key {
 			if e, err := s.read(de.Name()); err == nil && e.Key == key {
 				return e, true
 			}
@@ -132,7 +131,7 @@ func (s *Store) GetBySource(srcKey uint64, src string) (*Entry, bool) {
 		return nil, false
 	}
 	for _, de := range names {
-		if _, _, sk, ok := nameParts(de.Name()); ok && sk == srcKey {
+		if _, sk, ok := nameParts(de.Name()); ok && sk == srcKey {
 			if e, err := s.read(de.Name()); err == nil && e.SrcKey == srcKey && e.Source == src {
 				return e, true
 			}
@@ -141,53 +140,20 @@ func (s *Store) GetBySource(srcKey uint64, src string) (*Entry, bool) {
 	return nil, false
 }
 
-// Nearest returns the most recently written entry whose design shares
-// the structural fingerprint — the best snapshot to warm-start an
-// incremental re-verification of an edited design from.
-func (s *Store) Nearest(structFP uint64) (*Entry, bool) {
-	prefix := fmt.Sprintf("%016x-", structFP)
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, false
-	}
-	type cand struct {
-		name string
-		mod  int64
-	}
-	var cands []cand
-	for _, de := range names {
-		if !strings.HasPrefix(de.Name(), prefix) || !strings.HasSuffix(de.Name(), blobSuffix) {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		cands = append(cands, cand{de.Name(), info.ModTime().UnixNano()})
-	}
-	// Newest first; ties broken by name so the choice is deterministic.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].mod != cands[j].mod {
-			return cands[i].mod > cands[j].mod
-		}
-		return cands[i].name > cands[j].name
-	})
-	for _, c := range cands {
-		if e, err := s.read(c.name); err == nil && e.StructFP == structFP {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
 // Put writes the entry atomically (temp file, fsync-free rename) and
 // then enforces the size budget, evicting oldest-first.  The entry it
-// just wrote is exempt from its own eviction pass.
+// just wrote is exempt from its own eviction pass.  A blob already
+// stored byte for byte is left alone: renaming over an existing file
+// costs tens of milliseconds on some filesystems, far more than writing
+// a new one, and a request path must not pay that to store nothing new.
 func (s *Store) Put(e *Entry) error {
 	blob := encodeBlob(e)
-	name := blobName(e.StructFP, e.Key, e.SrcKey)
+	name := blobName(e.Key, e.SrcKey)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if old, err := os.ReadFile(filepath.Join(s.dir, name)); err == nil && bytes.Equal(old, blob) {
+		return nil
+	}
 	tmp, err := os.CreateTemp(s.dir, "put-*")
 	if err != nil {
 		return fmt.Errorf("store: %v", err)
@@ -279,22 +245,23 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Blob layout (little-endian, version 1):
+// Blob layout (little-endian, version 2):
 //
-//	"SCTV" | u32 version | u64 key | u64 structFP | u64 srcKey
+//	"SCTV" | u32 version | u64 key | u64 srcKey
 //	| u32 len(source)  | source bytes
 //	| u32 len(report)  | report bytes
-//	| u32 len(state)   | state bytes
 //	| u64 FNV-64a over everything above
+//
+// Version 1 also carried a structural fingerprint and an encoded
+// fixed point; its blobs read as misses and age out under GC.
 func encodeBlob(e *Entry) []byte {
-	n := len(blobMagic) + 4 + 8 + 8 + 8 + 4 + len(e.Source) + 4 + len(e.Report) + 4 + len(e.State) + 8
+	n := len(blobMagic) + 4 + 8 + 8 + 4 + len(e.Source) + 4 + len(e.Report) + 8
 	b := make([]byte, 0, n)
 	b = append(b, blobMagic...)
 	b = binary.LittleEndian.AppendUint32(b, blobVersion)
 	b = binary.LittleEndian.AppendUint64(b, e.Key)
-	b = binary.LittleEndian.AppendUint64(b, e.StructFP)
 	b = binary.LittleEndian.AppendUint64(b, e.SrcKey)
-	for _, sec := range [][]byte{[]byte(e.Source), e.Report, e.State} {
+	for _, sec := range [][]byte{[]byte(e.Source), e.Report} {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(sec)))
 		b = append(b, sec...)
 	}
@@ -316,7 +283,7 @@ func (s *Store) read(name string) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(b) < len(blobMagic)+4+8+8+8+8 || string(b[:len(blobMagic)]) != blobMagic {
+	if len(b) < len(blobMagic)+4+8+8+8 || string(b[:len(blobMagic)]) != blobMagic {
 		return nil, fmt.Errorf("store: %s: not a blob", name)
 	}
 	body, sum := b[:len(b)-8], binary.LittleEndian.Uint64(b[len(b)-8:])
@@ -329,12 +296,11 @@ func (s *Store) read(name string) (*Entry, error) {
 	}
 	p = p[4:]
 	e := &Entry{
-		Key:      binary.LittleEndian.Uint64(p),
-		StructFP: binary.LittleEndian.Uint64(p[8:]),
-		SrcKey:   binary.LittleEndian.Uint64(p[16:]),
+		Key:    binary.LittleEndian.Uint64(p),
+		SrcKey: binary.LittleEndian.Uint64(p[8:]),
 	}
-	p = p[24:]
-	var secs [3][]byte
+	p = p[16:]
+	var secs [2][]byte
 	for i := range secs {
 		if len(p) < 4 {
 			return nil, fmt.Errorf("store: %s: truncated section header", name)
@@ -351,6 +317,5 @@ func (s *Store) read(name string) (*Entry, error) {
 	}
 	e.Source = string(secs[0])
 	e.Report = secs[1]
-	e.State = secs[2]
 	return e, nil
 }

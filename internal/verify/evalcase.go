@@ -23,10 +23,8 @@ func (V *Verifier) EvalCase(c netlist.Case) (CaseResult, error) {
 	if len(V.perCase) == 0 || V.perCase[0] == nil || V.res == nil {
 		return CaseResult{}, fmt.Errorf("verify: EvalCase without retained state (run Verify first)")
 	}
-	for _, viol := range V.res.Violations {
-		if viol.Kind == ConvergenceViolation {
-			return CaseResult{}, fmt.Errorf("verify: EvalCase on a run that did not converge")
-		}
+	if !V.res.Converged() {
+		return CaseResult{}, fmt.Errorf("verify: EvalCase on a run that did not converge")
 	}
 	w := V.perCase[0].snapshot()
 	out := w.runCase(c, false)

@@ -81,12 +81,11 @@ func (V *Verifier) VerifyContext(ctx context.Context) (*Result, error) {
 	return V.run(ctx, true)
 }
 
-// setup resolves the session's effective options and design.  run calls
-// it before every full run and Restore before it installs a snapshot, so
-// a restored session is set up exactly like a live one.  A non-worst-case
-// delay model collects margins for its post-pass (delayModelPass strips
-// them again), and the analytic model pins the design at its parameter
-// point.  Repeated calls change nothing.
+// setup resolves the session's effective options and design; run calls
+// it before every full run.  A non-worst-case delay model collects
+// margins for its post-pass (delayModelPass strips them again), and the
+// analytic model pins the design at its parameter point.  Repeated calls
+// change nothing.
 func (V *Verifier) setup() error {
 	if !IsWorstCase(V.opts.Delays) && !V.opts.Margins {
 		// The statistical and analytic post-passes read every constraint
@@ -169,10 +168,10 @@ func dispatch(nCases, workers int, job func(ci int) caseOutcome) []caseOutcome {
 
 // finish merges per-case outcomes into res in declared case order — the
 // ordering contract on Result.Violations and Result.Margins — records
-// the run's counters and runs the delay-model post-pass.  Full runs,
-// resumed runs and restored sessions all end here, so each reports
-// exactly what a from-scratch run of its design reports.  prog is nil
-// for the Reference engine.
+// the run's counters and runs the delay-model post-pass.  Full runs and
+// resumed runs both end here, so a resumed run reports exactly what a
+// from-scratch run of its design reports.  prog is nil for the Reference
+// engine.
 func (V *Verifier) finish(res *Result, outs []caseOutcome, workers int, wallStart time.Time, prog *tape.Program) error {
 	for _, o := range outs {
 		if o.err != nil {
@@ -313,13 +312,8 @@ func (V *Verifier) Reverify(ch netlist.Changes) (*Result, error) {
 // falls back to a full Verify and stays bit-identical to a from-scratch
 // run of the edited design.
 func (V *Verifier) ReverifyContext(ctx context.Context, ch netlist.Changes) (*Result, error) {
-	if V.perCase == nil || V.res == nil {
+	if V.perCase == nil || V.res == nil || !V.res.Converged() {
 		return V.VerifyContext(ctx)
-	}
-	for _, viol := range V.res.Violations {
-		if viol.Kind == ConvergenceViolation {
-			return V.VerifyContext(ctx)
-		}
 	}
 	d := V.d
 	// The structure was validated by the full run that produced the

@@ -139,12 +139,6 @@ type Stats struct {
 	ReusedWaves  int
 	ReverifyTime time.Duration
 
-	// Cached marks a result restored from a persisted snapshot
-	// (verify.Restore) rather than computed by relaxation.  It affects
-	// only the human-readable summary — the JSON report is byte-identical
-	// either way, which is the store's correctness contract.
-	Cached bool
-
 	// TapeCompileTime is the time spent obtaining and refreshing the
 	// compiled evaluation tape — near zero on warm runs, where the
 	// design's engine cache already holds it.  Reported separately from
@@ -197,6 +191,17 @@ type Result struct {
 
 // Errors reports whether any violation was detected.
 func (r *Result) Errors() bool { return len(r.Violations) > 0 }
+
+// Converged reports whether every case reached its fixed point: the
+// result carries no ConvergenceViolation.
+func (r *Result) Converged() bool {
+	for _, v := range r.Violations {
+		if v.Kind == ConvergenceViolation {
+			return false
+		}
+	}
+	return true
+}
 
 // verifier holds the relaxation state.
 type verifier struct {
@@ -648,8 +653,7 @@ func (v *verifier) runCase(c netlist.Case, first bool) caseOutcome {
 // convergence violation when the relaxation stopped at its pass cap, the
 // violations of the checking phase check (a full check, or the memoized
 // recheck of a resumed run), and the margins and kept waveforms the
-// options ask for.  Full runs, resumed runs and restored sessions all end
-// a case here.
+// options ask for.  Full runs and resumed runs both end a case here.
 func (v *verifier) closeCase(out *caseOutcome, label string, conv bool, check func(string) []Violation) {
 	checkStart := time.Now()
 	cr := CaseResult{Label: label, Events: v.events, PrimEvals: v.evals}
@@ -743,8 +747,7 @@ func (v *verifier) applyCase(c netlist.Case, first bool) error {
 }
 
 // caseMapping resolves a case's signal assignments (§2.7.1) to the
-// per-net constant map the relaxation applies.  Shared by applyCase and
-// snapshot restoration, which must rebuild the identical mapping.
+// per-net constant map the relaxation applies.
 func caseMapping(d *netlist.Design, c netlist.Case) (map[netlist.NetID]values.Value, error) {
 	m := make(map[netlist.NetID]values.Value)
 	for _, as := range c.Assignments {

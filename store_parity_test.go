@@ -14,9 +14,8 @@ import (
 // TestStoreParityExamples is the acceptance contract of the persistent
 // verification store: for every example design, every delay model and
 // every execution configuration, the report served from the store (exact
-// hit), the report re-rendered from a restored session, and the report
-// of a warm-started re-verification are all byte-identical to a cold
-// run.
+// hit) and the report re-rendered from the retained session of a cached
+// request are byte-identical to a cold run.
 func TestStoreParityExamples(t *testing.T) {
 	designs, err := filepath.Glob(filepath.Join("examples", "*", "*.scald"))
 	if err != nil {
@@ -47,7 +46,7 @@ func TestStoreParityExamples(t *testing.T) {
 			models := models
 			if name == "params" {
 				// Off its default point the pinned design differs from the
-				// elaborated one, and the snapshot is of the pinned design.
+				// elaborated one.
 				models = append(models, model{"analytic-load2", AnalyticDelays{Params: map[string]float64{"load": 2}}})
 			}
 			for _, m := range models {
@@ -90,13 +89,13 @@ func storeParity(t *testing.T, ctx context.Context, text string, delays DelayMod
 		t.Fatal("store-mediated cold report differs from the plain engine report")
 	}
 
-	for i, opts := range []Options{
+	for _, opts := range []Options{
 		{Workers: 1},
 		{Workers: 2},
 		{Workers: 8},
 	} {
 		opts.Delays = delays
-		// Exact hit with a restored session: the store key ignores
+		// Exact hit with a retained session: the store key ignores
 		// execution options, so every worker configuration hits the
 		// seeded entry; the re-rendered report must not drift.
 		d, err := Compile(text)
@@ -108,7 +107,7 @@ func storeParity(t *testing.T, ctx context.Context, text string, delays DelayMod
 			t.Fatal(err)
 		}
 		if oc.Provenance != store.Cached || oc.V == nil {
-			t.Fatalf("opts %+v: provenance %q (V=%v), want a cached restore", opts, oc.Provenance, oc.V != nil)
+			t.Fatalf("opts %+v: provenance %q (V=%v), want cached with a session", opts, oc.Provenance, oc.V != nil)
 		}
 		if !bytes.Equal(oc.Report, baseline) {
 			t.Errorf("opts %+v: cached report differs from cold", opts)
@@ -118,29 +117,8 @@ func storeParity(t *testing.T, ctx context.Context, text string, delays DelayMod
 			t.Fatal(err)
 		}
 		if !bytes.Equal(rendered, baseline) {
-			t.Errorf("opts %+v: restored session re-renders a different report\n--- got ---\n%s\n--- want ---\n%s",
+			t.Errorf("opts %+v: retained session re-renders a different report\n--- got ---\n%s\n--- want ---\n%s",
 				opts, rendered, baseline)
-		}
-
-		// Warm start: a distinct pass cap gives a distinct
-		// verification key over the same structure, forcing the
-		// nearest-snapshot path.  The design is unchanged and
-		// converged, so the report must still match cold bytes.
-		warmOpts := opts
-		warmOpts.MaxPasses = 100000 + i
-		dw, err := Compile(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wc, err := store.Verify(ctx, st, dw, text, warmOpts, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wc.Provenance != store.Warm {
-			t.Fatalf("opts %+v: provenance %q, want warm", warmOpts, wc.Provenance)
-		}
-		if !bytes.Equal(wc.Report, baseline) {
-			t.Errorf("opts %+v: warm report differs from cold", warmOpts)
 		}
 	}
 
