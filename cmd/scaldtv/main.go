@@ -9,7 +9,9 @@
 //	-lib          make the Chapter-3 component library available
 //	-summary      print the Fig 3-10 timing summary listing
 //	-xref         print the cross-reference listing of undefined signals
-//	-stats        print execution and storage statistics
+//	-stats        print execution and storage statistics: the Table 3-1
+//	              phase times (reading, expansion, the listings printed),
+//	              the Table 3-2 census and the expansion summary
 //	-case n       print the summary for case n (default 0)
 //	-explore      discover the minimal case set that discharges U/C-poisoned
 //	              constraint sites (automatic case exploration); declared
@@ -49,6 +51,8 @@ import (
 	"time"
 
 	"scaldtv"
+	"scaldtv/internal/expand"
+	"scaldtv/internal/hdl"
 	"scaldtv/internal/sections"
 	"scaldtv/internal/stats"
 	"scaldtv/internal/store"
@@ -201,10 +205,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *lib {
 		text = text + "\n" + scaldtv.Library
 	}
-	design, rep, err := scaldtv.CompileWithReport(text)
+	// Table 3-1's expander rows: reading is the parse, and pass 2 the
+	// expansion, whose census (pass 1) it holds.
+	t0 := time.Now()
+	file, err := hdl.Parse(text)
 	if err != nil {
 		return fail(err)
 	}
+	t1 := time.Now()
+	design, rep, err := expand.Expand(file)
+	if err != nil {
+		return fail(err)
+	}
+	t31 := stats.Table31{Read: t1.Sub(t0), Pass2: time.Since(t1)}
 	if *autoCorr {
 		ins, err := scaldtv.AutoCorr(design)
 		if err != nil {
@@ -283,9 +296,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 
-	fmt.Fprint(stdout, scaldtv.Summary(res))
-	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, scaldtv.ErrorListing(res))
+	start := time.Now()
+	listing := scaldtv.Summary(res) + "\n" + scaldtv.ErrorListing(res)
+	t31.Listing = time.Since(start)
+	fmt.Fprint(stdout, listing)
 	if *exploreFlag {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, scaldtv.ExploreListing(res))
@@ -299,12 +313,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, scaldtv.SurfaceListing(res))
 	}
 	if *xref {
+		start := time.Now()
+		listing := scaldtv.CrossReference(res)
+		t31.XRef = time.Since(start)
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, scaldtv.CrossReference(res))
+		fmt.Fprint(stdout, listing)
 	}
 	if *summary {
+		start := time.Now()
+		listing := scaldtv.TimingSummary(res, *caseIdx)
+		t31.Listing += time.Since(start)
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, scaldtv.TimingSummary(res, *caseIdx))
+		fmt.Fprint(stdout, listing)
 	}
 	if *art {
 		fmt.Fprintln(stdout)
@@ -316,7 +336,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *statsFlag {
 		fmt.Fprintln(stdout)
-		t31 := stats.Table31{Stats: res.Stats}
+		t31.Stats = res.Stats
 		fmt.Fprint(stdout, t31.String())
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, stats.Table32(rep, 0))

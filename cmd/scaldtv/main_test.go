@@ -120,3 +120,31 @@ func TestStoreDelayModels(t *testing.T) {
 		t.Errorf("-explore changed the store: %d entries before, %d after", len(before), len(after))
 	}
 }
+
+// TestStatsTimesFrontEnd: -stats fills Table 3-1's reading and pass-2
+// rows from the CLI's own parse and expansion, and the listing rows from
+// the listings it renders.  Pass 1 runs inside pass 2 and stays 0.
+func TestStatsTimesFrontEnd(t *testing.T) {
+	path := filepath.Join("..", "..", "examples", "registerfile", "registerfile.scald")
+	code, stdout, stderr := runCLI(t, "-lib", "-stats", "-xref", path)
+	if code != 0 && code != 1 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	row := func(label string) string {
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), label) {
+				return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), label))
+			}
+		}
+		t.Fatalf("no %q row in:\n%s", label, stdout)
+		return ""
+	}
+	for _, label := range []string{"reading input files", "pass 2 (full expansion)", "cross reference listings"} {
+		if got := row(label); got == "0s" {
+			t.Errorf("Table 3-1 row %q reads 0s", label)
+		}
+	}
+	if got := row("pass 1 (macros, synonyms)"); got != "0s" {
+		t.Errorf("pass 1 row reads %s, want 0s: the census runs inside pass 2", got)
+	}
+}

@@ -1,15 +1,16 @@
 // Package expand implements the SCALD Macro Expander (§3.3.2): it turns a
 // parsed HDL file into the flat primitive netlist the Timing Verifier
-// evaluates.  Pass 1 resolves macro definitions and signal synonyms (port
-// bindings), and counts the nets and primitives Pass 2 will create, so
-// the netlist's tables grow at most once; Pass 2 emits the fully
-// elaborated design, one vectored primitive instance at a time.
+// evaluates.  Pass 1 resolves macro definitions and compiles each macro
+// at each vector of parameter values it is used with, once, into a
+// template, counting the nets and primitives Pass 2 will create so the
+// netlist's tables grow at most once; Pass 2 emits the fully elaborated
+// design by stamping those templates, one vectored primitive instance at
+// a time.
 package expand
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,24 +88,44 @@ func (r *Report) TypesUsed() []netlist.Kind {
 }
 
 type expander struct {
-	b      *netlist.Builder
-	macros map[string]*hdl.Macro
-	report *Report
-	labels map[string]int // per-kind counters for default labels
+	b       *netlist.Builder
+	macros  map[string]*hdl.Macro
+	report  *Report
+	counter map[string]int32 // default-label key → its count in counts
+	counts  []int
 
 	paramIdx map[string]int32 // declared parameter name → Design.Params index
 	fnIDs    map[string]int32 // canonical delay-function key → AddDelayFn handle
 
-	// conns, nets, ins and outs are stacks of transient connections:
-	// resolve pushes a reference's connections onto conns, and outNets an
-	// output's nets onto nets; a primitive pushes its input and output
-	// lists onto ins and outs, and a use its port bindings onto ins.  An
-	// instance pops what it pushed when it returns.  The Builder copies
-	// what a primitive keeps, so no transient list outlives its instance.
-	conns []netlist.Conn
-	nets  []netlist.NetID
-	ins   [][]netlist.Conn
-	outs  [][]netlist.NetID
+	// Pass 1 state: the templates by macro and parameter values (see
+	// binding), in the order they were added; the census's global names
+	// and vector spans, with each stem's last span (see addSpan); and
+	// reused buffers.
+	templates map[*hdl.Macro]map[string]*template
+	order     []*template
+	counted   bool
+	names     map[string]bool
+	spans     []span
+	lastSpan  []int32
+	conned    []conned
+	widths    []int
+	vals      []int
+	key       []byte
+
+	// conns, nets, ins and outs are stacks of transient connections: a
+	// reference pushes its connections onto conns, and an output its nets
+	// onto nets; a primitive pushes its input and output lists onto ins
+	// and outs, and a use its port bindings onto ins.  An instance pops
+	// what it pushed when it returns.  The Builder copies what a primitive
+	// keeps, so no transient list outlives its instance.  locals holds
+	// each open expansion's local nets, once named (see local).
+	conns  []netlist.Conn
+	nets   []netlist.NetID
+	ins    [][]netlist.Conn
+	outs   [][]netlist.NetID
+	locals []localSlot
+	lnets  []netlist.NetID
+	buf    []byte // reused label buffer
 }
 
 // height is the height of the expander's stacks.
@@ -119,21 +140,18 @@ func (e *expander) pop(h height) {
 	e.conns, e.nets, e.ins, e.outs = e.conns[:h.conns], e.nets[:h.nets], e.ins[:h.ins], e.outs[:h.outs]
 }
 
-// frame is one level of macro expansion context.
+// frame is one expansion being stamped: the template, the path that
+// names its locals and labels, its port bindings, and where its locals'
+// slots start.
 type frame struct {
+	t        *template
 	path     string
-	m        *hdl.Macro // the macro definition being expanded, nil at the root
-	params   map[string]int
 	bindings [][]netlist.Conn // m.Ports index → actual connections
+	locals   int
 }
 
-// macro names the frame's macro, "" at the root.
-func (fr *frame) macro() string {
-	if fr.m == nil {
-		return ""
-	}
-	return fr.m.Name
-}
+// localSlot holds where one local's nets are in lnets, once named.
+type localSlot struct{ start, end int32 }
 
 // A signal name inside a macro body is one of its ports, one of its
 // locals, or a global name.
@@ -145,11 +163,11 @@ const (
 	refLocal
 )
 
-// scope classifies a signal name inside macro m (nil at the root), for
-// Pass 2 and the census alike: a port binds the caller's nets, a local
-// names nets of its own per expansion, and any other name is global.
-// i indexes m.Ports or m.Locals; a port shadows a local, and a later
-// local declaration shadows an earlier one.
+// scope classifies a signal name inside macro m (nil at the root): a
+// port binds the caller's nets, a local names nets of its own per
+// expansion, and any other name is global.  i indexes m.Ports or
+// m.Locals; a port shadows a local, and a later local declaration
+// shadows an earlier one.
 func scope(m *hdl.Macro, name string) (kind refKind, i int) {
 	if m == nil {
 		return refGlobal, 0
@@ -188,7 +206,38 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 	if f.Period <= 0 {
 		return nil, nil, fmt.Errorf("expand: the design must specify a clock period (§2.2)")
 	}
-	if nets, prims, ok := count(f, b); ok {
+
+	e := &expander{
+		b:      b,
+		macros: map[string]*hdl.Macro{},
+		report: &Report{
+			Census: map[netlist.Kind]int{}, CensusBits: map[netlist.Kind]int{},
+			UsesByMacro: map[string]int{}, PrimsByMacro: map[string]int{},
+		},
+		counter:   map[string]int32{},
+		paramIdx:  map[string]int32{},
+		fnIDs:     map[string]int32{},
+		templates: map[*hdl.Macro]map[string]*template{},
+		names:     map[string]bool{},
+	}
+	// Design parameter declarations; a parameter without an explicit
+	// range is fixed at its default.
+	for _, pd := range f.Params {
+		lo, hi := pd.Lo, pd.Hi
+		if !pd.HasRange {
+			lo, hi = pd.Default, pd.Default
+		}
+		e.paramIdx[pd.Name] = b.Param(strings.Clone(pd.Name), pd.Default, lo, hi)
+	}
+	// Pass 1: collect macro definitions, and compile the templates.
+	for _, m := range f.Macros {
+		if _, dup := e.macros[m.Name]; dup {
+			return nil, nil, fmt.Errorf("expand: macro %q defined twice (line %d)", m.Name, m.Line)
+		}
+		e.macros[m.Name] = m
+	}
+	root, nets, prims, ok := e.compile(f)
+	if ok {
 		b.Reserve(nets, prims)
 	}
 	b.SetPeriod(f.Period)
@@ -208,57 +257,22 @@ func expandFile(f *hdl.File) (*netlist.Design, *Report, error) {
 		b.SetWiredOr(true)
 	}
 
-	e := &expander{
-		b:      b,
-		macros: map[string]*hdl.Macro{},
-		report: &Report{
-			Census: map[netlist.Kind]int{}, CensusBits: map[netlist.Kind]int{},
-			UsesByMacro: map[string]int{}, PrimsByMacro: map[string]int{},
-		},
-		labels:   map[string]int{},
-		paramIdx: map[string]int32{},
-		fnIDs:    map[string]int32{},
+	// Pass 2: the root signal declarations, then the body.
+	if root.err != nil {
+		return nil, nil, root.err
 	}
-	// Design parameter declarations; a parameter without an explicit
-	// range is fixed at its default.
-	for _, pd := range f.Params {
-		lo, hi := pd.Lo, pd.Hi
-		if !pd.HasRange {
-			lo, hi = pd.Default, pd.Default
-		}
-		e.paramIdx[pd.Name] = b.Param(strings.Clone(pd.Name), pd.Default, lo, hi)
-	}
-	// Pass 1: collect macro definitions.
-	for _, m := range f.Macros {
-		if _, dup := e.macros[m.Name]; dup {
-			return nil, nil, fmt.Errorf("expand: macro %q defined twice (line %d)", m.Name, m.Line)
-		}
-		e.macros[m.Name] = m
-	}
-	root := &frame{path: "", params: map[string]int{}}
-
-	// Root signal pre-declarations.
-	for _, sd := range f.Signals {
-		lo, hi := 0, 0
-		if sd.HasRange {
-			var err error
-			lo, hi, err = evalRange(sd.Lo, sd.Hi, root.params)
-			if err != nil {
-				return nil, nil, fmt.Errorf("expand: signal %q: %v", sd.Name, err)
-			}
-		}
-		if err := e.global(sd.Name, sd.HasRange, lo, hi); err != nil {
+	rootFrame := &frame{t: root}
+	for i := range root.decls {
+		if _, err := e.push(&root.decls[i], root.sigs[i], rootFrame); err != nil {
 			return nil, nil, err
 		}
 		e.conns = e.conns[:0]
 	}
-
-	// Pass 2: expand the body.
-	for _, inst := range f.Body {
-		if err := e.instance(inst, root, 0); err != nil {
-			return nil, nil, err
-		}
+	root.stamps = 1
+	if err := e.stampBody(rootFrame, 0); err != nil {
+		return nil, nil, err
 	}
+	e.tallyReport(root)
 
 	// Interconnection overrides (§2.5.3).
 	for _, wd := range f.Wires {
@@ -316,115 +330,6 @@ func evalRange(lo, hi hdl.Expr, params map[string]int) (int, int, error) {
 		return 0, 0, fmt.Errorf("bit range <%d:%d> is wider than %d bits", l, h, maxVectorWidth)
 	}
 	return l, h, nil
-}
-
-// global pushes the connections of a global signal reference, creating
-// its nets on first use with the Builder's vector naming.
-func (e *expander) global(name string, hasRange bool, lo, hi int) error {
-	if !hasRange {
-		e.conns = append(e.conns, netlist.Conn{Net: e.b.Net(name)})
-		return nil
-	}
-	s, err := e.b.Symbol(name)
-	if err != nil {
-		return fmt.Errorf("expand: %v", err)
-	}
-	for _, id := range e.b.Bits(s, lo, hi) {
-		e.conns = append(e.conns, netlist.Conn{Net: id})
-	}
-	return nil
-}
-
-// resolve pushes the connections of a signal expression within a frame
-// onto the connection stack, and returns them.
-func (e *expander) resolve(se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
-	start := len(e.conns)
-	switch kind, i := scope(fr.m, se.Name); kind {
-	case refPort:
-		// Macro port: the actual connection, optionally sub-sliced.
-		bound := fr.bindings[i]
-		if se.HasRange {
-			lo, hi, err := evalRange(se.Lo, se.Hi, fr.params)
-			if err != nil {
-				return nil, fmt.Errorf("expand: line %d: %v", se.Line, err)
-			}
-			if hi >= len(bound) {
-				return nil, fmt.Errorf("expand: line %d: port %q bit %d exceeds bound width %d", se.Line, se.Name, hi, len(bound))
-			}
-			bound = bound[lo : hi+1]
-		}
-		e.conns = append(e.conns, bound...)
-	case refLocal:
-		// Macro local: a uniquified global per expansion (the /M markers).
-		// Its first reference creates every declared bit.
-		decl := fr.m.Locals[i]
-		uname := fr.path + se.Name
-		dlo, dhi := 0, 0
-		if decl.HasRange {
-			var err error
-			dlo, dhi, err = evalRange(decl.Lo, decl.Hi, fr.params)
-			if err != nil {
-				return nil, fmt.Errorf("expand: line %d: local %q: %v", se.Line, se.Name, err)
-			}
-		}
-		if err := e.global(uname, decl.HasRange, dlo, dhi); err != nil {
-			return nil, err
-		}
-		if se.HasRange {
-			lo, hi, err := evalRange(se.Lo, se.Hi, fr.params)
-			if err != nil {
-				return nil, fmt.Errorf("expand: line %d: %v", se.Line, err)
-			}
-			if lo < dlo || hi > dhi {
-				return nil, fmt.Errorf("expand: line %d: local %q<%d:%d> outside declared <%d:%d>", se.Line, se.Name, lo, hi, dlo, dhi)
-			}
-			e.conns = append(e.conns[:start], e.conns[start+lo-dlo:start+hi-dlo+1]...)
-		}
-	default:
-		lo, hi := 0, 0
-		var err error
-		if se.HasRange {
-			lo, hi, err = evalRange(se.Lo, se.Hi, fr.params)
-			if err != nil {
-				return nil, fmt.Errorf("expand: line %d: %v", se.Line, err)
-			}
-		}
-		if err := e.global(se.Name, se.HasRange, lo, hi); err != nil {
-			return nil, err
-		}
-	}
-
-	conns := e.conns[start:len(e.conns):len(e.conns)]
-	if se.Invert {
-		for i := range conns {
-			conns[i].Invert = !conns[i].Invert
-		}
-	}
-	if se.Dirs != "" {
-		conns = e.b.Directive(strings.Clone(se.Dirs), conns)
-	}
-	return conns, nil
-}
-
-// outNets resolves an output signal expression onto the net stack:
-// outputs must be plain net references (no complement rail, no
-// directives).
-func (e *expander) outNets(se *hdl.SigExpr, fr *frame) ([]netlist.NetID, error) {
-	if se.Invert || se.Dirs != "" {
-		return nil, fmt.Errorf("expand: line %d: output %q cannot carry - or & decorations", se.Line, se.Name)
-	}
-	conns, err := e.resolve(se, fr)
-	if err != nil {
-		return nil, err
-	}
-	start := len(e.nets)
-	for _, c := range conns {
-		if c.Invert || !c.Directives.Empty() {
-			return nil, fmt.Errorf("expand: line %d: output %q is bound through a decorated connection", se.Line, se.Name)
-		}
-		e.nets = append(e.nets, c.Net)
-	}
-	return e.nets[start:len(e.nets):len(e.nets)], nil
 }
 
 // affine lowers one side of a parsed delay expression to the netlist's
@@ -490,276 +395,264 @@ var kindByName = map[string]netlist.Kind{
 	"minpulse":          netlist.KMinPulse,
 }
 
-// label names an instance within its frame, followed by suffix, as a
-// string of its own: at the root, an explicit label is cloned rather than
-// kept as a slice of the source.
-func (e *expander) label(inst *hdl.Instance, fr *frame, suffix string) string {
-	if inst.Label != "" {
+// label names an instance within its frame, followed by suffix: its
+// label, or its default label's key with the key's next count.  At the
+// root, a primitive's label is cloned rather than kept as a slice of the
+// source.
+func (e *expander) label(ti *tinst, fr *frame, suffix string) string {
+	inst := ti.inst
+	if ti.label < 0 {
 		if fr.path == "" && suffix == "" {
 			return strings.Clone(inst.Label)
 		}
 		return fr.path + inst.Label + suffix
 	}
 	key := inst.Kind
-	if inst.Kind == "use" {
+	if key == "use" {
 		key = inst.Macro
 	}
-	e.labels[key]++
-	return fr.path + key + "." + strconv.Itoa(e.labels[key]) + suffix
+	e.counts[ti.label]++
+	buf := append(append(append(e.buf[:0], fr.path...), key...), '.')
+	buf = append(strconv.AppendInt(buf, int64(e.counts[ti.label]), 10), suffix...)
+	e.buf = buf
+	return string(buf)
 }
 
-func (e *expander) tally(fr *frame, k netlist.Kind, width int) {
-	e.report.Primitives++
-	e.report.ScalarBits += width
-	e.report.Census[k]++
-	e.report.CensusBits[k] += width
-	e.report.PrimsByMacro[fr.macro()]++
-}
-
-// instance expands one primitive or macro use, and then pops whatever it
-// pushed onto the expander's stacks.
-func (e *expander) instance(inst *hdl.Instance, fr *frame, depth int) error {
-	if depth > maxDepth {
-		return fmt.Errorf("expand: line %d: macro nesting deeper than %d (recursive macro?)", inst.Line, maxDepth)
+// stampBody stamps one expansion's body, whose instances are at the
+// given nesting depth.
+func (e *expander) stampBody(fr *frame, depth int) error {
+	t := fr.t
+	if t.m != nil && len(t.m.Body) > 0 {
+		if depth > maxDepth {
+			return fmt.Errorf("expand: line %d: macro nesting deeper than %d (recursive macro?)", t.m.Body[0].Line, maxDepth)
+		}
+		// Pass 1 leaves a body nested too deep to count to Pass 2.
+		e.compileBody(t, t.m.Body, depth)
 	}
+	for i := range t.body {
+		if err := e.stamp(&t.body[i], fr, depth); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stamp expands one compiled primitive or macro use within a frame, and
+// then pops whatever it pushed onto the expander's stacks.
+func (e *expander) stamp(ti *tinst, fr *frame, depth int) error {
 	defer e.pop(e.height())
-	if inst.Kind == "use" {
-		return e.expandUse(inst, fr, depth)
+	if ti.err != nil && ti.err.at < 0 {
+		return ti.err.err
 	}
-	return e.primitive(inst, fr)
-}
-
-// selectWhat names each mux select input in messages.
-var selectWhat = [...]string{"select 0", "select 1", "select 2"}
-
-func (e *expander) primitive(inst *hdl.Instance, fr *frame) error {
-	k, ok := kindByName[inst.Kind]
-	if !ok {
-		return fmt.Errorf("expand: line %d: unknown primitive %q", inst.Line, inst.Kind)
+	suffix := ""
+	if ti.use != nil {
+		suffix = "/"
 	}
-	label := e.label(inst, fr, "")
-
-	base := len(e.ins)
-	for _, se := range inst.Ins {
-		c, err := e.resolve(se, fr)
-		if err != nil {
-			return err
+	label := e.label(ti, fr, suffix)
+	refs := fr.t.refs[ti.from:ti.to]
+	if ti.err != nil {
+		n := ti.err.at
+		if ti.err.post {
+			n++
 		}
-		e.ins = append(e.ins, c)
+		refs = refs[:n]
 	}
-	ins := e.ins[base:]
-	base = len(e.outs)
-	for _, se := range inst.Outs {
-		o, err := e.outNets(se, fr)
-		if err != nil {
-			return err
-		}
-		e.outs = append(e.outs, o)
-	}
-	outs := e.outs[base:]
-
-	// A delay expression lowers to a shared analytic function; the
-	// primitive is built with a placeholder delay and bound to the
-	// function, which sets Delay to the default-point evaluation.
-	var fnID int32
-	if inst.HasDelayExpr {
-		var err error
-		if fnID, err = e.delayFn(inst); err != nil {
+	base, outBase := len(e.ins), len(e.outs)
+	for k := range refs {
+		if err := e.bind(ti, &refs[k], k, fr); err != nil {
 			return err
 		}
 	}
-	bind := func(id netlist.PrimID) {
-		if fnID > 0 && id >= 0 {
-			e.b.BindDelayFn(id, fnID)
-		}
+	if ti.err != nil {
+		return ti.err.err
 	}
-
-	need := func(nIn, nOut int) error {
-		if len(ins) != nIn || len(outs) != nOut {
-			return fmt.Errorf("expand: line %d: %s needs %d inputs and %d outputs, has %d and %d",
-				inst.Line, inst.Kind, nIn, nOut, len(ins), len(outs))
-		}
+	ins, outs := e.ins[base:], e.outs[outBase:]
+	if ti.use == nil {
+		e.build(ti, label, ins, outs)
 		return nil
 	}
-	scalar := func(c []netlist.Conn, what string) (netlist.Conn, error) {
-		if len(c) != 1 {
-			return netlist.Conn{}, fmt.Errorf("expand: line %d: %s %s must be one bit wide, is %d", inst.Line, inst.Kind, what, len(c))
-		}
-		return c[0], nil
+	sub := ti.use
+	sub.stamps++
+	lbase, lnets := len(e.locals), len(e.lnets)
+	for range sub.locals {
+		e.locals = append(e.locals, localSlot{-1, -1})
 	}
+	err := e.stampBody(&frame{t: sub, path: label, bindings: ins[:len(ins):len(ins)], locals: lbase}, depth+1)
+	e.locals, e.lnets = e.locals[:lbase], e.lnets[:lnets]
+	return err
+}
 
-	switch {
-	case k.IsGate():
-		if len(outs) != 1 || len(ins) < 1 {
-			return fmt.Errorf("expand: line %d: %s needs at least one input and exactly one output", inst.Line, inst.Kind)
+// bind resolves an instance's reference r, its k-th: a primitive input
+// or a use's port binding onto ins, a primitive output onto outs.
+func (e *expander) bind(ti *tinst, r *tref, k int, fr *frame) error {
+	se := ti.sig(r, k)
+	conns, err := e.push(r, se, fr)
+	if err != nil {
+		return err
+	}
+	if ti.use != nil || k < int(ti.nIns) {
+		if r.bcast > 0 {
+			c, start := conns[0], len(e.conns)
+			for range r.bcast {
+				e.conns = append(e.conns, c)
+			}
+			conns = e.conns[start:]
 		}
-		e.tally(fr, k, len(outs[0]))
+		e.ins = append(e.ins, conns)
+		return nil
+	}
+	// Outputs must be plain net references: no complement rail or
+	// directives, on the reference or on the port binding it names.
+	start := len(e.nets)
+	for _, c := range conns {
+		if c.Invert || !c.Directives.Empty() {
+			return fmt.Errorf("expand: line %d: output %q is bound through a decorated connection", se.Line, se.Name)
+		}
+		e.nets = append(e.nets, c.Net)
+	}
+	e.outs = append(e.outs, e.nets[start:len(e.nets):len(e.nets)])
+	return nil
+}
+
+// push resolves a compiled reference to se within a frame onto the
+// connection stack, and returns its connections.
+func (e *expander) push(r *tref, se *hdl.SigExpr, fr *frame) ([]netlist.Conn, error) {
+	start := len(e.conns)
+	switch r.kind {
+	case refPort:
+		bound := fr.bindings[r.i]
+		if r.ranged {
+			bound = bound[r.lo : r.hi+1 : r.hi+1]
+		}
+		if !r.invert && r.dirs == 0 && !r.dirsBad {
+			// The binding stays on the stacks until the use returns, and
+			// nothing writes to it: share it.
+			return bound, nil
+		}
+		e.conns = append(e.conns, bound...)
+	case refLocal:
+		nets, err := e.local(fr, int(r.i))
+		if err != nil {
+			return nil, err
+		}
+		if r.ranged {
+			nets = nets[r.lo : r.hi+1]
+		}
+		for _, id := range nets {
+			e.conns = append(e.conns, netlist.Conn{Net: id})
+		}
+	default:
+		if !r.ranged {
+			e.conns = append(e.conns, netlist.Conn{Net: e.b.Net(se.Name)})
+			break
+		}
+		for _, id := range e.b.Bits(netlist.Sym(r.i), r.lo, r.hi) {
+			e.conns = append(e.conns, netlist.Conn{Net: id})
+		}
+	}
+	conns := e.conns[start:len(e.conns):len(e.conns)]
+	if r.invert {
+		for i := range conns {
+			conns[i].Invert = !conns[i].Invert
+		}
+	}
+	if r.dirsBad {
+		// The Builder records the parse error.
+		e.b.Directive(se.Dirs, conns)
+	} else if r.dirs > 0 {
+		d := fr.t.dirs[r.dirs-1]
+		for i := range conns {
+			conns[i].Directives = d
+		}
+	}
+	return conns, nil
+}
+
+// local returns the nets of a macro local in this expansion: a global
+// named by the macro path (the /M markers) whose first reference creates
+// every declared bit.
+func (e *expander) local(fr *frame, i int) ([]netlist.NetID, error) {
+	slot := &e.locals[fr.locals+i]
+	if slot.start < 0 {
+		name := fr.path + fr.t.m.Locals[i].Name
+		start := len(e.lnets)
+		if l := &fr.t.locals[i]; fr.t.m.Locals[i].HasRange {
+			s, err := e.b.Symbol(name)
+			if err != nil {
+				return nil, fmt.Errorf("expand: %v", err)
+			}
+			e.lnets = append(e.lnets, e.b.Bits(s, l.lo, l.hi)...)
+		} else {
+			e.lnets = append(e.lnets, e.b.Net(name))
+		}
+		slot = &e.locals[fr.locals+i]
+		slot.start, slot.end = int32(start), int32(len(e.lnets))
+	}
+	return e.lnets[slot.start:slot.end], nil
+}
+
+// build calls the Builder's constructor of a compiled primitive with its
+// resolved connections.  A primitive with a delay function is built with
+// a placeholder delay and bound to the function, which sets Delay to the
+// default-point evaluation.
+func (e *expander) build(ti *tinst, label string, ins [][]netlist.Conn, outs [][]netlist.NetID) {
+	inst := ti.inst
+	bind := func(id netlist.PrimID) {
+		if ti.fn > 0 && id >= 0 {
+			e.b.BindDelayFn(id, ti.fn)
+		}
+	}
+	switch k := ti.kind; {
+	case k.IsGate():
 		if inst.HasRF {
 			e.b.GateRF(k, label, inst.Rise, inst.Fall, outs[0], ins...)
 		} else {
 			bind(e.b.Gate(k, label, inst.Delay, outs[0], ins...))
 		}
 	case k.NumSelects() > 0:
-		ns := k.NumSelects()
-		if err := need(ns+k.NumMuxData(), 1); err != nil {
-			return err
+		ns, base := k.NumSelects(), len(e.conns)
+		for _, s := range ins[:ns] {
+			e.conns = append(e.conns, s[0])
 		}
-		base := len(e.conns)
-		for i := 0; i < ns; i++ {
-			s, err := scalar(ins[i], selectWhat[i])
-			if err != nil {
-				return err
-			}
-			e.conns = append(e.conns, s)
-		}
-		sel := e.conns[base:]
-		e.tally(fr, k, len(outs[0]))
-		bind(e.b.Mux(k, label, inst.Delay, inst.SelDelay, outs[0], sel, ins[ns:]...))
-	case k == netlist.KReg, k == netlist.KLatch:
-		if err := need(2, 1); err != nil {
-			return err
-		}
-		ck, err := scalar(ins[0], "clock/enable")
-		if err != nil {
-			return err
-		}
-		e.tally(fr, k, len(outs[0]))
-		if k == netlist.KReg {
-			bind(e.b.Register(label, inst.Delay, outs[0], ck, ins[1]))
-		} else {
-			bind(e.b.Latch(label, inst.Delay, outs[0], ck, ins[1]))
-		}
-	case k == netlist.KRegRS, k == netlist.KLatchRS:
-		if err := need(4, 1); err != nil {
-			return err
-		}
-		ck, err := scalar(ins[0], "clock/enable")
-		if err != nil {
-			return err
-		}
-		set, err := scalar(ins[2], "set")
-		if err != nil {
-			return err
-		}
-		rst, err := scalar(ins[3], "reset")
-		if err != nil {
-			return err
-		}
-		e.tally(fr, k, len(outs[0]))
-		if k == netlist.KRegRS {
-			bind(e.b.RegisterRS(label, inst.Delay, outs[0], ck, ins[1], set, rst))
-		} else {
-			bind(e.b.LatchRS(label, inst.Delay, outs[0], ck, ins[1], set, rst))
-		}
-	case k == netlist.KSetupHold, k == netlist.KSetupRiseHoldFall:
-		if err := need(2, 0); err != nil {
-			return err
-		}
-		ck, err := scalar(ins[1], "clock")
-		if err != nil {
-			return err
-		}
-		e.tally(fr, k, len(ins[0]))
-		if k == netlist.KSetupHold {
-			e.b.SetupHold(label, inst.Setup, inst.Hold, ins[0], ck)
-		} else {
-			e.b.SetupRiseHoldFall(label, inst.Setup, inst.Hold, ins[0], ck)
-		}
+		bind(e.b.Mux(k, label, inst.Delay, inst.SelDelay, outs[0], e.conns[base:], ins[ns:]...))
+	case k == netlist.KReg:
+		bind(e.b.Register(label, inst.Delay, outs[0], ins[0][0], ins[1]))
+	case k == netlist.KLatch:
+		bind(e.b.Latch(label, inst.Delay, outs[0], ins[0][0], ins[1]))
+	case k == netlist.KRegRS:
+		bind(e.b.RegisterRS(label, inst.Delay, outs[0], ins[0][0], ins[1], ins[2][0], ins[3][0]))
+	case k == netlist.KLatchRS:
+		bind(e.b.LatchRS(label, inst.Delay, outs[0], ins[0][0], ins[1], ins[2][0], ins[3][0]))
+	case k == netlist.KSetupHold:
+		e.b.SetupHold(label, inst.Setup, inst.Hold, ins[0], ins[1][0])
+	case k == netlist.KSetupRiseHoldFall:
+		e.b.SetupRiseHoldFall(label, inst.Setup, inst.Hold, ins[0], ins[1][0])
 	case k == netlist.KMinPulse:
-		if err := need(1, 0); err != nil {
-			return err
-		}
-		in, err := scalar(ins[0], "input")
-		if err != nil {
-			return err
-		}
-		e.tally(fr, k, 1)
-		e.b.MinPulse(label, inst.High, inst.Low, in)
-	default:
-		return fmt.Errorf("expand: line %d: unhandled primitive kind %v", inst.Line, k)
+		e.b.MinPulse(label, inst.High, inst.Low, ins[0][0])
 	}
-	return nil
 }
 
-func (e *expander) expandUse(inst *hdl.Instance, fr *frame, depth int) error {
-	m, ok := e.macros[inst.Macro]
-	if !ok {
-		return fmt.Errorf("expand: line %d: unknown macro %q", inst.Line, inst.Macro)
-	}
-	e.report.MacroUses++
-	e.report.UsesByMacro[m.Name]++
-
-	// Value parameters; an undeclared binding is reported in source
-	// order.
-	params := make(map[string]int, len(m.Params))
-	for _, pn := range m.Params {
-		exp, ok := inst.Param(pn)
-		if !ok {
-			return fmt.Errorf("expand: line %d: macro %q needs parameter %s", inst.Line, m.Name, pn)
+// tallyReport adds every stamped template's census to the Report: one
+// expansion's primitives and port bindings, times its expansions.
+func (e *expander) tallyReport(root *template) {
+	r := e.report
+	for _, t := range append([]*template{root}, e.order...) {
+		if t.stamps == 0 {
+			continue
 		}
-		v, err := exp.Eval(fr.params)
-		if err != nil {
-			return fmt.Errorf("expand: line %d: parameter %s: %v", inst.Line, pn, err)
+		name := ""
+		if t.m != nil {
+			name = t.m.Name
+			r.MacroUses += t.stamps
+			r.UsesByMacro[name] += t.stamps
+			r.Synonyms += t.stamps * t.synonyms
 		}
-		params[pn] = v
-	}
-	for _, pv := range inst.ParamVals {
-		if !slices.Contains(m.Params, pv.Name) {
-			return fmt.Errorf("expand: line %d: macro %q has no parameter %s", inst.Line, m.Name, pv.Name)
+		for _, c := range t.census {
+			r.Primitives += t.stamps * c.n
+			r.ScalarBits += t.stamps * c.bits
+			r.Census[c.kind] += t.stamps * c.n
+			r.CensusBits[c.kind] += t.stamps * c.bits
+			r.PrimsByMacro[name] += t.stamps * c.n
 		}
 	}
-
-	// Port bindings (the Pass-1 synonym resolution), on the stacks until
-	// the use returns.
-	sub := &frame{
-		path:   e.label(inst, fr, "/"),
-		m:      m,
-		params: params,
-	}
-	base := len(e.ins)
-	for _, pd := range m.Ports {
-		se := inst.Conn(pd.Name)
-		if se == nil {
-			return fmt.Errorf("expand: line %d: macro %q port %s not connected", inst.Line, m.Name, pd.Name)
-		}
-		conns, err := e.resolve(se, fr)
-		if err != nil {
-			return err
-		}
-		want := 1
-		if pd.HasRange {
-			lo, hi, err := evalRange(pd.Lo, pd.Hi, params)
-			if err != nil {
-				return fmt.Errorf("expand: line %d: port %s: %v", inst.Line, pd.Name, err)
-			}
-			want = hi - lo + 1
-		}
-		if len(conns) == 1 && want > 1 {
-			// Scalar broadcast across a vector port, as with primitive
-			// data ports.
-			c, start := conns[0], len(e.conns)
-			for range want {
-				e.conns = append(e.conns, c)
-			}
-			conns = e.conns[start:]
-		}
-		if len(conns) != want {
-			return fmt.Errorf("expand: line %d: macro %q port %s is %d bits, connection %q is %d",
-				inst.Line, m.Name, pd.Name, want, se.Name, len(conns))
-		}
-		e.ins = append(e.ins, conns)
-		e.report.Synonyms += len(conns)
-	}
-	sub.bindings = e.ins[base:len(e.ins):len(e.ins)]
-	for _, pc := range inst.Conns {
-		if kind, _ := scope(m, pc.Port); kind != refPort {
-			return fmt.Errorf("expand: line %d: macro %q has no port %s", inst.Line, m.Name, pc.Port)
-		}
-	}
-	for _, child := range m.Body {
-		if err := e.instance(child, sub, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -523,16 +523,21 @@ func (d *Design) Check() error {
 	// order.  A base's first net is only recorded; the spellings are
 	// rendered when a later net of that base carries a different
 	// *Assertion.
+	// An unasserted net is looked up only when its base passes a filter
+	// of the asserted bases' lengths and end bytes, which no asserted
+	// base fails: most nets skip the hashing.
 	asserted := map[string]bool{}
+	var filter baseFilter
 	for i := range d.Nets {
 		if d.Nets[i].Assert != nil {
 			asserted[d.Nets[i].Base] = true
+			filter.add(d.Nets[i].Base)
 		}
 	}
 	byBase := make(map[string]*assertion.Assertion, len(asserted))
 	for i := 0; i < len(d.Nets) && len(asserted) > 0; i++ {
 		n := &d.Nets[i]
-		if !asserted[n.Base] {
+		if n.Assert == nil && !filter.has(n.Base) || !asserted[n.Base] {
 			continue
 		}
 		prev, ok := byBase[n.Base]
@@ -554,6 +559,27 @@ func (d *Design) Check() error {
 		}
 	}
 	return nil
+}
+
+// baseFilter is a set of base-name signatures (length and end bytes):
+// a base whose signature is absent is not in the set it summarizes.
+type baseFilter [64]uint64
+
+func baseSig(base string) uint32 {
+	if base == "" {
+		return 0
+	}
+	return (uint32(len(base))*131 + uint32(base[0])*31 + uint32(base[len(base)-1])) % 4096
+}
+
+func (f *baseFilter) add(base string) {
+	s := baseSig(base)
+	f[s/64] |= 1 << (s % 64)
+}
+
+func (f *baseFilter) has(base string) bool {
+	s := baseSig(base)
+	return f[s/64]&(1<<(s%64)) != 0
 }
 
 // CheckParams re-validates only the numeric parameters that in-place edits

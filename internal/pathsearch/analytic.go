@@ -438,14 +438,3 @@ func ByPrim[S any](sites map[string]S) map[string][]S {
 	}
 	return byPrim
 }
-
-// Parametric reports whether any primitive of the design carries an
-// analytic delay function.
-func Parametric(d *netlist.Design) bool {
-	for i := range d.Prims {
-		if d.Prims[i].Fn > 0 {
-			return true
-		}
-	}
-	return false
-}

@@ -42,8 +42,18 @@ func Compile(d *netlist.Design) (*Program, error) {
 
 	// Flatten every primitive's input connections into the SoA table the
 	// key builder scans: source net, complement rail and pin directive
-	// override, in port order, with per-primitive spans.
+	// override, in port order, with per-primitive spans.  The columns are
+	// sized from the design before they are filled.
 	p.ConnSpan = make([][2]int32, len(d.Prims))
+	n := 0
+	for pi := range d.Prims {
+		for _, port := range d.Prims[pi].In {
+			n += len(port.Bits)
+		}
+	}
+	p.ConnNet = make([]netlist.NetID, 0, n)
+	p.ConnInvert = make([]bool, 0, n)
+	p.ConnDirs = make([]assertion.Directives, 0, n)
 	for pi := range d.Prims {
 		start := int32(len(p.ConnNet))
 		for _, port := range d.Prims[pi].In {
@@ -103,7 +113,10 @@ func (p *Program) Refresh(d *netlist.Design) error {
 // buildSeeds renders the §2.9 step-1 seed of every net — the assertion
 // waveform (pinned for clocks), the always-stable default for undriven
 // unasserted nets, UNKNOWN for driven ones — exactly as the verifier's
-// per-run seeding would, interning each seed so runs start from handles.
+// per-run seeding would.  It renders and interns once per distinct
+// *Assertion (every bit of a stem shares one) and once each for the S and
+// U constants, in net order, so every handle is the one a per-net
+// rendering would intern.
 func buildSeeds(d *netlist.Design, intern *values.Interner) (*Seeds, error) {
 	s := &Seeds{
 		Initial:   make([]values.Waveform, len(d.Nets)),
@@ -111,32 +124,57 @@ func buildSeeds(d *netlist.Design, intern *values.Interner) (*Seeds, error) {
 		Pinned:    make([]bool, len(d.Nets)),
 		sig:       envSig(d),
 	}
+	type seed struct {
+		w      values.Waveform
+		id     uint64
+		pinned bool
+	}
 	env := d.Env()
+	var stable, unknown *seed
+	byAssert := map[*assertion.Assertion]*seed{}
+	var lastA *assertion.Assertion
+	var last *seed
 	undefSeen := map[string]bool{}
 	for i := range d.Nets {
 		n := &d.Nets[i]
-		var w values.Waveform
+		var sd *seed
 		switch {
 		case n.Assert != nil:
-			aw, aerr := n.Assert.Waveform(env)
-			if aerr != nil {
-				return nil, serr.Newf(serr.Assertion, "verify: net %q: %v", n.Name, aerr)
+			// Bits of one stem are mostly consecutive nets.
+			if n.Assert != lastA {
+				if last = byAssert[n.Assert]; last == nil {
+					aw, aerr := n.Assert.Waveform(env)
+					if aerr != nil {
+						return nil, serr.Newf(serr.Assertion, "verify: net %q: %v", n.Name, aerr)
+					}
+					last = &seed{pinned: n.Assert.Kind == assertion.Clock || n.Assert.Kind == assertion.PrecisionClock}
+					last.w, last.id = intern.Intern(aw)
+					byAssert[n.Assert] = last
+				}
+				lastA = n.Assert
 			}
-			w = aw
-			s.Pinned[i] = n.Assert.Kind == assertion.Clock || n.Assert.Kind == assertion.PrecisionClock
+			sd = last
 			if n.Driver != netlist.NoDriver {
 				s.AssertNets = append(s.AssertNets, netlist.NetID(i))
 			}
 		case n.Driver == netlist.NoDriver:
-			w = values.Const(d.Period, values.VS)
+			if stable == nil {
+				stable = &seed{}
+				stable.w, stable.id = intern.Intern(values.Const(d.Period, values.VS))
+			}
+			sd = stable
 			if !undefSeen[n.Base] {
 				undefSeen[n.Base] = true
 				s.Undefined = append(s.Undefined, n.Base)
 			}
 		default:
-			w = values.Const(d.Period, values.VU)
+			if unknown == nil {
+				unknown = &seed{}
+				unknown.w, unknown.id = intern.Intern(values.Const(d.Period, values.VU))
+			}
+			sd = unknown
 		}
-		s.Initial[i], s.InitialID[i] = intern.Intern(w)
+		s.Initial[i], s.InitialID[i], s.Pinned[i] = sd.w, sd.id, sd.pinned
 	}
 	sort.Strings(s.Undefined)
 	return s, nil

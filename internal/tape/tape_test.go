@@ -1,13 +1,20 @@
 package tape
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"scaldtv/internal/assertion"
+	"scaldtv/internal/expand"
 	"scaldtv/internal/gen"
+	"scaldtv/internal/hdl"
+	"scaldtv/internal/lib"
 	"scaldtv/internal/netlist"
 	"scaldtv/internal/tick"
+	"scaldtv/internal/values"
 )
 
 func testDesign(t testing.TB, chips int) *netlist.Design {
@@ -62,6 +69,10 @@ func TestCompileClassification(t *testing.T) {
 	if len(p.ConnInvert) != len(p.ConnNet) || len(p.ConnDirs) != len(p.ConnNet) {
 		t.Fatalf("conn columns sized %d/%d/%d", len(p.ConnNet), len(p.ConnInvert), len(p.ConnDirs))
 	}
+	if cap(p.ConnNet) != len(p.ConnNet) || cap(p.ConnInvert) != len(p.ConnInvert) || cap(p.ConnDirs) != len(p.ConnDirs) {
+		t.Errorf("conn columns not sized before filling: capacities %d/%d/%d for %d connections",
+			cap(p.ConnNet), cap(p.ConnInvert), cap(p.ConnDirs), len(p.ConnNet))
+	}
 	inverted := 0
 	for pi := range d.Prims {
 		span := p.ConnSpan[pi]
@@ -86,36 +97,114 @@ func TestCompileClassification(t *testing.T) {
 	}
 }
 
-// TestSeeds checks the seed image: one interned handle per net, pinning
-// only on clock-asserted nets, and assertion nets listed in order.
+// TestSeeds checks the seed image against a fresh per-net rendering
+// under the verifier's seeding rule (§2.9 step 1): the assertion
+// waveform, pinned for clocks; the always-stable default for an undriven,
+// unasserted net; UNKNOWN for any other.  Each net's seed must equal that
+// rendering and carry the handle re-interning it gives, and the pin
+// flags, assertion nets and cross-reference must be what the rule
+// implies.  The designs are the ones internal/expand pins, a generated
+// one, and one whose nets spell one assertion through distinct
+// *Assertion values.
 func TestSeeds(t *testing.T) {
-	d := testDesign(t, 101)
-	p, err := Compile(d)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	s := p.Seeds()
-	if len(s.Initial) != len(d.Nets) || len(s.InitialID) != len(d.Nets) || len(s.Pinned) != len(d.Nets) {
-		t.Fatalf("seed tables sized %d/%d/%d, want %d",
-			len(s.Initial), len(s.InitialID), len(s.Pinned), len(d.Nets))
-	}
-	for i := range s.Initial {
-		w, id := p.Intern.Intern(s.Initial[i])
-		if id != s.InitialID[i] {
-			t.Fatalf("net %d: seed handle %d, re-intern gives %d", i, s.InitialID[i], id)
+	designs := map[string]*netlist.Design{"gen/chips=101": testDesign(t, 101)}
+	for name, src := range seedSources(t) {
+		f, err := hdl.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		_ = w
-	}
-	last := netlist.NetID(-1)
-	for _, id := range s.AssertNets {
-		if id <= last {
-			t.Fatalf("AssertNets not strictly ascending at %d", id)
+		d, _, err := expand.Expand(f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		last = id
-		if d.Nets[id].Assert == nil {
-			t.Fatalf("net %d listed in AssertNets without an assertion", id)
+		designs[name] = d
+	}
+	for name, d := range designs {
+		p, err := Compile(d)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		s := p.Seeds()
+		if len(s.Initial) != len(d.Nets) || len(s.InitialID) != len(d.Nets) || len(s.Pinned) != len(d.Nets) {
+			t.Fatalf("%s: seed tables sized %d/%d/%d, want %d", name,
+				len(s.Initial), len(s.InitialID), len(s.Pinned), len(d.Nets))
+		}
+		var assertNets []netlist.NetID
+		undefined := map[string]bool{}
+		for i := range d.Nets {
+			n := &d.Nets[i]
+			var want values.Waveform
+			pinned := false
+			switch {
+			case n.Assert != nil:
+				if want, err = n.Assert.Waveform(d.Env()); err != nil {
+					t.Fatalf("%s: net %q: %v", name, n.Name, err)
+				}
+				pinned = n.Assert.Kind == assertion.Clock || n.Assert.Kind == assertion.PrecisionClock
+				if n.Driver != netlist.NoDriver {
+					assertNets = append(assertNets, netlist.NetID(i))
+				}
+			case n.Driver == netlist.NoDriver:
+				want = values.Const(d.Period, values.VS)
+				undefined[n.Base] = true
+			default:
+				want = values.Const(d.Period, values.VU)
+			}
+			if !s.Initial[i].Equal(want) || s.Pinned[i] != pinned {
+				t.Fatalf("%s: net %d %q: seed %v pinned=%v, want %v pinned=%v",
+					name, i, n.Name, s.Initial[i], s.Pinned[i], want, pinned)
+			}
+			if _, id := p.Intern.Intern(want); id != s.InitialID[i] {
+				t.Fatalf("%s: net %d %q: seed handle %d, interning its rendering gives %d", name, i, n.Name, s.InitialID[i], id)
+			}
+		}
+		var wantUndef []string
+		for base := range undefined {
+			wantUndef = append(wantUndef, base)
+		}
+		slices.Sort(wantUndef)
+		if !slices.Equal(s.AssertNets, assertNets) || !slices.Equal(s.Undefined, wantUndef) {
+			t.Errorf("%s: assertion nets %v and cross-reference %v, want %v and %v",
+				name, s.AssertNets, s.Undefined, assertNets, wantUndef)
 		}
 	}
+}
+
+// seedSources returns the designs internal/expand pins — every example
+// with the component library appended, the 16 generator shapes at 51
+// chips and a 1003-chip design — and one whose nets spell one assertion
+// through distinct *Assertion values: scalars each parse their own, and
+// two spellings of one stem share the first one's.
+func seedSources(t *testing.T) map[string]string {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "*.scald"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example designs: %v", err)
+	}
+	out := map[string]string{}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["example/"+filepath.Base(p)] = string(src) + "\n" + lib.Prelude
+	}
+	for s := 0; s < 16; s++ {
+		cfg := gen.Config{Chips: 51, Inject: s % 4, Depth: 2 + s/4%2, Feedback: 0.05 * float64(s/8), Cases: 2}
+		out[fmt.Sprintf("shape%02d/chips=51", s)] = gen.Source(cfg)
+	}
+	out["gen/chips=1003"] = gen.Source(gen.Config{Chips: 1003, Inject: 1, Cases: 2})
+	out["shared-spellings"] = `design SPELL
+period 50ns
+clockunit 6.25ns
+buf B1 delay=(1,2) ("A .S0-4") -> ("P .S0-4")
+buf B2 delay=(1,2) ("B .S0-4") -> ("Q .S0-4")
+buf B3 delay=(1,2) ("C .S0.0-4") -> ("R .S0-4"<0:3>)
+or B4 delay=(1,2) ("R  .S0-4"<0:3>, "CK .P2-3") -> ("S .S0-4")
+buf B5 delay=(1,2) ("CK .P2-3") -> ("CK2 .P2-3")
+and B6 delay=(1,2) (FLOAT, "R .S0-4"<4:5>, -"WCK .P2-3 L") -> (U)
+setuphold C1 setup=1 hold=1 ("S .S0-4", "CK2 .P2-3")
+`
+	return out
 }
 
 // TestForWarmPathNoAlloc pins the contract the verifier relies on: after
