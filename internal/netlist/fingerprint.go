@@ -19,23 +19,11 @@ func floatBits(v float64) uint64 {
 // values.Waveform.Fingerprint to whole elaborated netlists, giving the
 // persistent verification store (internal/store) its content addresses.
 //
-// Two fingerprints are defined:
-//
-//   - Fingerprint covers everything the verifier reads: the full netlist
-//     including every parameter, name and assertion spelling.  Two designs
-//     with equal Fingerprints verify identically (for identical
-//     verify-relevant Options).
-//
-//   - StructuralFingerprint deliberately excludes exactly the fields Diff
-//     classifies as parameter-level edits (delays, checker intervals,
-//     same-shape kind swaps, wire overrides, assertion range tweaks and
-//     instance names), so that any two designs Diff accepts as
-//     structurally identical share a StructuralFingerprint: it names
-//     the designs one retained Verifier can Update between
-//     incrementally.
-//
-// Both hashes are FNV-1a with length-prefixed strings, so field
-// boundaries cannot alias.
+// Fingerprint covers everything the verifier reads: the full netlist
+// including every parameter, name and assertion spelling.  Two designs
+// with equal Fingerprints verify identically (for identical
+// verify-relevant Options).  The hash is FNV-1a with length-prefixed
+// strings, so field boundaries cannot alias.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -119,59 +107,14 @@ func Fingerprint(d *Design) uint64 {
 		f.time(p.MinHigh)
 		f.time(p.MinLow)
 		f.i64(int64(p.Fn))
-		d.hashPorts(&f, p, true)
+		d.hashPorts(&f, p)
 	}
 	d.hashCases(&f)
 	d.hashDelayFns(&f)
 	return f.h
 }
 
-// StructuralFingerprint returns a hash of only the structure Diff
-// requires to match before it will express an edit as parameter-level
-// Changes: the design environment, net identities and assertion kinds,
-// primitive shapes and connectivity, and the case table.  The alignment
-// invariant, locked by TestStructuralFingerprintMatchesDiff, is:
-//
-//	Diff(a, b) ok  ⇒  StructuralFingerprint(a) == StructuralFingerprint(b)
-func StructuralFingerprint(d *Design) uint64 {
-	f := newFNV()
-	// d.Name is not compared by Diff, so it is not structural.
-	d.hashEnv(&f)
-	f.int(len(d.Nets))
-	for i := range d.Nets {
-		n := &d.Nets[i]
-		f.str(n.Name)
-		f.str(n.Base)
-		// Assertion presence and kind are structural (they pin nets and
-		// shape the cross-reference); the range spelling is a parameter.
-		f.bool(n.Assert != nil)
-		if n.Assert != nil {
-			f.byte(byte(n.Assert.Kind))
-		}
-		// n.Wire is a parameter-level override.
-	}
-	f.int(len(d.Prims))
-	for i := range d.Prims {
-		p := &d.Prims[i]
-		// Kind enters only through its shape traits, mirroring
-		// connectivityEqual: AND ↔ OR is a parameter edit.
-		f.bool(p.Kind.IsChecker())
-		f.bool(p.Kind.IsStorage())
-		f.bool(p.Kind.IsGate())
-		f.int(p.Kind.NumSelects())
-		f.int(p.Width)
-		// The analytic-function binding is structural: Diff refuses edits
-		// that change which function (if any) produces a prim's delay.
-		f.i64(int64(p.Fn))
-		d.hashPorts(&f, p, false)
-	}
-	d.hashCases(&f)
-	d.hashDelayFns(&f)
-	return f.h
-}
-
-// hashEnv hashes the design-wide verification environment — any change
-// here is structural for Diff.
+// hashEnv hashes the design-wide verification environment.
 func (d *Design) hashEnv(f *fnvSum) {
 	f.time(d.Period)
 	f.time(d.ClockUnit)
@@ -181,16 +124,12 @@ func (d *Design) hashEnv(f *fnvSum) {
 	f.bool(d.WiredOr)
 }
 
-// hashPorts hashes the primitive's connections.  Port names are hashed
-// only for the full fingerprint: connectivityEqual ignores them, so they
-// are not structural.
-func (d *Design) hashPorts(f *fnvSum, p *Prim, withNames bool) {
+// hashPorts hashes the primitive's port names and connections.
+func (d *Design) hashPorts(f *fnvSum, p *Prim) {
 	f.int(len(p.In))
 	for pi := range p.In {
 		port := &p.In[pi]
-		if withNames {
-			f.str(port.Name)
-		}
+		f.str(port.Name)
 		f.int(len(port.Bits))
 		for _, c := range port.Bits {
 			f.i64(int64(c.Net))
@@ -201,9 +140,7 @@ func (d *Design) hashPorts(f *fnvSum, p *Prim, withNames bool) {
 	f.int(len(p.Out))
 	for pi := range p.Out {
 		port := &p.Out[pi]
-		if withNames {
-			f.str(port.Name)
-		}
+		f.str(port.Name)
 		f.int(len(port.Bits))
 		for _, n := range port.Bits {
 			f.i64(int64(n))
@@ -211,10 +148,7 @@ func (d *Design) hashPorts(f *fnvSum, p *Prim, withNames bool) {
 	}
 }
 
-// hashDelayFns hashes the analytic delay tables.  They enter both
-// fingerprints — Diff treats any change to them as structural, because
-// the symbolic margin surfaces a retained run carries are derived from
-// these tables, not from the concrete Prim.Delay values.
+// hashDelayFns hashes the parameters and the analytic delay tables.
 func (d *Design) hashDelayFns(f *fnvSum) {
 	f.int(len(d.Params))
 	for i := range d.Params {

@@ -334,19 +334,13 @@ func (pr *pruner) joinConst(ts *termSet, c tick.Time, late bool) {
 }
 
 // parametric marks the nets some path from which crosses an analytic
-// delay function, in one reverse-topological pass.  A net on a loop is
-// never extended, so no path goes on from it.
+// delay function.
 func (g *graph) parametric() []bool {
 	p := make([]bool, len(g.adj))
-	for i := len(g.order) - 1; i >= 0; i-- {
-		u := g.order[i]
-		for _, h := range g.adj[u] {
-			if h.fn > 0 || slices.ContainsFunc(g.outs[h.lo:h.hi], func(o int32) bool { return p[o] }) {
-				p[u] = true
-				break
-			}
-		}
+	for _, u := range g.order {
+		p[u] = slices.ContainsFunc(g.adj[u], func(h hop) bool { return h.fn > 0 })
 	}
+	g.markBack(g.order, p)
 	return p
 }
 
@@ -364,6 +358,14 @@ func (g *graph) parametric() []bool {
 // extremal constant of their one shared path class.  So at every net
 // the late set is the single term {Max} of the worst-case range and the
 // early set the single term {Min}, and folding them is joinConst.
+//
+// A label no parametric start reaches stays one constant term, whose
+// joins are order-free, so every constant start that reaches only such
+// labels is priced in one worst-case sweep from all of them.  Where a
+// parametric start's terms meet a constant, the order of the joins sets
+// the order of the terms and, at the term cap, which are kept and the
+// exact flags, so the other constant starts join their labels one by
+// one, in start order.
 func AnalyzeAnalytic(d *netlist.Design, maxTerms int) (map[string]*SiteTerms, []string) {
 	if maxTerms <= 0 {
 		maxTerms = DefaultMaxTerms
@@ -371,16 +373,52 @@ func AnalyzeAnalytic(d *netlist.Design, maxTerms int) (map[string]*SiteTerms, []
 	g := buildGraph(d)
 	alg := newPruner(d, maxTerms)
 	param := g.parametric()
-	// Each traversal is built when a start first needs it.
-	var (
-		terms *traversal[termSets]
-		wc    *traversal[tick.Range]
-	)
+	wc := newTraversal[tick.Range](g, ticks{})
 	// union[slot] is the pin label's union so far, nil terms before its
 	// first start; it owns its term slices, which joinConst may write.
 	union := make([]termSets, len(g.labels))
+	foldConst := func(pin *endPin) {
+		r, u := wc.at(pin), &union[pin.slot]
+		if u.late.terms == nil {
+			ts := []Term{{Const: r.Max}, {Const: r.Min}}
+			*u = termSets{late: termSet{terms: ts[:1:1], exact: true}, early: termSet{terms: ts[1:], exact: true}}
+			return
+		}
+		alg.joinConst(&u.late, r.Max, true)
+		alg.joinConst(&u.early, r.Min, false)
+	}
+
+	// meet marks the nets on a path to a label some parametric start
+	// reaches.
+	starts := make([]int32, 0, len(g.starts))
 	for _, s := range g.starts {
 		if param[s] {
+			starts = append(starts, s)
+		}
+	}
+	meet := make([]bool, len(g.adj))
+	if len(starts) > 0 {
+		wc.sweep(starts...)
+		hit := make([]bool, len(g.labels))
+		wc.pins(func(pin *endPin) { hit[pin.slot] = true })
+		for net, pins := range g.ends {
+			meet[net] = slices.ContainsFunc(pins, func(pin endPin) bool { return hit[pin.slot] })
+		}
+		g.markBack(g.order, meet)
+	}
+	starts = starts[:0]
+	for _, s := range g.starts {
+		if !param[s] && !meet[s] {
+			starts = append(starts, s)
+		}
+	}
+	wc.sweep(starts...)
+	wc.pins(foldConst)
+
+	var terms *traversal[termSets]
+	for _, s := range g.starts {
+		switch {
+		case param[s]:
 			if terms == nil {
 				terms = newTraversal[termSets](g, alg)
 			}
@@ -392,22 +430,10 @@ func AnalyzeAnalytic(d *netlist.Design, maxTerms int) (map[string]*SiteTerms, []
 				}
 				*u = v
 			})
-			continue
+		case meet[s]:
+			wc.sweep(s)
+			wc.pins(foldConst)
 		}
-		if wc == nil {
-			wc = newTraversal[tick.Range](g, ticks{})
-		}
-		wc.sweep(s)
-		wc.pins(func(pin *endPin) {
-			r, u := wc.at(pin), &union[pin.slot]
-			if u.late.terms == nil {
-				ts := []Term{{Const: r.Max}, {Const: r.Min}}
-				*u = termSets{late: termSet{terms: ts[:1:1], exact: true}, early: termSet{terms: ts[1:], exact: true}}
-				return
-			}
-			alg.joinConst(&u.late, r.Max, true)
-			alg.joinConst(&u.early, r.Min, false)
-		})
 	}
 	out := make(map[string]*SiteTerms, len(union))
 	for slot, v := range union {

@@ -291,37 +291,63 @@ func DefaultDistStep(period tick.Time) tick.Time {
 // no distribution.  A distribution the answer needs that would have more
 // than maxSupport grid points is a Limit error.
 //
-// It runs in two passes.  The worst-case instance sweeps every start and
-// picks each label's critical (start, pin) pair; the quadrature then
-// sweeps only those starts and extends only the winning pins, so a start
-// that is critical for no pin is never priced.
+// One sweep of the critical-start instance, seeded at every start,
+// picks each label's critical (start, pin) pair.  Then each picked start
+// is swept twice: by the worst-case instance, which gives WCMin and
+// WCMax and marks the nets on a path to the start's picked pins, and by
+// the quadrature over those nets alone.  A start that is critical for
+// no pin, and a hop that leads to none of its start's picked pins, is
+// never priced.
 func AnalyzeDist(d *netlist.Design, step tick.Time) (map[string]SiteDist, []string, error) {
 	if step <= 0 {
 		step = DefaultDistStep(d.Period)
 	}
 	g := buildGraph(d)
-	crit := make([]critical, len(g.labels))
-	newTraversal[tick.Range](g, ticks{}).fold(func(s int32, pin *endPin, v tick.Range) {
-		if cur := &crit[pin.slot]; cur.pin == nil || v.Max > cur.wc.Max || (v.Max == cur.wc.Max && d.Nets[s].Name < d.Nets[cur.start].Name) {
-			*cur = critical{start: s, pin: pin, wc: v}
+	byName, rank := g.startRanks(d)
+	crit := newTraversal[latest](g, latestStart{})
+	for _, s := range g.starts {
+		crit.seed(s, latest{rank: rank[s]})
+	}
+	crit.run()
+	picks := make([]critical, len(g.labels))
+	crit.pins(func(pin *endPin) {
+		if v, cur := crit.at(pin), &picks[pin.slot]; cur.pin == nil || v.after(latest{max: cur.wc.Max, rank: rank[cur.start]}) {
+			*cur = critical{start: byName[v.rank], pin: pin, wc: tick.Range{Max: v.max}}
 		}
 	})
 	// A label no start reaches has no pick.
-	picks := slices.DeleteFunc(crit, func(c critical) bool { return c.pin == nil })
+	picks = slices.DeleteFunc(picks, func(c critical) bool { return c.pin == nil })
 	slices.SortFunc(picks, func(a, b critical) int { return cmp.Compare(a.start, b.start) })
 
+	wc := newTraversal[tick.Range](g, ticks{})
 	alg := &distAlgebra{step: step, ranges: make(map[tick.Range]Dist)}
 	t := newTraversal[arrival](g, alg)
+	t.live = make([]bool, len(g.adj))
 	out := make(map[string]SiteDist, len(picks))
-	for i, c := range picks {
-		if i == 0 || c.start != picks[i-1].start {
-			t.sweep(c.start)
+	for len(picks) > 0 {
+		s, n := picks[0].start, 1
+		for n < len(picks) && picks[n].start == s {
+			n++
 		}
-		v := t.at(c.pin)
-		if alg.err != nil {
-			return nil, nil, alg.err
+		// Every hop into a live net from the start's cone is live, so
+		// each live net sees the joins of the whole cone in their order.
+		wc.sweep(s)
+		for _, c := range picks[:n] {
+			t.live[c.pin.net] = true
 		}
-		out[c.pin.label] = SiteDist{From: d.Nets[c.start].Name, To: c.pin.label, WCMin: c.wc.Min, WCMax: c.wc.Max, Late: v.late, Early: v.early}
+		g.markBack(wc.extended, t.live)
+		t.sweep(s)
+		for _, c := range picks[:n] {
+			v, r := t.at(c.pin), wc.at(c.pin)
+			if alg.err != nil {
+				return nil, nil, alg.err
+			}
+			out[c.pin.label] = SiteDist{From: d.Nets[s].Name, To: c.pin.label, WCMin: r.Min, WCMax: r.Max, Late: v.late, Early: v.early}
+		}
+		for _, net := range wc.touched {
+			t.live[net] = false
+		}
+		picks = picks[n:]
 	}
 	return out, g.loops, nil
 }
@@ -332,6 +358,36 @@ type critical struct {
 	start int32
 	pin   *endPin
 	wc    tick.Range
+}
+
+// latest is the critical-start instance's value at a net: the latest
+// arrival of the paths reaching it, and the name rank of the start they
+// leave from, the lowest among starts whose paths tie.
+type latest struct {
+	max  tick.Time
+	rank int32
+}
+
+// after reports whether v is the later key: the larger arrival, then
+// the lower rank.
+func (v latest) after(w latest) bool { return v.max > w.max || v.max == w.max && v.rank < w.rank }
+
+// latestStart is the critical-start instance.  Adding a hop's delay
+// keeps the order after compares, so a sweep seeded at every start with
+// (0, its rank) values each net at the latest key over every (start,
+// path) pair, which is the largest WCMax and then the lowest start name.
+// Its sweeps are seeded; start is never called.
+type latestStart struct{}
+
+func (latestStart) start() latest { return latest{} }
+func (latestStart) extend(v latest, e edge) latest {
+	return latest{max: v.max + e.delay.Max, rank: v.rank}
+}
+func (latestStart) join(dst, v latest) latest {
+	if v.after(dst) {
+		return v
+	}
+	return dst
 }
 
 // maxSupport caps the grid points of any one arrival distribution, so a

@@ -301,6 +301,44 @@ func TestAnalyzeDistCriticalStart(t *testing.T) {
 	})
 }
 
+// TestAnalyzeDistLiveHops: the quadrature sweep of a picked start
+// prices only the hops on a path to that start's picked pins.  IN is
+// critical for REG:D; its hop through WIDE, whose range needs more than
+// maxSupport points, leads only to REG2:D.  While SLOW is critical for
+// REG2:D, that hop is never priced and the design prices; once IN is
+// critical there too, the hop is on a picked path: a Limit error.
+func TestAnalyzeDistLiveHops(t *testing.T) {
+	wideHop := func(slow tick.Range) *netlist.Design {
+		b := netlist.NewBuilder("wide hop")
+		b.SetPeriod(100 * tick.NS)
+		b.SetDefaultWire(tick.Range{})
+		ck := netlist.Conn{Net: b.Net("CK .P40-60")}
+		in, slowIn := b.Net("IN .S0-50"), b.Net("SLOW .S0-50")
+		x, y, w, z := b.Net("X"), b.Net("Y"), b.Net("W"), b.Net("Z")
+		b.Buf("B1", tick.R(1, 2), []netlist.NetID{x}, netlist.Conns(in))
+		b.Register("REG", tick.R(1, 2), []netlist.NetID{b.Net("Q")}, ck, netlist.Conns(x))
+		b.Buf("WIDE", tick.R(0, 30000), []netlist.NetID{y}, netlist.Conns(in))
+		b.Buf("BS", slow, []netlist.NetID{w}, netlist.Conns(slowIn))
+		b.Gate(netlist.KOr, "JOIN", tick.R(1, 1), []netlist.NetID{z}, netlist.Conns(y), netlist.Conns(w))
+		b.Register("REG2", tick.R(1, 2), []netlist.NetID{b.Net("Q2")}, ck, netlist.Conns(z))
+		return b.MustBuild()
+	}
+	t.Run("off every picked path", func(t *testing.T) {
+		sites, sd := statSite(t, wideHop(tick.R(40000, 40000)), "REG:D")
+		if sd.From != "IN .S0-50" || sd.WCMin != ns(1) || sd.WCMax != ns(2) {
+			t.Errorf("REG:D from %q [%v,%v], want IN .S0-50 [1.0,2.0]", sd.From, sd.WCMin, sd.WCMax)
+		}
+		if sd := sites["REG2:D"]; sd.From != "SLOW .S0-50" || sd.WCMax != ns(40001) || len(sd.Late.P) != 1 {
+			t.Errorf("REG2:D from %q WCMax %v with %d late points, want SLOW .S0-50 at 40001.0 as one point", sd.From, sd.WCMax, len(sd.Late.P))
+		}
+	})
+	t.Run("on a picked path", func(t *testing.T) {
+		if _, _, err := AnalyzeDist(wideHop(tick.R(20000, 20000)), 0); !errors.Is(err, serr.Sentinel(serr.Limit)) {
+			t.Errorf("with IN critical for REG2:D: err = %v, want a Limit error", err)
+		}
+	})
+}
+
 // statChain builds IN -> buf(r1) -> buf(r2) -> buf(r3) -> REG.D so the
 // register input terminates one path with the given delay ranges.
 func statChain(t *testing.T, rs ...tick.Range) *netlist.Design {

@@ -432,6 +432,46 @@ buf OUT delay=(1.0,1.0) (Z4) -> (W)
 setuphold CHK4 setup=4.0 hold=1.0 (W, "CK .P4-6")
 `
 
+// orderSource has a constant start A after parametric starts P and Q in
+// net order, all four paths joining in one or before a checker.  P's two
+// late terms cross, Q's dominates both, and A's 8 ns stays beside Q's.
+// At a cap of two terms the late set is exactly {Q, 8.0} only when A
+// joins after P and Q, as the start order has it: joined first, A's
+// constant meets P's two terms, and the cap truncates them.
+const orderSource = `design ORDER
+period 50ns
+clockunit 6.25ns
+defaultwire 0ns 0ns
+param load = 1.0 range 0.5 3.5
+buf P1 delay=(1.0+0.5*load, 2.0+3.0*load) ("P .S0-7") -> (Y1)
+buf P2 delay=(0.5+0.5*load, 1.0+3.5*load) ("P .S0-7") -> (Y2)
+buf Q1 delay=(2.0+0.5*load, 4.0+3.5*load) ("Q .S0-7") -> (Y3)
+buf A1 delay=(8.0,8.0) ("A .S0-7") -> (XA)
+or J delay=(0.0,0.0) (Y1, Y2, Y3, XA) -> (Z)
+setuphold CHK setup=4.0 hold=1.0 (Z, "CK .P4-6")
+`
+
+// wiredSource ties a gate and a register onto each of the nets N and
+// N2.  The registers are declared last, so each net is a start as well
+// as a hop output.  N feeds a checker that parametric paths reach, N2
+// one that only constant paths reach.
+const wiredSource = `design WIRED
+period 50ns
+clockunit 6.25ns
+defaultwire 0ns 0.5ns
+wiredor
+param load = 1.0 range 0.5 3.5
+and G delay=(1.0+0.5*load, 2.0+1.0*load) ("A .S0-7", "B .S0-7") -> (N)
+buf C delay=(4.0,6.0) ("E .S0-7") -> (M)
+or J delay=(1.0,1.5) (N, M) -> (Z)
+setuphold CHK setup=4.0 hold=1.0 (Z, "CK .P4-6")
+buf G2 delay=(2.0,3.0) ("F .S0-7") -> (N2)
+buf C2 delay=(1.0,4.0) (N2) -> (Z2)
+setuphold CHK2 setup=4.0 hold=1.0 (Z2, "CK .P4-6")
+reg R delay=(1.0,2.0) ("CK .P4-6", "D .S0-7") -> (N)
+reg R2 delay=(0.5,1.0) ("CK .P4-6", "D .S0-7") -> (N2)
+`
+
 func compileSource(t testing.TB, src string) *netlist.Design {
 	t.Helper()
 	f, err := hdl.Parse(src)
@@ -449,7 +489,10 @@ func compileSource(t testing.TB, src string) *netlist.Design {
 // the quadrature distributions and the term sets to equal the
 // edge-level oracle's on every corpus design, and on a design where a
 // constant start meets a multi-term set, at the default term cap and at
-// a cap of one term, where sets truncate and turn inexact.
+// a cap of one term, where sets truncate and turn inexact.  Two more
+// designs are checked at caps 0, 1 and 2: one where the order in which
+// a constant start joins parametric terms decides truncation, and one
+// where a start is also a hop output.
 func TestPathAlgebraMatchesEdgeOracle(t *testing.T) {
 	for _, cd := range corpus(t) {
 		checkAgainstOracle(t, cd.name, cd.d, 0)
@@ -457,6 +500,32 @@ func TestPathAlgebraMatchesEdgeOracle(t *testing.T) {
 	d := compileSource(t, reconvergeSource)
 	checkAgainstOracle(t, "reconverge", d, 0)
 	checkAgainstOracle(t, "reconverge/maxterms=1", d, 1)
+	order, wired := compileSource(t, orderSource), compileSource(t, wiredSource)
+	for _, maxTerms := range []int{0, 1, 2} {
+		checkAgainstOracle(t, fmt.Sprintf("order/maxterms=%d", maxTerms), order, maxTerms)
+		checkAgainstOracle(t, fmt.Sprintf("wired/maxterms=%d", maxTerms), wired, maxTerms)
+	}
+
+	// The order design does what its comment says: A comes after P and
+	// Q, and at two terms the late set is Q's term and A's constant,
+	// exact.
+	if !startsInOrder(order, "P .S0-7", "Q .S0-7", "A .S0-7") {
+		t.Errorf("order: want starts P, Q, A in net order")
+	}
+	ot, _ := AnalyzeAnalytic(order, 2)
+	if st := ot["CHK:I"]; st == nil || !st.LateExact || len(st.Late) != 2 || len(st.Late[0].Counts) != 1 || st.Late[1].Const != ns(8) || len(st.Late[1].Counts) != 0 {
+		t.Errorf("order CHK:I at two terms: want the exact late set {Q1, 8.0}, got %+v", st)
+	}
+	// Each wired net is a start and a hop output.
+	wg := buildGraph(wired)
+	for _, name := range []string{"N", "N2"} {
+		n := slices.IndexFunc(wired.Nets, func(x netlist.Net) bool { return x.Name == name })
+		if !slices.Contains(wg.starts, int32(n)) || !slices.ContainsFunc(wg.adj, func(hs []hop) bool {
+			return slices.ContainsFunc(hs, func(h hop) bool { return slices.Contains(wg.outs[h.lo:h.hi], int32(n)) })
+		}) {
+			t.Errorf("wired: %s is not both a start and a hop output", name)
+		}
+	}
 
 	// The design does what its comment says: P's terms reach both pins,
 	// the cap of one truncates them, and D's late arrival carries PD.
@@ -479,6 +548,18 @@ func TestPathAlgebraMatchesEdgeOracle(t *testing.T) {
 	if st := capped["CHK2:I"]; st == nil || st.LateExact || st.EarlyExact {
 		t.Errorf("CHK2:I at one term: want both sides inexact, got %+v", st)
 	}
+}
+
+// startsInOrder reports whether the named nets are starts of d in the
+// given net order.
+func startsInOrder(d *netlist.Design, names ...string) bool {
+	var got []string
+	for _, s := range buildGraph(d).starts {
+		if slices.Contains(names, d.Nets[s].Name) {
+			got = append(got, d.Nets[s].Name)
+		}
+	}
+	return slices.Equal(got, names)
 }
 
 // paramTail appends to a generated design's source, per stage, a

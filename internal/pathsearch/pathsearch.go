@@ -12,9 +12,11 @@
 package pathsearch
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"scaldtv/internal/netlist"
 	"scaldtv/internal/tick"
@@ -247,53 +249,104 @@ type pathAlgebra[V any] interface {
 // only its sources' cone: it extends the nets it has reached in rank
 // order, taken from a min-heap, so it pays one extend per hop and one
 // join per hop output of the cone, plus a heap step per net, and before
-// the next sweep it resets only the nets it touched.
+// the next sweep it resets only the nets it touched.  With a live mask,
+// a sweep reaches no net outside it but its sources: it extends only a
+// hop with a live output, and joins only into live outputs.
 type traversal[V any] struct {
-	g       *graph
-	alg     pathAlgebra[V]
-	val     []V
-	reached []bool
-	touched []int32 // nets the last sweep reached, in the order it reached them
-	heap    []int32 // ranks of reached nets the sweep has yet to extend
-	endNets []int32 // pins' scratch: the touched nets that feed end pins
+	g        *graph
+	alg      pathAlgebra[V]
+	val      []V
+	reached  []bool
+	live     []bool  // nil, or the nets a sweep may reach
+	touched  []int32 // nets the last sweep reached, in the order it reached them
+	extended []int32 // nets the last sweep extended, in rank order
+	heap     []int32 // ranks of reached nets the sweep has yet to extend
+	endNets  []int32 // pins' scratch: the touched nets that feed end pins
 }
 
 func newTraversal[V any](g *graph, alg pathAlgebra[V]) *traversal[V] {
 	n := len(g.adj)
 	// A sweep touches each net at most once, so no list outgrows n.
-	nets := make([]int32, 3*n)
+	nets := make([]int32, 4*n)
 	return &traversal[V]{g: g, alg: alg, val: make([]V, n), reached: make([]bool, n),
-		touched: nets[:0:n], heap: nets[n : n : 2*n], endNets: nets[2*n : 2*n]}
+		touched: nets[:0:n], extended: nets[n : n : 2*n], heap: nets[2*n : 2*n : 3*n], endNets: nets[3*n : 3*n]}
 }
 
 // sweep values every net reachable from the sources over all the paths
 // that reach it.  A source listed twice is valued once.  A net on a
 // combinational loop has no rank and is never extended.
 func (t *traversal[V]) sweep(sources ...int32) {
+	t.reset()
+	for _, s := range sources {
+		if !t.reached[s] {
+			t.seed(s, t.alg.start())
+		}
+	}
+	t.run()
+}
+
+// reset forgets the last sweep, clearing only the nets it touched.
+func (t *traversal[V]) reset() {
 	var zero V
 	for _, n := range t.touched {
 		t.val[n], t.reached[n] = zero, false
 	}
-	t.touched = t.touched[:0]
-	for _, s := range sources {
-		if !t.reached[s] {
-			t.val[s] = t.alg.start()
-			t.reach(s)
-		}
-	}
+	t.touched, t.extended = t.touched[:0], t.extended[:0]
+}
+
+// seed values the unreached source s at v; run then sweeps from every
+// seeded source at once.
+func (t *traversal[V]) seed(s int32, v V) {
+	t.val[s] = v
+	t.reach(s)
+}
+
+// run extends the reached nets in rank order until none is left.
+func (t *traversal[V]) run() {
 	for len(t.heap) > 0 {
 		u := t.g.order[t.pop()]
+		t.extended = append(t.extended, u)
 		for i := range t.g.adj[u] {
 			h := &t.g.adj[u][i]
+			outs := t.g.outs[h.lo:h.hi]
+			if t.live != nil && !anyMarked(t.live, outs) {
+				continue
+			}
 			v := t.alg.extend(t.val[u], h.edge)
-			for _, o := range t.g.outs[h.lo:h.hi] {
-				if t.reached[o] {
+			for _, o := range outs {
+				switch {
+				case t.live != nil && !t.live[o]:
+				case t.reached[o]:
 					t.val[o] = t.alg.join(t.val[o], v)
-				} else {
+				default:
 					t.val[o] = v
 					t.reach(o)
 				}
 			}
+		}
+	}
+}
+
+// anyMarked reports whether any of nets is marked.
+func anyMarked(marked []bool, nets []int32) bool {
+	for _, n := range nets {
+		if marked[n] {
+			return true
+		}
+	}
+	return false
+}
+
+// markBack walks nets, given in rank order, backwards and marks each net
+// with a hop into a marked net.  Given the nets a sweep extended, or the
+// whole order, it marks every net of that sweep, or of the graph, on a
+// path to a net marked before; a net on a loop is never extended, so no
+// path goes on from it.
+func (g *graph) markBack(nets []int32, marked []bool) {
+	for i := len(nets) - 1; i >= 0; i-- {
+		u := nets[i]
+		if !marked[u] && slices.ContainsFunc(g.adj[u], func(h hop) bool { return anyMarked(marked, g.outs[h.lo:h.hi]) }) {
+			marked[u] = true
 		}
 	}
 }
@@ -386,23 +439,57 @@ func (ticks) join(dst, v tick.Range) tick.Range {
 	return tick.Range{Min: min(dst.Min, v.Min), Max: max(dst.Max, v.Max)}
 }
 
-// Analyze searches every combinational path of the design.
+// Analyze searches every combinational path of the design.  Its
+// endpoints come latest first, then by start name and end-pin label:
+// sorted as integer keys, by the rank of each name, and built once at
+// their final size.
 func Analyze(d *netlist.Design) (*Analysis, error) {
 	g := buildGraph(d)
-	a := &Analysis{CombLoops: g.loops}
+	byName, rank := g.startRanks(d)
+	labels := make([]int32, len(g.labels))
+	for i := range labels {
+		labels[i] = int32(i)
+	}
+	slices.SortFunc(labels, func(a, b int32) int { return strings.Compare(g.labels[a], g.labels[b]) })
+	labelRank := make([]int32, len(g.labels))
+	for r, slot := range labels {
+		labelRank[slot] = int32(r)
+	}
+	type key struct {
+		wc       tick.Range
+		from, to int32 // name ranks of the start and the label
+	}
+	var keys []key
 	newTraversal[tick.Range](g, ticks{}).fold(func(s int32, pin *endPin, v tick.Range) {
-		a.Endpoints = append(a.Endpoints, Endpoint{From: d.Nets[s].Name, To: pin.label, Min: v.Min, Max: v.Max})
+		keys = append(keys, key{wc: v, from: rank[s], to: labelRank[pin.slot]})
 	})
-	sort.Slice(a.Endpoints, func(i, j int) bool {
-		if a.Endpoints[i].Max != a.Endpoints[j].Max {
-			return a.Endpoints[i].Max > a.Endpoints[j].Max
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.wc.Max != b.wc.Max {
+			return cmp.Compare(b.wc.Max, a.wc.Max)
 		}
-		if a.Endpoints[i].From != a.Endpoints[j].From {
-			return a.Endpoints[i].From < a.Endpoints[j].From
+		if a.from != b.from {
+			return cmp.Compare(a.from, b.from)
 		}
-		return a.Endpoints[i].To < a.Endpoints[j].To
+		return cmp.Compare(a.to, b.to)
 	})
+	a := &Analysis{Endpoints: make([]Endpoint, len(keys)), CombLoops: g.loops}
+	for i, k := range keys {
+		a.Endpoints[i] = Endpoint{From: d.Nets[byName[k.from]].Name, To: g.labels[labels[k.to]], Min: k.wc.Min, Max: k.wc.Max}
+	}
 	return a, nil
+}
+
+// startRanks orders the starts by name: byName[r] is the start of rank
+// r, and rank[s] is start s's rank.  Net names are unique, so the name
+// order is strict.
+func (g *graph) startRanks(d *netlist.Design) (byName, rank []int32) {
+	byName = slices.Clone(g.starts)
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(d.Nets[a].Name, d.Nets[b].Name) })
+	rank = make([]int32, len(g.adj))
+	for r, s := range byName {
+		rank[s] = int32(r)
+	}
+	return byName, rank
 }
 
 // topoOrder computes a topological order over the combinational hops,
