@@ -290,12 +290,13 @@ func BenchmarkFig26_CaseAnalysis(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelCases compares the sequential case schedule (1 worker,
-// incremental cone reevaluation) against the concurrent snapshot-per-case
-// engine on an 8-case generated design.  On a multi-core host the worker
-// pool amortises the full-relaxation cost across CPUs; on a single CPU the
-// sequential schedule's smaller total work wins, which is why Workers == 1
-// remains a supported configuration.
+// BenchmarkParallelCases runs an 8-case generated design at 1, 2, 4 and 8
+// workers.  Each worker runs a contiguous range of cases as one chain:
+// the range's first case relaxes the whole circuit and each later case
+// reevaluates only its cone, so prim-evals grow with the number of ranges
+// (one full relaxation each) and wall time falls with the CPUs that run
+// them.  CI's case-schedule work gate reads prim-evals at workers=2
+// against workers=8.
 func BenchmarkParallelCases(b *testing.B) {
 	d, _, err := gen.Generate(gen.Config{Chips: 510, Cases: 8})
 	if err != nil {

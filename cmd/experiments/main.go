@@ -136,15 +136,15 @@ func main() {
 		if j <= 1 {
 			j = 0 // GOMAXPROCS: the interesting configuration for this claim
 		}
-		fmt.Println("==== Concurrent case evaluation: wall-clock vs the sequential schedule ====")
+		fmt.Println("==== Concurrent case evaluation: wall-clock vs one case chain ====")
 		fmt.Println()
 		r, err := experiments.RunParallelSpeedup(510, 8, j)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("  %d chips, %d cases\n", r.Chips, r.Cases)
-		fmt.Printf("  sequential (1 worker, incremental cones): %10v wall, %8d prim evals\n", r.SeqWall, r.SeqEvals)
-		fmt.Printf("  concurrent (%d workers, full per case):   %10v wall, %8d prim evals\n", r.Workers, r.ParWall, r.ParEvals)
+		fmt.Printf("  1 worker (one chain):                 %10v wall, %8d prim evals\n", r.SeqWall, r.SeqEvals)
+		fmt.Printf("  %d workers (one chain per case range): %10v wall, %8d prim evals\n", r.Workers, r.ParWall, r.ParEvals)
 		fmt.Printf("  wall-clock speedup: %.2fx (reports verified identical)\n", r.Speedup())
 		fmt.Println()
 	}

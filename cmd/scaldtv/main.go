@@ -24,7 +24,8 @@
 //	              margin surface over the declared parameter box
 //	-param n=v    bind design parameter n to value v for the analytic
 //	              model (repeatable; implies -delays=analytic)
-//	-j n          case-evaluation workers (0 = one per CPU, 1 = sequential)
+//	-j n          case-evaluation workers (0 = one per CPU); each worker
+//	              runs a contiguous range of cases as one chain
 //	-watch        stay running and re-verify on every save; parameter-only
 //	              edits reverify just the dirty cone incrementally
 //	-store dir    persist the reports of converged runs in a
@@ -100,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	slack := fs.Int("slack", 0, "print the N most critical constraint margins with a cycle-time estimate")
 	minPeriod := fs.Bool("minperiod", false, "bisect for the shortest clean clock period (§1.1) and exit")
 	sectionsFlag := fs.Bool("sections", false, "verify each file as an independent section and cross-check interface assertions (§2.5.2)")
-	workers := fs.Int("j", 0, "case-evaluation workers: 0 = one per CPU, 1 = sequential with incremental cone reuse")
+	workers := fs.Int("j", 0, "case-evaluation workers (0 = one per CPU); each worker runs a contiguous range of cases as one chain with incremental cone reuse")
 	watchFlag := fs.Bool("watch", false, "re-verify on every save, reusing converged waveforms for parameter-only edits")
 	storeDir := fs.String("store", "", "persist converged runs in this content-addressed cache directory")
 	storeMax := fs.Int64("store-max", 0, "store size budget in bytes (0 = the 256 MiB default)")

@@ -192,27 +192,25 @@ func (c *Coordinator) Verify(ctx context.Context, src string, opts verify.Option
 	healthy := c.healthyList()
 	// Sharding is adaptive to load.  Splitting one run's cases across
 	// workers cuts its latency, but each partition re-pays the
-	// first-case relaxation the sequential schedule would have
+	// first-case relaxation that one case chain would have
 	// amortized — so under concurrent load (at least one run per
 	// worker already in flight), runs ship whole to their ring owner
 	// instead: full incremental case chain, warm per-design caches,
 	// and throughput that scales with worker count.  An idle cluster
 	// still fans a lone run out for latency.  Report bytes are
 	// identical either way.
-	k := len(healthy) / load
-	if k > total {
-		k = total
-	}
-	if opts.Explore || k <= 1 || total == 1 {
+	ranges := verify.CaseRanges(total, len(healthy)/load)
+	if opts.Explore || len(ranges) == 1 {
 		// One shard (or an indivisible explore run): ship whole, pinned
 		// to the ring owner so repeat traffic finds the design compiled
 		// and the store warm.
 		jobs = []*SubJob{{ID: c.jobID(key, 0), Source: src, Opts: WireOptions(opts)}}
 		assigned = []int{owner}
 	} else {
-		// Contiguous balanced ranges in declared case order; partition i
-		// starts at the ring owner and walks the healthy list, so a
-		// design's partitions spread while staying stable run to run.
+		// The case schedule's contiguous ranges in declared case order;
+		// partition i starts at the ring owner and walks the healthy
+		// list, so a design's partitions spread while staying stable run
+		// to run.
 		ownerPos := 0
 		for i, w := range healthy {
 			if w == owner {
@@ -220,21 +218,15 @@ func (c *Coordinator) Verify(ctx context.Context, src string, opts verify.Option
 				break
 			}
 		}
-		lo := 0
-		for i := 0; i < k; i++ {
-			size := total / k
-			if i < total%k {
-				size++
-			}
+		for i, cr := range ranges {
 			jobs = append(jobs, &SubJob{
 				ID:     c.jobID(key, i),
 				Source: src,
-				CaseLo: lo,
-				CaseHi: lo + size,
+				CaseLo: cr[0],
+				CaseHi: cr[1],
 				Opts:   WireOptions(opts),
 			})
 			assigned = append(assigned, healthy[(ownerPos+i)%len(healthy)])
-			lo += size
 		}
 	}
 

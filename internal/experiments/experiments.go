@@ -97,9 +97,9 @@ type CaseIncrement struct {
 }
 
 // RunCaseIncrement verifies a generated design with two cases over the
-// stage control signal.  Workers is pinned to 1: the claim under test is
-// the sequential schedule's incremental cone reevaluation, which the
-// concurrent snapshot-per-case schedule deliberately trades away.
+// stage control signal.  Workers is pinned to 1 so both cases run in one
+// chain: the claim under test is the second case's incremental cone
+// reevaluation, which a case that opens a range of its own does not get.
 func RunCaseIncrement(chips int) (*CaseIncrement, error) {
 	d, _, err := gen.Generate(gen.Config{Chips: chips, Cases: 2})
 	if err != nil {
@@ -117,11 +117,13 @@ func RunCaseIncrement(chips int) (*CaseIncrement, error) {
 	}, nil
 }
 
-// ParallelSpeedup compares the sequential case schedule against the
-// concurrent snapshot-per-case engine on a multi-case generated design.
-// The sequential run reevaluates cones incrementally and so does less
-// total work; the concurrent run trades that for wall-clock parallelism
-// across cases (Table 3-1 shows cases dominating runtime at scale).
+// ParallelSpeedup compares one chain of every case (Workers=1) against
+// several workers, each running a contiguous range of cases as one chain,
+// on a multi-case generated design.  Every range pays one full first-case
+// relaxation and then reevaluates cones incrementally, so the concurrent
+// run does somewhat more total work in exchange for wall-clock
+// parallelism across cases (Table 3-1 shows cases dominating runtime at
+// scale).
 type ParallelSpeedup struct {
 	Chips   int
 	Cases   int
@@ -130,12 +132,12 @@ type ParallelSpeedup struct {
 	SeqWall time.Duration // Workers=1 wall-clock of the case phase
 	ParWall time.Duration // Workers=N wall-clock of the case phase
 
-	SeqEvals int // total primitive evaluations, sequential (incremental)
-	ParEvals int // total primitive evaluations, concurrent (full per case)
+	SeqEvals int // total primitive evaluations, one chain
+	ParEvals int // total primitive evaluations, one chain per case range
 }
 
-// Speedup is the sequential/concurrent wall-clock ratio (>1 means the
-// worker pool won).
+// Speedup is the one-chain/concurrent wall-clock ratio (>1 means the
+// concurrent case ranges won).
 func (p *ParallelSpeedup) Speedup() float64 {
 	if p.ParWall == 0 {
 		return 0
@@ -144,7 +146,7 @@ func (p *ParallelSpeedup) Speedup() float64 {
 }
 
 // RunParallelSpeedup verifies one generated design with Workers=1 and
-// Workers=workers and reports both schedules' cost.  The reports are
+// Workers=workers and reports both runs' cost.  The reports are
 // verified identical before timings are trusted.
 func RunParallelSpeedup(chips, cases, workers int) (*ParallelSpeedup, error) {
 	d, _, err := gen.Generate(gen.Config{Chips: chips, Cases: cases})

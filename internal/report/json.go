@@ -97,10 +97,10 @@ type jsonExploreCandidate struct {
 // before interpreting the rest of the document.
 //
 // Version 1 added the schema and case_labels fields and removed the
-// events counter: per-case event totals depend on the case schedule
-// (sequential runs relax later cases incrementally, concurrent runs relax
-// each from scratch), so including them broke the byte-determinism of the
-// report across Options.Workers settings.  Everything emitted now is
+// events counter: per-case event totals depend on the case schedule (a
+// case that opens a worker's case range relaxes the whole circuit, a later
+// case only its cone), so including them broke the byte-determinism of
+// the report across Options.Workers settings.  Everything emitted now is
 // bit-identical for every Workers setting — the contract the scaldtvd
 // service relies on.
 //

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scaldtv/internal/gen"
@@ -118,7 +119,7 @@ func sameReports(t *testing.T, tag string, a, b *Result) {
 
 // TestParallelDeterminism: the same multi-case design verified with 1, 2
 // and 8 workers produces identical reports.  Run with -race to exercise
-// the worker pool.
+// the concurrent case ranges.
 func TestParallelDeterminism(t *testing.T) {
 	d := buildMultiCase(t, 8)
 	opts := func(w int) Options { return Options{Workers: w, KeepWaves: true, Margins: true} }
@@ -136,21 +137,41 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		sameReports(t, fmt.Sprintf("workers=1 vs %d", w), base, res)
 	}
-	// Between concurrent runs the schedule is snapshot-per-case no matter
-	// the worker count, so even the work counters must agree exactly.
-	r2, err := Run(d, opts(2))
+	// Each worker runs a contiguous range of cases as one chain, so the
+	// work counters follow the range rule: a case that opens its range
+	// reports a one-case run of itself, every other case what the
+	// one-worker chain reports for it.
+	gd, _, err := gen.Generate(gen.Config{Chips: 102, Cases: 4, Inject: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Run(d, opts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReports(t, "workers=2 vs 8", r2, r8)
-	for i := range r2.Cases {
-		if r2.Cases[i].Events != r8.Cases[i].Events || r2.Cases[i].PrimEvals != r8.Cases[i].PrimEvals {
-			t.Errorf("case %d work counters differ between worker counts: %+v vs %+v",
-				i, r2.Cases[i], r8.Cases[i])
+	for name, d := range map[string]*netlist.Design{"multicase": d, "generated": gd} {
+		chain, err := Run(d, opts(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 3, 8} {
+			res, err := Run(d, opts(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cr := range CaseRanges(len(d.Cases), w) {
+				for ci := cr[0]; ci < cr[1]; ci++ {
+					want := chain.Cases[ci]
+					if ci == cr[0] {
+						alone, err := Run(d.WithCases(d.Cases[ci:ci+1]), opts(1))
+						if err != nil {
+							t.Fatal(err)
+						}
+						want = alone.Cases[0]
+					}
+					got := res.Cases[ci]
+					if got.Events != want.Events || got.PrimEvals != want.PrimEvals {
+						t.Errorf("%s workers=%d case %d (range [%d,%d)): %d events, %d prim evals; want %d, %d",
+							name, w, ci, cr[0], cr[1], got.Events, got.PrimEvals, want.Events, want.PrimEvals)
+					}
+				}
+			}
 		}
 	}
 }
@@ -212,17 +233,64 @@ func TestViolationCaseOrdering(t *testing.T) {
 }
 
 // TestParallelCaseError: an invalid case mapping is reported as an error
-// under both schedules, and the error is the first by case order.
+// at every worker count, and the error is the first by case order: each
+// range stops at its own first error, and the merge reports the earliest.
 func TestParallelCaseError(t *testing.T) {
 	b := netlist.NewBuilder("badcase-par")
 	b.SetPeriod(50 * tick.NS)
 	b.Net("A .S0-50")
 	b.AddCase("ok", netlist.Assign("A", values.V0))
-	b.AddCase("bad", netlist.Assign("NO SUCH SIGNAL", values.V0))
+	b.AddCase("bad", netlist.Assign("FIRST MISSING", values.V0))
+	b.AddCase("ok again", netlist.Assign("A", values.V1))
+	b.AddCase("worse", netlist.Assign("SECOND MISSING", values.V0))
 	d := b.MustBuild()
-	for _, w := range []int{1, 4} {
-		if _, err := Run(d, Options{Workers: w}); err == nil {
+	for _, w := range []int{1, 2, 4} {
+		_, err := Run(d, Options{Workers: w})
+		if err == nil {
 			t.Errorf("workers=%d: case naming an unknown signal should fail", w)
+		} else if !strings.Contains(err.Error(), "FIRST MISSING") {
+			t.Errorf("workers=%d: error %q does not name case 1's signal", w, err)
+		}
+	}
+}
+
+// TestCaseRanges: the split is in order, contiguous and covers [0, n);
+// range lengths differ by at most one, longer ranges first.
+func TestCaseRanges(t *testing.T) {
+	for _, tc := range []struct {
+		n, k int
+		want [][2]int
+	}{
+		{n: 5, k: 0, want: [][2]int{{0, 5}}},
+		{n: 5, k: -3, want: [][2]int{{0, 5}}},
+		{n: 1, k: 1, want: [][2]int{{0, 1}}},
+		{n: 1, k: 4, want: [][2]int{{0, 1}}},
+		{n: 3, k: 8, want: [][2]int{{0, 1}, {1, 2}, {2, 3}}},
+		{n: 8, k: 2, want: [][2]int{{0, 4}, {4, 8}}},
+		{n: 8, k: 3, want: [][2]int{{0, 3}, {3, 6}, {6, 8}}},
+		{n: 7, k: 5, want: [][2]int{{0, 2}, {2, 4}, {4, 5}, {5, 6}, {6, 7}}},
+	} {
+		if got := CaseRanges(tc.n, tc.k); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("CaseRanges(%d, %d) = %v, want %v", tc.n, tc.k, got, tc.want)
+		}
+	}
+	for n := 1; n <= 20; n++ {
+		for k := -1; k <= n+2; k++ {
+			ranges := CaseRanges(n, k)
+			if want := max(1, min(k, n)); len(ranges) != want {
+				t.Fatalf("CaseRanges(%d, %d): %d ranges, want %d", n, k, len(ranges), want)
+			}
+			lo, prev := 0, n+1
+			for _, r := range ranges {
+				size := r[1] - r[0]
+				if r[0] != lo || size < 1 || size > prev || size < n/len(ranges) || size > n/len(ranges)+1 {
+					t.Fatalf("CaseRanges(%d, %d) = %v: not contiguous, ordered and balanced", n, k, ranges)
+				}
+				lo, prev = r[1], size
+			}
+			if lo != n {
+				t.Fatalf("CaseRanges(%d, %d) = %v does not cover [0, %d)", n, k, ranges, n)
+			}
 		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 // single-instance edit converges after a handful of evaluations, because
 // the storage elements downstream absorb small timing shifts.  Because
 // the relaxation is a confluent fixed-point iteration (the property the
-// sequential case schedule of §2.7 already depends on), the resumed pass
+// case chain of §2.7 already depends on), the resumed pass
 // lands on the same fixed point as a from-scratch run: violations,
 // margins, kept waveforms and the cross-reference are bit-identical,
 // for any Workers setting.
@@ -132,36 +132,50 @@ func caseList(d *netlist.Design) []netlist.Case {
 	return d.Cases
 }
 
-// dispatch runs job once per case index and returns the outcomes in
-// declared case order.  With one worker the jobs run in order on the
-// calling goroutine and stop at the first error; otherwise a pool of
-// workers goroutines takes them in any order, and each outcome lands in
-// the slot of its case index.
-func dispatch(nCases, workers int, job func(ci int) caseOutcome) []caseOutcome {
+// CaseRanges splits n cases into min(k, n) contiguous half-open ranges
+// [lo, hi) that cover [0, n) in declared order; the first n%k ranges are
+// one case longer.  A k below 1 counts as 1.  The case schedule runs one
+// range per worker and the cluster one per partition, so a case range
+// means the same thing in and out of process.
+func CaseRanges(n, k int) [][2]int {
+	k = max(1, min(k, n))
+	ranges := make([][2]int, 0, k)
+	for lo, i := 0, 0; lo < n; i++ {
+		hi := lo + n/k
+		if i < n%k {
+			hi++
+		}
+		ranges = append(ranges, [2]int{lo, hi})
+		lo = hi
+	}
+	return ranges
+}
+
+// runRanges runs job over each range's cases in order, stopping a range
+// at its first error, and returns the outcomes in declared case order.  A
+// single range runs on the calling goroutine; otherwise each range runs
+// on its own.  job receives the range index and the case index.
+func runRanges(ranges [][2]int, nCases int, job func(r, ci int) caseOutcome) []caseOutcome {
 	outs := make([]caseOutcome, nCases)
-	if workers == 1 {
-		for ci := range outs {
-			if outs[ci] = job(ci); outs[ci].err != nil {
-				break
+	chain := func(r int) {
+		for ci := ranges[r][0]; ci < ranges[r][1]; ci++ {
+			if outs[ci] = job(r, ci); outs[ci].err != nil {
+				return
 			}
 		}
+	}
+	if len(ranges) == 1 {
+		chain(0)
 		return outs
 	}
-	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for r := range ranges {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ci := range jobs {
-				outs[ci] = job(ci)
-			}
+			chain(r)
 		}()
 	}
-	for ci := range outs {
-		jobs <- ci
-	}
-	close(jobs)
 	wg.Wait()
 	return outs
 }
@@ -233,49 +247,39 @@ func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
 	res.Stats.BuildTime = time.Since(buildStart)
 	res.Stats.TapeCompileTime = compileTime
 
+	// The case schedule (§2.7): each range is one chain whose first case
+	// relaxes the whole circuit and whose later cases reevaluate only
+	// their affected cone.  Range 0 runs on the initialised verifier, every
+	// other range on a clone of it taken before any range starts.  With
+	// retention on, each case's converged state is snapshotted before the
+	// chain moves on, and a range's last case keeps the chain's verifier.
+	wallStart := time.Now()
 	cases := caseList(d)
-	workers := V.opts.workers(len(cases))
+	ranges := CaseRanges(len(cases), V.opts.workers())
+	chains := make([]*verifier, len(ranges))
+	chains[0] = v
+	for r := 1; r < len(ranges); r++ {
+		chains[r] = v.clone()
+	}
 	perCase := make([]*verifier, len(cases))
-	var job func(ci int) caseOutcome
-	if workers == 1 {
-		// Sequential schedule: the first case relaxes the whole circuit,
-		// every later case reevaluates only its affected cone (§2.7).
-		// With retention on, each case's converged state is snapshotted
-		// before the shared verifier moves on.
-		job = func(ci int) caseOutcome {
-			if retain {
-				v.sites = make([]siteChecks, len(d.Prims))
-			}
-			o := v.runCase(cases[ci], ci == 0)
-			if retain && o.err == nil {
-				snap := v.snapshot()
-				snap.sites, v.sites = v.sites, nil
+	outs := runRanges(ranges, len(cases), func(r, ci int) caseOutcome {
+		cv := chains[r]
+		if retain {
+			cv.sites = make([]siteChecks, len(d.Prims))
+		}
+		o := cv.runCase(cases[ci], ci == ranges[r][0])
+		if retain && o.err == nil {
+			if ci == ranges[r][1]-1 {
+				perCase[ci] = cv
+			} else {
+				snap := cv.snapshot()
+				snap.sites, cv.sites = cv.sites, nil
 				perCase[ci] = snap
 			}
-			return o
 		}
-	} else {
-		// Concurrent schedule: each case is an independent relaxation to
-		// fixed point from a clone of the initialised snapshot.  The clone
-		// that ran a case holds its converged state and is retained
-		// directly.
-		job = func(ci int) caseOutcome {
-			cv := v.clone()
-			if retain {
-				cv.sites = make([]siteChecks, len(d.Prims))
-			}
-			o := cv.runCase(cases[ci], true)
-			if retain {
-				perCase[ci] = cv
-			} else if o.err == nil {
-				cv.releaseRunState()
-			}
-			return o
-		}
-	}
-	wallStart := time.Now()
-	outs := dispatch(len(cases), workers, job)
-	if err := V.finish(res, outs, workers, wallStart, prog); err != nil {
+		return o
+	})
+	if err := V.finish(res, outs, len(ranges), wallStart, prog); err != nil {
 		return nil, err
 	}
 	if retain {
@@ -283,7 +287,9 @@ func (V *Verifier) run(ctx context.Context, retain bool) (*Result, error) {
 	} else {
 		// One-shot run: the per-run tables go back to the program's pool
 		// for the next run to adopt.  Nothing in res references them.
-		v.releaseRunState()
+		for _, cv := range chains {
+			cv.releaseRunState()
+		}
 	}
 	return res, nil
 }
@@ -379,15 +385,15 @@ func (V *Verifier) ReverifyContext(ctx context.Context, ch netlist.Changes) (*Re
 	res.Stats.DirtyPrims = cone.PrimCount
 	res.Stats.DirtyNets = cone.NetCount
 
-	workers := V.opts.workers(len(V.cases))
+	ranges := CaseRanges(len(V.cases), V.opts.workers())
 	for _, rc := range V.perCase {
 		rc.ctx = ctx
 	}
 	wallStart := time.Now()
-	outs := dispatch(len(V.cases), workers, func(ci int) caseOutcome {
+	outs := runRanges(ranges, len(V.cases), func(_, ci int) caseOutcome {
 		return V.perCase[ci].reverifyCase(V.cases[ci], ch, dirtyPrim)
 	})
-	if err := V.finish(res, outs, workers, wallStart, tmpl.prog); err != nil {
+	if err := V.finish(res, outs, len(ranges), wallStart, tmpl.prog); err != nil {
 		// An aborted case left its retained verifier somewhere between the
 		// old and the new fixed point, and a refused delay-model pass left
 		// the retained result stale.  Drop all retained state: the next

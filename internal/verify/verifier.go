@@ -32,17 +32,16 @@ type Options struct {
 	// flows (driving a section with waveforms computed elsewhere) and the
 	// soundness tests that compare symbolic against concrete behaviour.
 	Force map[netlist.NetID]values.Waveform
-	// Workers bounds the number of case-analysis cycles evaluated
-	// concurrently.  Zero means runtime.GOMAXPROCS(0).  Workers == 1
-	// preserves the paper's sequential schedule, where each case after
-	// the first reevaluates only its affected cone incrementally (§2.7,
-	// §3.3.2).  Workers > 1 relaxes every case independently from a
-	// snapshot of the initialised state: violations, margins and kept
-	// waveforms are identical to the sequential run and deterministic
-	// across worker counts, but the per-case Events/PrimEvals counters
-	// reflect full rather than incremental relaxation.  On designs with
-	// few cases (or deep sharing between consecutive case cones) the
-	// sequential incremental schedule can do strictly less work.
+	// Workers bounds the number of case ranges evaluated concurrently.
+	// Zero means runtime.GOMAXPROCS(0).  The declared cases are split into
+	// min(Workers, cases) contiguous ranges (CaseRanges), and each worker
+	// runs a contiguous range of cases as one chain of the paper's
+	// schedule: the range's first case relaxes the whole circuit, and
+	// each later case reevaluates only its affected cone incrementally
+	// (§2.7, §3.3.2).  Violations, margins and kept waveforms are
+	// identical for every worker count.  The per-case Events/PrimEvals
+	// counters are not: a case that opens a range reports a full
+	// relaxation, any other case the cone it reevaluated.
 	Workers int
 	// Explore requests automatic case exploration: after a converged run,
 	// U/C-poisoned constraint sites are discharged by searching control-
@@ -76,33 +75,28 @@ func progStats(prog *tape.Program, s *Stats) {
 	s.Interned, s.Deduped = prog.Intern.Stats()
 }
 
-// workers resolves the effective worker count for a case list.
-func (o Options) workers(nCases int) int {
-	n := o.Workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+// workers resolves the effective worker count; CaseRanges clamps it to
+// the case list.
+func (o Options) workers() int {
+	if o.Workers > 0 {
+		return o.Workers
 	}
-	if n > nCases {
-		n = nCases
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return runtime.GOMAXPROCS(0)
 }
 
 // Stats aggregates the execution statistics the paper reports in
 // Table 3-1.  Events, PrimEvals, VerifyTime and CheckTime are *work*
-// totals summed over every case; under concurrent case evaluation the
-// summed phase times can exceed WallTime, the elapsed wall-clock time of
-// the whole case-evaluation phase.
+// totals summed over every case; when each worker runs a contiguous range
+// of cases as one chain, the ranges run concurrently and the summed phase
+// times can exceed WallTime, the elapsed wall-clock time of the whole
+// case-evaluation phase.
 type Stats struct {
 	Primitives int // driving + checking primitive instances
 	Nets       int // signal bits (value lists stored)
 	Events     int // output-value changes processed, summed over all cases
 	PrimEvals  int // primitive evaluations scheduled, summed over all cases
 	Cases      int // case-analysis cycles simulated
-	Workers    int // case-evaluation workers actually used
+	Workers    int // case ranges run, one chain per worker (CaseRanges)
 
 	// Wavefront-scheduling counters.  Levels, SCCs and FeedbackSCCs
 	// describe the levelization the tape sweeps; Sweeps counts level
@@ -517,7 +511,8 @@ type caseOutcome struct {
 }
 
 // clone snapshots the per-case relaxation state after the shared §2.9
-// initialisation, so a worker can relax one case independently.  The
+// initialisation, so a worker can run a contiguous range of cases as one
+// chain independently of the other ranges.  The
 // design, options, initial waveforms, pinning and wired-OR driver lists
 // are immutable during relaxation and shared; the mutable state — current
 // signals, case mapping, alternate clock outputs, wired-OR driver outputs
@@ -568,7 +563,7 @@ func (v *verifier) clone() *verifier {
 // snapshot deep-copies the converged per-case state — current signals,
 // case mapping, alternate clock outputs and wired-OR driver outputs — so
 // a Verifier can retain it for incremental re-verification while the
-// sequential schedule's shared verifier moves on to the next case.
+// range's chain verifier moves on to the next case.
 func (v *verifier) snapshot() *verifier {
 	w := v.clone()
 	for k, val := range v.caseMap {

@@ -284,11 +284,11 @@ func TestFigure2_6_CaseAnalysis(t *testing.T) {
 	}
 }
 
-// TestFigure2_6_IncrementalReevaluation: under the sequential schedule
+// TestFigure2_6_IncrementalReevaluation: within one case chain
 // (Workers == 1) going from case to case only the affected part of the
 // circuit is reevaluated (§2.7, §3.3.2), so the second case processes
-// fewer events than the first.  Workers is pinned because the concurrent
-// schedule relaxes every case in full from the initial snapshot.
+// fewer events than the first.  Workers is pinned because at Workers ≥ 2
+// each of the two cases opens a range of its own and relaxes in full.
 func TestFigure2_6_IncrementalReevaluation(t *testing.T) {
 	res, err := Run(buildFig26(true, t), Options{Workers: 1})
 	if err != nil {
